@@ -27,13 +27,8 @@ from .instance import (
     split_groupcast,
     validate,
 )
-from .oracle import (
-    Gf2Matrix,
-    RateReport,
-    gap_report,
-    mais_lower_bound,
-    min_linear_rate_gf2,
-)
+from .oracle import Gf2Matrix, mais_lower_bound, min_linear_rate_gf2
+from .pipeline import RateReport, gap_report
 from .scheme import (
     CodingScheme,
     DecodeView,

@@ -10,20 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from . import cover as cover_mod
-from . import oracle as oracle_mod
+from .cover import DEFAULT_EXACT_CAP
 from .errors import CapExceeded, ValidationError
 from .generate import random_instance
-from .graph import bipartite_dot, build_cross_neighbor_graph, derived_dot
-from .instance import Instance, dedup, parse_instance, serialize_instance, split_groupcast
+from .graph import bipartite_dot, derived_dot
+from .instance import Instance, parse_instance, serialize_instance, split_groupcast
+from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
+from .pipeline import SolveConfig, gap_report, pick_cover, prepare, solve_instance
 from .scheme import (
-    CodingScheme,
     DEFAULT_WORD_WIDTH,
     assign_transmissions,
     parse_scheme,
-    scheme_from_cover,
     verify_scheme_random,
     verify_scheme_symbolic,
 )
@@ -32,74 +30,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    solver: str = "auto"
-    dedup: bool = True
-    strict_cross_neighbor: bool = False
-    word_width: int = DEFAULT_WORD_WIDTH
-    seed: int = 0
-    exact_cap: int = cover_mod.DEFAULT_EXACT_CAP
-    oracle_n_cap: int = oracle_mod.DEFAULT_ORACLE_N_CAP
-    mais_cap: int = oracle_mod.DEFAULT_MAIS_CAP
-
-    def __post_init__(self):
-        if self.solver not in ("exact", "greedy", "auto"):
-            raise ValidationError(f"unknown solver {self.solver!r}")
-        if not 1 <= self.word_width <= 64:
-            raise ValidationError("word_width must be in [1, 64]")
-        if min(self.exact_cap, self.oracle_n_cap, self.mais_cap) < 1:
-            raise ValidationError("caps must be positive")
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    scheme: CodingScheme
-    solver_used: str
-    # per pre-dedup virtual: (origin, want, transmission index)
-    assignments: list[tuple[tuple[int, int], int, int]]
-
-
-def solve_instance(inst: Instance, config: SolveConfig = SolveConfig()) -> SolveOutcome:
-    """Run the whole pipeline: split, dedup, graph, cover, scheme."""
-    u_full = split_groupcast(inst)
-    u = dedup(u_full) if config.dedup else u_full
-    g = build_cross_neighbor_graph(u, strict=config.strict_cross_neighbor)
-    solver_used = config.solver
-    if config.solver == "greedy":
-        cover = cover_mod.greedy_cover(g)
-    elif config.solver == "exact":
-        cover = cover_mod.exact_min_cover(g, cap=config.exact_cap)
-    else:
-        if g.vertex_count <= config.exact_cap:
-            cover = cover_mod.exact_min_cover(g, cap=config.exact_cap)
-            solver_used = "exact"
-        else:
-            print(
-                f"warning: {g.vertex_count} vertices exceed the exact cap "
-                f"{config.exact_cap}; falling back to greedy",
-                file=sys.stderr,
-            )
-            cover = cover_mod.greedy_cover(g)
-            solver_used = "greedy"
-    scheme = scheme_from_cover(u, cover)
-    part_of = cover.assignment(g.vertex_count)
-
-    # expand assignments back to every pre-dedup virtual
-    if config.dedup:
-        kept = [i for i in range(len(u_full.virtuals)) if i not in u.dedup_map]
-        new_pos = {orig: pos for pos, orig in enumerate(kept)}
-        assignments = []
-        for i, v in enumerate(u_full.virtuals):
-            rep = u.dedup_map.get(i, i)
-            assignments.append((v.origin, v.want, part_of[new_pos[rep]]))
-    else:
-        assignments = [
-            (v.origin, v.want, part_of[i]) for i, v in enumerate(u_full.virtuals)
-        ]
-    return SolveOutcome(scheme=scheme, solver_used=solver_used, assignments=assignments)
 
 
 def _emit(data: dict) -> None:
@@ -121,13 +51,11 @@ def _load_instance(path: str) -> Instance:
 def _config_from_args(args: argparse.Namespace) -> SolveConfig:
     return SolveConfig(
         solver=getattr(args, "solver", "auto"),
-        dedup=not getattr(args, "no_dedup", False),
-        strict_cross_neighbor=getattr(args, "strict_cross_neighbor", False),
-        word_width=getattr(args, "word_width", DEFAULT_WORD_WIDTH),
-        seed=getattr(args, "seed", 0),
-        exact_cap=getattr(args, "exact_cap", cover_mod.DEFAULT_EXACT_CAP),
-        oracle_n_cap=getattr(args, "oracle_cap", oracle_mod.DEFAULT_ORACLE_N_CAP),
-        mais_cap=getattr(args, "mais_cap", oracle_mod.DEFAULT_MAIS_CAP),
+        dedup=not args.no_dedup,
+        strict_cross_neighbor=args.strict_cross_neighbor,
+        exact_cap=args.exact_cap,
+        oracle_n_cap=getattr(args, "oracle_cap", DEFAULT_ORACLE_N_CAP),
+        mais_cap=getattr(args, "mais_cap", DEFAULT_MAIS_CAP),
     )
 
 
@@ -135,6 +63,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     config = _config_from_args(args)
     outcome = solve_instance(inst, config)
+    if config.solver == "auto" and outcome.solver_used == "greedy":
+        print(f"warning: {outcome.vertex_count} vertices exceed the exact cap "
+              f"{config.exact_cap}; falling back to greedy", file=sys.stderr)
     _emit(
         {
             "num_messages": inst.num_messages,
@@ -152,6 +83,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {args.trials}")
     inst = _load_instance(args.instance)
     scheme = parse_scheme(_read_file(args.scheme), num_messages=inst.num_messages)
     u = split_groupcast(inst)  # verification checks every demand, no dedup
@@ -191,16 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    config = _config_from_args(args)
-    report = oracle_mod.gap_report(
-        inst,
-        apply_dedup=config.dedup,
-        strict=config.strict_cross_neighbor,
-        exact_cap=config.exact_cap,
-        oracle_n_cap=config.oracle_n_cap,
-        mais_cap=config.mais_cap,
-    )
+    report = gap_report(_load_instance(args.instance), _config_from_args(args))
     _emit(report.to_jsonable())
     return EXIT_OK
 
@@ -223,38 +147,28 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         sys.stdout.write(bipartite_dot(inst))
         return EXIT_OK
     config = _config_from_args(args)
-    u_full = split_groupcast(inst)
-    u = dedup(u_full) if config.dedup else u_full
-    g = build_cross_neighbor_graph(u, strict=config.strict_cross_neighbor)
-    cover = None
-    if args.overlay_cover:
-        if g.vertex_count <= config.exact_cap:
-            cover = cover_mod.exact_min_cover(g, cap=config.exact_cap).parts
-        else:
-            cover = cover_mod.greedy_cover(g).parts
+    _, u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    cover = pick_cover(g, config)[0].parts if args.overlay_cover else None
     sys.stdout.write(derived_dot(u, g, cover))
     return EXIT_OK
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_solver_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--solver",
         choices=("exact", "greedy", "auto"),
         default="auto",
         help="cover solver; auto falls back to greedy over the exact cap",
     )
-    p.add_argument("--exact-cap", type=int, default=cover_mod.DEFAULT_EXACT_CAP,
+
+
+def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                    help="max vertices for the exact cover solver")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-dedup", action="store_true",
                    help="keep duplicate virtual receivers in the pipeline")
     p.add_argument("--strict-cross-neighbor", action="store_true",
                    help="drop the equal-demand edge rule (mutual containment only)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--word-width", type=int, default=DEFAULT_WORD_WIDTH,
-                   help="bits per message word for randomized checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute a coding scheme for an instance")
     p.add_argument("instance", help="instance JSON file")
-    _add_solver_flags(p)
-    _add_common_flags(p)
+    _add_solver_flag(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a scheme against an instance")
@@ -276,16 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme", help="scheme JSON file")
     p.add_argument("--trials", type=int, default=100,
                    help="randomized verification trials")
-    _add_common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--word-width", type=int, default=DEFAULT_WORD_WIDTH,
+                   help="bits per message word for randomized checks")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gap", help="bound sandwich: MAIS, oracle, covers")
     p.add_argument("instance", help="instance JSON file")
-    _add_solver_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--oracle-cap", type=int, default=oracle_mod.DEFAULT_ORACLE_N_CAP,
+    _add_pipeline_flags(p)
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_N_CAP,
                    help="max messages for the GF(2) oracle")
-    p.add_argument("--mais-cap", type=int, default=oracle_mod.DEFAULT_MAIS_CAP,
+    p.add_argument("--mais-cap", type=int, default=DEFAULT_MAIS_CAP,
                    help="max virtuals for the MAIS bound")
     p.set_defaults(func=cmd_gap)
 
@@ -304,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("bipartite", "derived"), default="derived")
     p.add_argument("--overlay-cover", action="store_true",
                    help="color derived-graph nodes by cover part")
-    _add_solver_flags(p)
-    _add_common_flags(p)
+    _add_solver_flag(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -153,9 +153,10 @@ def instance_from_jsonable(data) -> Instance:
 
 def parse_instance(text: str) -> Instance:
     """Parse the canonical instance JSON; raise ValidationError on any defect."""
+    # RecursionError: deep nesting; ValueError: JSONDecodeError, too-long integers
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ValidationError(f"malformed JSON: {exc}") from exc
     return instance_from_jsonable(data)
 

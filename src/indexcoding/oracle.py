@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from . import cover as cover_mod
 from .errors import CapExceeded
-from .graph import build_cross_neighbor_graph
-from .instance import Instance, UnicastInstance, dedup, split_groupcast
+from .instance import UnicastInstance
 
 DEFAULT_ORACLE_N_CAP = 10
 DEFAULT_MAIS_CAP = 20
@@ -33,37 +31,6 @@ class Gf2Matrix:
 
     rows: tuple[int, ...]
     num_cols: int
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """The bound sandwich for one instance: mais <= oracle <= exact <= greedy.
-
-    Fields are None when the corresponding computation exceeded its cap.  A
-    positive gap (exact cover beats the oracle is impossible; oracle beating
-    the exact cover) marks the instance as a counterexample to the claim that
-    the clique-cover program is linearly optimal.
-    """
-
-    mais_bound: int | None
-    oracle_rate: int | None
-    cover_rate_exact: int | None
-    cover_rate_greedy: int
-    gap: int | None
-
-    @property
-    def counterexample(self) -> bool:
-        return self.gap is not None and self.gap > 0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "mais": self.mais_bound,
-            "oracle": self.oracle_rate,
-            "cover_exact": self.cover_rate_exact,
-            "cover_greedy": self.cover_rate_greedy,
-            "gap": self.gap,
-            "counterexample": self.counterexample,
-        }
 
 
 def gf2_reduce(vec: int, basis: dict[int, int]) -> int:
@@ -233,42 +200,3 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
     search(0)
     return best
 
-
-def gap_report(
-    inst: Instance,
-    apply_dedup: bool = True,
-    strict: bool = False,
-    exact_cap: int = cover_mod.DEFAULT_EXACT_CAP,
-    oracle_n_cap: int = DEFAULT_ORACLE_N_CAP,
-    mais_cap: int = DEFAULT_MAIS_CAP,
-) -> RateReport:
-    """Assemble the full bound sandwich for one instance.
-
-    Each field degrades to None independently when its cap is exceeded; the
-    greedy cover always computes.  gap = cover_exact - oracle when both exist.
-    """
-    u = split_groupcast(inst)
-    if apply_dedup:
-        u = dedup(u)
-    g = build_cross_neighbor_graph(u, strict=strict)
-    greedy = cover_mod.greedy_cover(g).size
-    try:
-        exact: int | None = cover_mod.exact_min_cover(g, cap=exact_cap).size
-    except CapExceeded:
-        exact = None
-    try:
-        mais: int | None = mais_lower_bound(u, cap=mais_cap)
-    except CapExceeded:
-        mais = None
-    try:
-        oracle: int | None = min_linear_rate_gf2(u, n_cap=oracle_n_cap)
-    except CapExceeded:
-        oracle = None
-    gap = exact - oracle if exact is not None and oracle is not None else None
-    return RateReport(
-        mais_bound=mais,
-        oracle_rate=oracle,
-        cover_rate_exact=exact,
-        cover_rate_greedy=greedy,
-        gap=gap,
-    )

@@ -1,0 +1,150 @@
+"""The solver pipeline: split, dedup, cross-neighbor graph, clique cover, scheme.
+
+The only module that chains the stages: every command builds its graph once
+through :func:`prepare` and picks its cover through :func:`pick_cover`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .cover import DEFAULT_EXACT_CAP, CliqueCover, exact_min_cover, greedy_cover
+from .errors import CapExceeded, ValidationError
+from .graph import DerivedGraph, build_cross_neighbor_graph
+from .instance import Instance, UnicastInstance, split_groupcast
+from .instance import dedup as dedup_virtuals
+from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
+from .oracle import mais_lower_bound, min_linear_rate_gf2
+from .scheme import CodingScheme, scheme_from_cover
+
+
+@dataclass(frozen=True)
+class SolveConfig:
+    solver: str = "auto"
+    dedup: bool = True
+    strict_cross_neighbor: bool = False
+    exact_cap: int = DEFAULT_EXACT_CAP
+    oracle_n_cap: int = DEFAULT_ORACLE_N_CAP
+    mais_cap: int = DEFAULT_MAIS_CAP
+
+    def __post_init__(self):
+        if self.solver not in ("exact", "greedy", "auto"):
+            raise ValidationError(f"unknown solver {self.solver!r}")
+        if min(self.exact_cap, self.oracle_n_cap, self.mais_cap) < 1:
+            raise ValidationError("caps must be positive")
+
+
+@dataclass(frozen=True)
+class SolveOutcome:
+    scheme: CodingScheme
+    solver_used: str
+    # per pre-dedup virtual: (origin, want, transmission index)
+    assignments: list[tuple[tuple[int, int], int, int]]
+    # vertices of the cross-neighbor graph the cover was taken on
+    vertex_count: int
+
+
+@dataclass(frozen=True)
+class RateReport:
+    """The bound sandwich for one instance: mais <= oracle <= exact <= greedy.
+
+    Fields are None when the corresponding computation exceeded its cap.  A
+    positive gap (exact cover beats the oracle is impossible; oracle beating
+    the exact cover) marks the instance as a counterexample to the claim that
+    the clique-cover program is linearly optimal.
+    """
+
+    mais_bound: int | None
+    oracle_rate: int | None
+    cover_rate_exact: int | None
+    cover_rate_greedy: int
+    gap: int | None
+
+    @property
+    def counterexample(self) -> bool:
+        return self.gap is not None and self.gap > 0
+
+    def to_jsonable(self) -> dict:
+        return {
+            "mais": self.mais_bound,
+            "oracle": self.oracle_rate,
+            "cover_exact": self.cover_rate_exact,
+            "cover_greedy": self.cover_rate_greedy,
+            "gap": self.gap,
+            "counterexample": self.counterexample,
+        }
+
+
+def prepare(
+    inst: Instance, dedup: bool = True, strict: bool = False
+) -> tuple[UnicastInstance, UnicastInstance, DerivedGraph]:
+    """Split, optionally dedup, and build the cross-neighbor graph.
+
+    Returns the full split (one virtual per demand), the instance the graph
+    was built on (the same object when ``dedup`` is off), and the graph.
+    """
+    u_full = split_groupcast(inst)
+    u = dedup_virtuals(u_full) if dedup else u_full
+    return u_full, u, build_cross_neighbor_graph(u, strict=strict)
+
+
+def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str]:
+    """Cover g with the configured solver; return the cover and the solver used.
+
+    ``auto`` runs the exact solver up to ``exact_cap`` vertices and greedy
+    above it.  An explicit ``exact`` over the cap raises CapExceeded.
+    """
+    solver = config.solver
+    if solver == "auto":
+        solver = "exact" if g.vertex_count <= config.exact_cap else "greedy"
+    if solver == "exact":
+        return exact_min_cover(g, cap=config.exact_cap), solver
+    return greedy_cover(g), solver
+
+
+def solve_instance(inst: Instance, config: SolveConfig = SolveConfig()) -> SolveOutcome:
+    """Run the whole pipeline: split, dedup, graph, cover, scheme."""
+    u_full, u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    cover, solver_used = pick_cover(g, config)
+    scheme = scheme_from_cover(u, cover)
+    part_of = cover.assignment(g.vertex_count)
+
+    # expand assignments back to every pre-dedup virtual
+    removed = u.dedup_map or {}
+    kept = [i for i in range(len(u_full.virtuals)) if i not in removed]
+    new_pos = {orig: pos for pos, orig in enumerate(kept)}
+    assignments = [
+        (v.origin, v.want, part_of[new_pos[removed.get(i, i)]])
+        for i, v in enumerate(u_full.virtuals)
+    ]
+    return SolveOutcome(scheme, solver_used, assignments, g.vertex_count)
+
+
+def _capped(compute):
+    """compute(), or None when it exceeds its size cap."""
+    try:
+        return compute()
+    except CapExceeded:
+        return None
+
+
+def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateReport:
+    """Assemble the full bound sandwich for one instance.
+
+    Each field degrades to None independently when its cap is exceeded; the
+    greedy cover always computes (``config.solver`` is not read).  gap =
+    cover_exact - oracle when both exist.
+    """
+    _, u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    greedy = greedy_cover(g).size
+    exact = _capped(lambda: exact_min_cover(g, cap=config.exact_cap).size)
+    mais = _capped(lambda: mais_lower_bound(u, cap=config.mais_cap))
+    oracle = _capped(lambda: min_linear_rate_gf2(u, n_cap=config.oracle_n_cap))
+    gap = exact - oracle if exact is not None and oracle is not None else None
+    return RateReport(
+        mais_bound=mais,
+        oracle_rate=oracle,
+        cover_rate_exact=exact,
+        cover_rate_greedy=greedy,
+        gap=gap,
+    )

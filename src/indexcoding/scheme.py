@@ -13,9 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cover import CliqueCover, verify_cover
+from .cover import CliqueCover
 from .errors import ValidationError
-from .graph import build_cross_neighbor_graph
 from .instance import UnicastInstance, VirtualReceiver
 
 DEFAULT_WORD_WIDTH = 64
@@ -65,15 +64,25 @@ def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
 
     Duplicate wants inside a part collapse to a single summand (a repeated
     XOR summand would cancel itself, and one copy serves every wanter).
+
+    The cover is checked against ``u`` itself, not a graph: its parts must
+    partition the virtuals and each virtual must hold every other distinct
+    want of its part, which is XOR decodability (a non-strict graph clique).
     """
-    g = build_cross_neighbor_graph(u)
-    problem = verify_cover(g, c)
-    if problem is not None:
-        raise ValidationError(f"invalid cover: {problem}")
-    transmissions = tuple(
-        tuple(sorted({u.virtuals[v].want for v in part})) for part in c.parts
-    )
-    return CodingScheme(u.num_messages, transmissions)
+    k = len(u.virtuals)
+    if not all(c.parts) or sorted(v for part in c.parts for v in part) != list(range(k)):
+        raise ValidationError(f"invalid cover: not a partition of 0..{k - 1} into nonempty parts")
+    transmissions = []
+    for t, part in enumerate(c.parts):
+        wants = {u.virtuals[v].want for v in part}
+        for v in part:
+            lacking = wants - u.virtuals[v].has - {u.virtuals[v].want}
+            if lacking:
+                raise ValidationError(
+                    f"invalid cover: part {t}: virtual {v} lacks {sorted(lacking)}"
+                )
+        transmissions.append(tuple(sorted(wants)))
+    return CodingScheme(u.num_messages, tuple(transmissions))
 
 
 def encode(s: CodingScheme, a: MessageAssignment) -> tuple[int, ...]:
@@ -188,9 +197,10 @@ def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:
     When ``num_messages`` is not given it is inferred as the largest id
     mentioned; verification against an instance re-checks the range.
     """
+    # RecursionError: deep nesting; ValueError: JSONDecodeError, too-long integers
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ValidationError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("scheme must be a JSON object")

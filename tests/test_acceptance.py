@@ -21,7 +21,7 @@ from indexcoding import (
     verify_scheme_random,
     verify_scheme_symbolic,
 )
-from indexcoding.cli import SolveConfig, solve_instance
+from indexcoding.pipeline import SolveConfig, solve_instance
 from indexcoding.generate import random_graph, random_instance
 from indexcoding.oracle import can_decode
 from indexcoding.scheme import assign_transmissions

@@ -1,6 +1,17 @@
 import json
+import sys
 
-from indexcoding import parse_instance, validate
+import pytest
+
+from indexcoding import (
+    build_cross_neighbor_graph,
+    dedup,
+    derived_dot,
+    greedy_cover,
+    parse_instance,
+    split_groupcast,
+    validate,
+)
 from indexcoding.cli import main
 
 from conftest import INSTANCE_DIR
@@ -80,11 +91,6 @@ class TestSolve:
         assert code == 0
         assert len(json.loads(out)["assignments"]) == 4
 
-    def test_bad_word_width_exits_1(self, capsys):
-        code, _, err = run(capsys, "solve", EXAMPLE6, "--word-width", "80")
-        assert code == 1
-        assert "word_width" in err
-
     def test_strict_mode_separates_equal_wants(self, capsys, tmp_path):
         path = tmp_path / "same_want.json"
         path.write_text(
@@ -124,6 +130,25 @@ class TestVerify:
         data = json.loads(out)
         by_origin = {tuple(v["origin"]): v["transmission"] for v in data["virtuals"]}
         assert (2, 1) in by_origin and (2, 2) in by_origin
+
+    def test_bad_word_width_exits_1(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "solve", EXAMPLE6)
+        scheme_path = tmp_path / "scheme.json"
+        scheme_path.write_text(out)
+        code, _, err = run(capsys, "verify", EXAMPLE6, str(scheme_path), "--word-width", "80")
+        assert code == 1
+        assert "word_width" in err
+
+    def test_trials_below_1_exits_1(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "solve", EXAMPLE6)
+        scheme_path = tmp_path / "scheme.json"
+        scheme_path.write_text(out)
+        for trials in ("0", "-5"):
+            code, out, err = run(capsys, "verify", EXAMPLE6, str(scheme_path),
+                                 "--trials", trials)
+            assert code == 1
+            assert out == ""
+            assert "trials must be at least 1" in err
 
     def test_bad_scheme_file_exits_1(self, capsys, tmp_path):
         scheme_path = tmp_path / "broken.json"
@@ -208,6 +233,32 @@ class TestExportDot:
         assert code == 1
         assert "malformed" in err
 
+    def test_overlay_exact_over_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "export-dot", EXAMPLE6, "--overlay-cover",
+                             "--solver", "exact", "--exact-cap", "3")
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
+    def test_overlay_honours_greedy_solver(self, capsys, tmp_path):
+        # a path 2-0-1-3 in the derived graph: first-fit pairs 0 with 1 and
+        # leaves 2 and 3 alone, the exact cover pairs {0, 2} and {1, 3}
+        path = tmp_path / "path4.json"
+        path.write_text(
+            '{"num_messages": 4, "receivers": ['
+            '{"wants": [1], "has": [2, 3]}, {"wants": [2], "has": [1, 4]}, '
+            '{"wants": [3], "has": [1]}, {"wants": [4], "has": [2]}]}'
+        )
+        _, default, _ = run(capsys, "export-dot", str(path), "--overlay-cover")
+        code, out, _ = run(capsys, "export-dot", str(path), "--overlay-cover",
+                           "--solver", "greedy")
+        assert code == 0
+        u = dedup(split_groupcast(parse_instance(path.read_text())))
+        g = build_cross_neighbor_graph(u)
+        assert greedy_cover(g).size == 3
+        assert out == derived_dot(u, g, greedy_cover(g).parts)
+        assert out != default
+
 
 class TestPipelineClosure:
     def test_solve_then_verify_on_random_instances(self, capsys, tmp_path):
@@ -225,3 +276,45 @@ class TestPipelineClosure:
             scheme_path.write_text(scheme_text)
             verify_code, report, _ = run(capsys, "verify", str(inst_path), str(scheme_path))
             assert verify_code == 0, report
+
+
+# Each payload breaks the JSON decoder itself: one by nesting past the
+# recursion limit, one by an integer literal past the interpreter's digit limit.
+HOSTILE = {
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,
+    "long_integer": '{"num_messages": ' + "9" * 5000 + ', "receivers": []}',
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "deep_nesting",
+        pytest.param(
+            "long_integer",
+            marks=pytest.mark.skipif(
+                not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                reason="no integer string-conversion limit in force",
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    ["solve", "verify-instance", "verify-scheme", "gap", "export-dot"],
+)
+def test_hostile_input_exits_1(capsys, tmp_path, command, payload):
+    path = tmp_path / "hostile.json"
+    path.write_text(HOSTILE[payload])
+    argv = {
+        "solve": ["solve", str(path)],
+        "verify-instance": ["verify", str(path), str(path)],
+        "verify-scheme": ["verify", EXAMPLE6, str(path)],
+        "gap": ["gap", str(path)],
+        "export-dot": ["export-dot", str(path)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed JSON") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -17,6 +17,7 @@ from indexcoding import (
 from indexcoding.generate import random_instance
 from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.oracle import can_decode, gf2_rank, iter_rref_rowspaces
+from indexcoding.pipeline import SolveConfig
 
 
 def unicast_of(num_messages, pairs):
@@ -196,11 +197,11 @@ class TestGapReport:
         }
 
     def test_fields_degrade_independently(self, example6):
-        r = gap_report(example6, oracle_n_cap=5)
+        r = gap_report(example6, SolveConfig(oracle_n_cap=5))
         assert r.oracle_rate is None and r.gap is None
         assert r.cover_rate_exact == 3 and r.mais_bound == 3
         assert not r.counterexample
-        r = gap_report(example6, exact_cap=5)
+        r = gap_report(example6, SolveConfig(exact_cap=5))
         assert r.cover_rate_exact is None and r.gap is None
         assert r.cover_rate_greedy == 3
 

@@ -20,6 +20,7 @@ from indexcoding import (
     scheme_from_cover,
     serialize_scheme,
     split_groupcast,
+    verify_cover,
     verify_scheme_random,
     verify_scheme_symbolic,
 )
@@ -83,6 +84,78 @@ class TestSchemeFromCover:
             g = build_cross_neighbor_graph(u)
             for cover in (exact_min_cover(g), greedy_cover(g)):
                 assert scheme_from_cover(u, cover).rate == cover.size
+
+
+def random_partition(rng: random.Random, k: int) -> CliqueCover:
+    order = list(range(k))
+    rng.shuffle(order)
+    parts = []
+    while order:
+        cut = rng.randint(1, len(order))
+        parts.append(tuple(order[:cut]))
+        order = order[cut:]
+    return CliqueCover(tuple(parts))
+
+
+def defective_covers(valid: CliqueCover, k: int) -> list[CliqueCover]:
+    """One broken variant per defect, each made from an otherwise valid cover."""
+    parts = [list(p) for p in valid.parts]
+    last = next(i for i, p in enumerate(parts) if k - 1 in p)
+
+    def variant(edit) -> CliqueCover:
+        copy = [list(p) for p in parts]
+        edit(copy)
+        return CliqueCover(tuple(tuple(p) for p in copy))
+
+    def negative_index(c):
+        # -1 would alias the last virtual if indices were used unchecked
+        c[last][c[last].index(k - 1)] = -1
+
+    return [
+        variant(lambda c: c.append([])),  # empty part
+        variant(lambda c: c[0].append(c[-1][0])),  # duplicate vertex
+        variant(lambda c: c[last].remove(k - 1)),  # missing vertex
+        variant(lambda c: c[last].append(k)),  # index past the end
+        variant(negative_index),
+    ]
+
+
+class TestCoverCheckMatchesGraphCheck:
+    """scheme_from_cover checks a cover against the instance directly; the
+    reference is verify_cover on the rebuilt non-strict graph."""
+
+    def test_agrees_with_verify_cover(self):
+        rng = random.Random(2024)
+        outcomes = {True: 0, False: 0}
+        for seed in range(300):
+            n = rng.randint(2, 7)
+            density = (0.2, 0.5, 0.8, 1.0)[seed % 4]
+            inst = random_instance(n, rng.randint(1, 6), density, (1, min(3, n)), seed=seed)
+            full = split_groupcast(inst)
+            for u in (full, dedup(full)):
+                k = len(u.virtuals)
+                g = build_cross_neighbor_graph(u)
+                strict = build_cross_neighbor_graph(u, strict=True)
+                covers = [
+                    exact_min_cover(g),
+                    greedy_cover(strict),
+                    exact_min_cover(strict),
+                    random_partition(rng, k),
+                    random_partition(rng, k),
+                ]
+                covers += defective_covers(greedy_cover(g), k)
+                for cover in covers:
+                    expected_ok = verify_cover(g, cover) is None
+                    try:
+                        scheme_from_cover(u, cover)
+                    except ValidationError as exc:
+                        assert str(exc).startswith("invalid cover"), exc
+                        assert not expected_ok, (seed, cover, exc)
+                    else:
+                        assert expected_ok, (seed, cover)
+                    outcomes[expected_ok] += 1
+        # both answers must be exercised often for the agreement to mean much
+        assert min(outcomes.values()) > 500, outcomes
 
 
 class TestEncodeDecode:
