@@ -23,7 +23,6 @@ from .scheme import (
     assign_transmissions,
     parse_scheme,
     verify_scheme_random,
-    verify_scheme_symbolic,
 )
 
 EXIT_OK = 0
@@ -63,9 +62,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     config = _config_from_args(args)
     outcome = solve_instance(inst, config)
-    if config.solver == "auto" and outcome.solver_used == "greedy":
-        print(f"warning: {outcome.vertex_count} vertices exceed the exact cap "
-              f"{config.exact_cap}; falling back to greedy", file=sys.stderr)
+    if outcome.fallback:
+        print(f"warning: {outcome.fallback}; falling back to greedy", file=sys.stderr)
     _emit(
         {
             "num_messages": inst.num_messages,
@@ -88,7 +86,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     scheme = parse_scheme(_read_file(args.scheme), num_messages=inst.num_messages)
     u = split_groupcast(inst)  # verification checks every demand, no dedup
-    unsatisfied = verify_scheme_symbolic(u, scheme)
+    assigned = assign_transmissions(u, scheme)
+    unsatisfied = [i for i, t in enumerate(assigned) if t is None]
     report: dict = {
         "rate": scheme.rate,
         "symbolic_ok": not unsatisfied,
@@ -104,7 +103,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failure = verify_scheme_random(
         u, scheme, trials=args.trials, seed=args.seed, word_width=args.word_width
     )
-    assigned = assign_transmissions(u, scheme)
     report["virtuals"] = [
         {"origin": list(v.origin), "want": v.want, "transmission": assigned[i]}
         for i, v in enumerate(u.virtuals)
@@ -158,13 +156,13 @@ def _add_solver_flag(p: argparse.ArgumentParser) -> None:
         "--solver",
         choices=("exact", "greedy", "auto"),
         default="auto",
-        help="cover solver; auto falls back to greedy over the exact cap",
+        help="cover solver; auto falls back to greedy when a component exceeds the cap",
     )
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
-                   help="max vertices for the exact cover solver")
+                   help="max vertices per connected component for the exact cover solver")
     p.add_argument("--no-dedup", action="store_true",
                    help="keep duplicate virtual receivers in the pipeline")
     p.add_argument("--strict-cross-neighbor", action="store_true",

@@ -84,57 +84,59 @@ def greedy_cover(g: DerivedGraph) -> CliqueCover:
 def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCover:
     """Minimum clique cover via exact coloring of the complement graph.
 
-    Solved per connected component.  Raises CapExceeded above ``cap``
-    vertices; use :func:`greedy_cover` instead for large graphs.
+    Cliques never span connected components, so each is solved on its own and
+    ``cap`` bounds the largest one: a component over ``cap`` vertices raises
+    CapExceeded before any is solved; use :func:`greedy_cover` then.
     """
-    if g.vertex_count > cap:
+    components = connected_components(g)
+    largest = max(map(len, components), default=0)
+    if largest > cap:
         raise CapExceeded(
-            f"exact cover cap exceeded ({g.vertex_count} vertices > {cap}); "
+            f"exact cover cap exceeded (component of {largest} vertices > {cap}); "
             "use greedy_cover"
         )
-    parts: list[tuple[int, ...]] = []
-    for comp in connected_components(g):
-        sub = g.induced_subgraph(comp)
-        colors = _exact_coloring_of_complement(sub)
+    parts: list[list[int]] = []
+    for comp in components:
+        full = (1 << len(comp)) - 1
+        rows = g.induced_subgraph(comp).adjacency
+        complement = [full & ~row & ~(1 << v) for v, row in enumerate(rows)]
         classes: dict[int, list[int]] = {}
-        for local, color in enumerate(colors):
+        for local, color in enumerate(_exact_coloring(len(comp), complement)):
             classes.setdefault(color, []).append(comp[local])
-        parts.extend(tuple(vs) for vs in classes.values())
+        parts.extend(classes.values())
     return _canonical(parts)
 
 
-def _complement_rows(g: DerivedGraph) -> list[int]:
-    full = (1 << g.vertex_count) - 1
-    return [full & ~g.adjacency[v] & ~(1 << v) for v in range(g.vertex_count)]
+def _pick(candidates: Sequence[int], colors: list[int], sat: list[int], degrees: list[int]) -> int:
+    """DSATUR choice among the uncolored candidates: highest saturation, then
+    highest degree, then lowest index."""
+    return max(
+        (u for u in candidates if colors[u] < 0),
+        key=lambda u: (sat[u].bit_count(), degrees[u], -u),
+    )
 
 
-def _exact_coloring_of_complement(g: DerivedGraph) -> list[int]:
-    return _exact_coloring(g.vertex_count, _complement_rows(g))
+def _paint(v: int, c: int, adj: list[int], colors: list[int], sat: list[int]) -> None:
+    """Color v with c and add c to its neighbors' saturation.
+
+    Saturation rows are BBMC-style int bitsets (San Segundo et al.): bit c of
+    sat[u] marks a neighbor colored c.  Only uncolored rows are ever read.
+    """
+    colors[v] = c
+    for u in _bits(adj[v]):
+        sat[u] |= 1 << c
 
 
-def _dsatur_greedy(n: int, adj: list[int]) -> list[int]:
+def _dsatur_greedy(n: int, adj: list[int], degrees: list[int]) -> list[int]:
     colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degrees = [adj[v].bit_count() for v in range(n)]
+    sat = [0] * n
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(neighbor_colors[u]), degrees[u], -u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        for u in _bits(adj[v]):
-            if colors[u] < 0:
-                neighbor_colors[u].add(c)
+        v = _pick(range(n), colors, sat, degrees)
+        _paint(v, (~sat[v] & (sat[v] + 1)).bit_length() - 1, adj, colors, sat)
     return colors
 
 
-def _greedy_clique(n: int, adj: list[int]) -> list[int]:
-    if n == 0:
-        return []
-    degrees = [adj[v].bit_count() for v in range(n)]
+def _greedy_clique(n: int, adj: list[int], degrees: list[int]) -> list[int]:
     start = max(range(n), key=lambda v: (degrees[v], -v))
     clique = [start]
     candidates = adj[start]
@@ -155,22 +157,19 @@ def _exact_coloring(n: int, adj: list[int]) -> list[int]:
     """
     if n == 0:
         return []
-    greedy = _dsatur_greedy(n, adj)
+    degrees = [row.bit_count() for row in adj]
+    greedy = _dsatur_greedy(n, adj, degrees)
     best_k = max(greedy) + 1
     best = list(greedy)
-    clique = _greedy_clique(n, adj)
+    clique = _greedy_clique(n, adj, degrees)
     lower = len(clique)
     if lower == best_k:
         return best
 
     colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degrees = [adj[v].bit_count() for v in range(n)]
+    sat = [0] * n
     for c, v in enumerate(clique):
-        colors[v] = c
-        for u in _bits(adj[v]):
-            if colors[u] < 0:
-                neighbor_colors[u].add(c)
+        _paint(v, c, adj, colors, sat)
 
     uncolored = [v for v in range(n) if colors[v] < 0]
 
@@ -182,24 +181,16 @@ def _exact_coloring(n: int, adj: list[int]) -> list[int]:
             best_k = used
             best = colors[:]
             return
-        v = max(
-            (u for u in uncolored if colors[u] < 0),
-            key=lambda u: (len(neighbor_colors[u]), degrees[u], -u),
-        )
+        v = _pick(uncolored, colors, sat, degrees)
         limit = min(used + 1, best_k - 1)
+        saved = sat[:]
         for c in range(limit):
-            if c in neighbor_colors[v]:
+            if (sat[v] >> c) & 1:
                 continue
-            colors[v] = c
-            touched = []
-            for u in _bits(adj[v]):
-                if colors[u] < 0 and c not in neighbor_colors[u]:
-                    neighbor_colors[u].add(c)
-                    touched.append(u)
+            _paint(v, c, adj, colors, sat)
             search(num_colored + 1, max(used, c + 1))
             colors[v] = -1
-            for u in touched:
-                neighbor_colors[u].discard(c)
+            sat[:] = saved
             if best_k == lower:
                 return
 

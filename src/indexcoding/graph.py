@@ -101,23 +101,23 @@ def build_cross_neighbor_graph(u: UnicastInstance, strict: bool = False) -> Deri
 
 
 def connected_components(g: DerivedGraph) -> list[tuple[int, ...]]:
-    """Components as ascending vertex tuples, ordered by smallest member."""
-    seen = [False] * g.vertex_count
+    """Components as ascending vertex tuples, ordered by smallest member.
+
+    Each frontier is the OR of the previous frontier's adjacency rows, minus
+    the vertices the component already holds.
+    """
+    unseen = (1 << g.vertex_count) - 1
     components = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        components.append(tuple(sorted(comp)))
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= g.adjacency[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        components.append(tuple(_bits(comp)))
     return components
 
 

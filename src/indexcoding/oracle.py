@@ -183,7 +183,7 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
     best = 0
     chosen: list[int] = []
 
-    def search(group_idx: int) -> None:
+    def search(group_idx: int) -> Iterator[int]:
         nonlocal best
         best = max(best, len(chosen))
         if group_idx == len(group_list):
@@ -193,10 +193,17 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
         for cand in group_list[group_idx]:
             if not creates_cycle(chosen, cand):
                 chosen.append(cand)
-                search(group_idx + 1)
+                yield group_idx + 1
                 chosen.pop()
-        search(group_idx + 1)
+        yield group_idx + 1
 
-    search(0)
+    # an explicit stack of frames, one per distinct want: no recursion limit
+    stack = [search(0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(search(child))
     return best
 

@@ -40,8 +40,8 @@ class SolveOutcome:
     solver_used: str
     # per pre-dedup virtual: (origin, want, transmission index)
     assignments: list[tuple[tuple[int, int], int, int]]
-    # vertices of the cross-neighbor graph the cover was taken on
-    vertex_count: int
+    # why auto fell back to greedy (the CapExceeded message), else None
+    fallback: str | None
 
 
 @dataclass(frozen=True)
@@ -88,24 +88,27 @@ def prepare(
     return u_full, u, build_cross_neighbor_graph(u, strict=strict)
 
 
-def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str]:
-    """Cover g with the configured solver; return the cover and the solver used.
+def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, str | None]:
+    """Cover g with the configured solver.
 
-    ``auto`` runs the exact solver up to ``exact_cap`` vertices and greedy
-    above it.  An explicit ``exact`` over the cap raises CapExceeded.
+    Returns the cover, the solver used and, when ``auto`` fell back to greedy
+    because a component exceeds ``exact_cap``, the reason (else None).  An
+    explicit ``exact`` over the cap raises CapExceeded.
     """
-    solver = config.solver
-    if solver == "auto":
-        solver = "exact" if g.vertex_count <= config.exact_cap else "greedy"
-    if solver == "exact":
-        return exact_min_cover(g, cap=config.exact_cap), solver
-    return greedy_cover(g), solver
+    if config.solver == "greedy":
+        return greedy_cover(g), "greedy", None
+    try:
+        return exact_min_cover(g, cap=config.exact_cap), "exact", None
+    except CapExceeded as exc:
+        if config.solver == "exact":
+            raise
+        return greedy_cover(g), "greedy", str(exc)
 
 
 def solve_instance(inst: Instance, config: SolveConfig = SolveConfig()) -> SolveOutcome:
     """Run the whole pipeline: split, dedup, graph, cover, scheme."""
     u_full, u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
-    cover, solver_used = pick_cover(g, config)
+    cover, solver_used, fallback = pick_cover(g, config)
     scheme = scheme_from_cover(u, cover)
     part_of = cover.assignment(g.vertex_count)
 
@@ -117,7 +120,7 @@ def solve_instance(inst: Instance, config: SolveConfig = SolveConfig()) -> Solve
         (v.origin, v.want, part_of[new_pos[removed.get(i, i)]])
         for i, v in enumerate(u_full.virtuals)
     ]
-    return SolveOutcome(scheme, solver_used, assignments, g.vertex_count)
+    return SolveOutcome(scheme, solver_used, assignments, fallback)
 
 
 def _capped(compute):

@@ -71,15 +71,24 @@ class TestSolve:
         assert first == second
 
     def test_exact_over_cap_exits_2(self, capsys):
-        code, _, err = run(capsys, "solve", EXAMPLE6, "--solver", "exact", "--exact-cap", "3")
+        code, _, err = run(capsys, "solve", EXAMPLE6, "--solver", "exact", "--exact-cap", "2")
         assert code == 2
         assert "cap" in err
 
     def test_auto_falls_back_to_greedy(self, capsys):
-        code, out, err = run(capsys, "solve", EXAMPLE6, "--exact-cap", "3")
+        code, out, err = run(capsys, "solve", EXAMPLE6, "--exact-cap", "2")
         assert code == 0
         assert json.loads(out)["solver"] == "greedy"
         assert "falling back" in err
+        assert "component of 3 vertices > 2" in err
+
+    def test_exact_cap_bounds_the_largest_component(self, capsys):
+        # six vertices in all, but the largest component is the triangle
+        code, out, err = run(capsys, "solve", EXAMPLE6, "--exact-cap", "3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["solver"] == "exact" and data["rate"] == 3
+        assert err == ""
 
     def test_no_dedup_flag(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
@@ -183,6 +192,24 @@ class TestGap:
         data = json.loads(out)
         assert data["oracle"] is None and data["gap"] is None
 
+    def test_exact_cap_bounds_the_largest_component(self, capsys):
+        code, out, _ = run(capsys, "gap", EXAMPLE6, "--exact-cap", "3")
+        assert code == 0
+        assert json.loads(out)["cover_exact"] == 3
+
+    def test_deep_mais_search_has_no_traceback(self, capsys, tmp_path):
+        # 1200 distinct wants and no side information: the MAIS search goes
+        # 1200 groups deep, past the interpreter's default recursion limit
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "num_messages": 1200,
+            "receivers": [{"wants": [i], "has": []} for i in range(1, 1201)],
+        }))
+        code, out, err = run(capsys, "gap", str(path), "--mais-cap", "5000")
+        assert code == 0
+        assert json.loads(out)["mais"] == 1200
+        assert "Traceback" not in err
+
 
 class TestGen:
     def test_output_is_valid_and_deterministic(self, capsys):
@@ -235,7 +262,7 @@ class TestExportDot:
 
     def test_overlay_exact_over_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "export-dot", EXAMPLE6, "--overlay-cover",
-                             "--solver", "exact", "--exact-cap", "3")
+                             "--solver", "exact", "--exact-cap", "2")
         assert code == 2
         assert out == ""
         assert "cap" in err

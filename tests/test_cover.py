@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -9,12 +11,13 @@ from indexcoding import (
     Instance,
     build_cross_neighbor_graph,
     connected_components,
+    dedup,
     exact_min_cover,
     greedy_cover,
     split_groupcast,
     verify_cover,
 )
-from indexcoding.generate import random_graph
+from indexcoding.generate import random_graph, random_instance
 
 
 def set_partitions(items):
@@ -40,6 +43,15 @@ def brute_min_cover_size(g: DerivedGraph) -> int:
         ):
             best = min(best, len(part))
     return best
+
+
+def disjoint_union(graphs):
+    """One graph holding each input graph as its own block of vertices."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(p + offset, q + offset) for p, q in g.edges()]
+        offset += g.vertex_count
+    return DerivedGraph.from_edges(offset, edges)
 
 
 @pytest.fixture
@@ -71,6 +83,32 @@ class TestExact:
         g = random_graph(12, 0.5, seed=0)
         with pytest.raises(CapExceeded, match="greedy_cover"):
             exact_min_cover(g, cap=10)
+
+    def test_cap_bounds_the_largest_component(self):
+        for seed in range(20):
+            g = disjoint_union(
+                random_graph(1 + (seed + i) % 6, 0.6, seed=400 + 10 * seed + i)
+                for i in range(10)
+            )
+            comps = connected_components(g)
+            largest = max(map(len, comps))
+            assert g.vertex_count > largest
+            expected = sorted(
+                (
+                    tuple(comp[v] for v in part)
+                    for comp in comps
+                    for part in exact_min_cover(g.induced_subgraph(comp), cap=largest).parts
+                ),
+                key=lambda part: part[0],
+            )
+            assert exact_min_cover(g, cap=largest).parts == tuple(expected)
+
+    def test_component_over_cap_raises(self):
+        g = disjoint_union([random_graph(2, 1.0), random_graph(5, 0.9, seed=1),
+                            random_graph(3, 1.0)])
+        assert max(map(len, connected_components(g))) == 5
+        with pytest.raises(CapExceeded, match="component of 5 vertices > 4"):
+            exact_min_cover(g, cap=4)
 
     def test_matches_brute_force_on_small_graphs(self):
         for seed in range(60):
@@ -135,3 +173,39 @@ class TestVerify:
         )
         assert problem is not None
         assert "twice" in problem
+
+
+def cover_order_corpus():
+    """Seeded graphs for the cover-order digest: random graphs of 0-25 and
+    30-45 vertices, and the dedup and strict graphs of random instances."""
+    graphs = [
+        random_graph(n, p, seed=1000 + 4 * n + i)
+        for n in range(26)
+        for i, p in enumerate((0.1, 0.3, 0.5, 0.8))
+    ]
+    graphs += [
+        random_graph(n, p, seed=2000 + 4 * n + i)
+        for n in (30, 35, 40, 45)
+        for i, p in enumerate((0.3, 0.5, 0.7))
+    ]
+    for seed in range(40):
+        inst = random_instance(
+            5 + seed % 6, 3 + seed % 9, (0.2, 0.5, 0.8)[seed % 3], (1, 3), seed=seed
+        )
+        u = split_groupcast(inst)
+        graphs.append(build_cross_neighbor_graph(dedup(u)))
+        graphs.append(build_cross_neighbor_graph(u, strict=True))
+    return graphs
+
+
+class TestCoverOrder:
+    # SHA-256 of the exact and greedy parts, in order, over the corpus; a
+    # speedup of either solver must leave every part and its position alone
+    DIGEST = "3ad250137961c6bb116f6bf8287c33e35551c7eea4d5972b7109e0e99608af26"
+
+    def test_parts_match_recorded_digest(self):
+        parts = [
+            [exact_min_cover(g, cap=64).parts, greedy_cover(g).parts]
+            for g in cover_order_corpus()
+        ]
+        assert hashlib.sha256(json.dumps(parts).encode()).hexdigest() == self.DIGEST

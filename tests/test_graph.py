@@ -17,7 +17,28 @@ from indexcoding import (
     verify_scheme_symbolic,
 )
 from indexcoding.instance import UnicastInstance, VirtualReceiver
-from indexcoding.generate import random_instance
+from indexcoding.generate import random_graph, random_instance
+
+
+def neighbour_walk_components(g):
+    """Reference component finder: depth-first walk, one neighbour at a time."""
+    seen = [False] * g.vertex_count
+    components = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        components.append(tuple(sorted(comp)))
+    return components
 
 
 def unicast_of(num_messages, pairs):
@@ -114,6 +135,15 @@ class TestComponents:
     def test_complete_one_component(self):
         g = DerivedGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         assert connected_components(g) == [(0, 1, 2)]
+
+    def test_matches_neighbour_walk(self):
+        graphs = [DerivedGraph(0, ())]
+        for seed in range(150):
+            n = seed % 50
+            p = (0.0, 0.02, 0.05, 0.1, 0.3, 1.0)[seed % 6]
+            graphs.append(random_graph(n, p, seed=seed))
+        for g in graphs:
+            assert connected_components(g) == neighbour_walk_components(g)
 
     def test_induced_subgraph_relabels(self):
         g = DerivedGraph.from_edges(5, [(0, 2), (2, 4), (1, 3)])

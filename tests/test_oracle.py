@@ -161,6 +161,11 @@ class TestMais:
         with pytest.raises(CapExceeded):
             mais_lower_bound(u)
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # one want-group per message, 1200 deep
+        u = unicast_of(1200, [(i, ()) for i in range(1, 1201)])
+        assert mais_lower_bound(u, cap=5000) == 1200
+
 
 class TestGapReport:
     def test_worked_example(self, example6):
@@ -201,7 +206,7 @@ class TestGapReport:
         assert r.oracle_rate is None and r.gap is None
         assert r.cover_rate_exact == 3 and r.mais_bound == 3
         assert not r.counterexample
-        r = gap_report(example6, SolveConfig(exact_cap=5))
+        r = gap_report(example6, SolveConfig(exact_cap=2))
         assert r.cover_rate_exact is None and r.gap is None
         assert r.cover_rate_greedy == 3
 
