@@ -8,9 +8,7 @@ one receiver, which is why the split loses nothing.
 import random
 
 from indexcoding import (
-    DecodeView,
     Instance,
-    MessageAssignment,
     build_cross_neighbor_graph,
     decode_receiver,
     encode,
@@ -35,21 +33,17 @@ print("transmissions:", [list(t) for t in scheme.transmissions])
 
 # (4) Put concrete 16-bit words on the messages and broadcast.
 rng = random.Random(7)
-words = tuple(rng.getrandbits(16) for _ in range(3))
-received = encode(scheme, MessageAssignment(words, word_width=16))
-print("words:    ", [hex(w) for w in words])
+words = {i: rng.getrandbits(16) for i in (1, 2, 3)}
+received = encode(scheme, words)
+print("words:    ", [hex(w) for w in words.values()])
 print("broadcast:", [hex(w) for w in received])
 
 # (5) Every virtual receiver recovers its want by cancelling side words.
 assigned = assign_transmissions(u, scheme)
 for idx, v in enumerate(u.virtuals):
-    view = DecodeView(
-        receiver=v,
-        received=received,
-        side_words={i: words[i - 1] for i in v.has},
-    )
-    decoded = decode_receiver(scheme, view, assigned[idx])
-    assert decoded == words[v.want - 1]
+    side_words = {i: words[i] for i in v.has}
+    decoded = decode_receiver(scheme, v, received, side_words, assigned[idx])
+    assert decoded == words[v.want]
     print(
         f"  r{v.origin[0]}_{v.origin[1]} decodes w{v.want} = {hex(decoded)} "
         f"from transmission {assigned[idx]}"

@@ -31,8 +31,6 @@ from .oracle import Gf2Matrix, mais_lower_bound, min_linear_rate_gf2
 from .pipeline import RateReport, gap_report
 from .scheme import (
     CodingScheme,
-    DecodeView,
-    MessageAssignment,
     decode_receiver,
     encode,
     parse_scheme,
@@ -48,12 +46,10 @@ __all__ = [
     "CapExceeded",
     "CliqueCover",
     "CodingScheme",
-    "DecodeView",
     "DerivedGraph",
     "Gf2Matrix",
     "IndexCodingError",
     "Instance",
-    "MessageAssignment",
     "RateReport",
     "Receiver",
     "UnicastInstance",

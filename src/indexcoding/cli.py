@@ -1,14 +1,17 @@
 """Command-line surface: solve, verify, gap, gen, export-dot.
 
 Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 input error, 2 resource cap exceeded, 3 verification failure.
+0 success, 1 input error (or stdout closed early), 2 resource cap exceeded,
+3 verification failure.
 Identical invocations produce byte-identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .cover import DEFAULT_EXACT_CAP
@@ -83,6 +86,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValidationError(f"trials must be at least 1, got {args.trials}")
+    if not 1 <= args.word_width <= 64:
+        raise ValidationError(f"word_width must be in [1, 64], got {args.word_width}")
     inst = _load_instance(args.instance)
     scheme = parse_scheme(_read_file(args.scheme), num_messages=inst.num_messages)
     u = split_groupcast(inst)  # verification checks every demand, no dedup
@@ -233,13 +238,23 @@ def main(argv: list[str] | None = None) -> int:
         # resource caps here, so remap bad arguments to the input-error code
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BrokenPipeError:
+        # the interpreter flushes what is left at exit: send it to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # not a file
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

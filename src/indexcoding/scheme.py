@@ -1,9 +1,11 @@
 """XOR coding schemes: build from a cover, encode, decode, verify.
 
 Each transmission is the XOR of a set of messages over GF(2)^w words.  A
-virtual receiver assigned to transmission T decodes its want by XOR-ing the
-received word with its side-information words for every other summand in T,
-which cancels them exactly.
+virtual receiver decodes transmission T when T holds its want and it holds
+every other summand of T (``_cancels``): XOR-ing the received word with its
+side-information words for those summands cancels them exactly.  Message
+words are one mapping from 1-based message id to int word, shared by
+``encode``, ``decode_receiver`` and the randomized check.
 """
 
 from __future__ import annotations
@@ -33,23 +35,6 @@ class CodingScheme:
 
 
 @dataclass(frozen=True)
-class MessageAssignment:
-    """Concrete w-bit words for every message; words[i-1] belongs to message i."""
-
-    words: tuple[int, ...]
-    word_width: int = DEFAULT_WORD_WIDTH
-
-
-@dataclass(frozen=True)
-class DecodeView:
-    """What one virtual receiver sees: the channel output plus its own words."""
-
-    receiver: VirtualReceiver
-    received: tuple[int, ...]
-    side_words: Mapping[int, int]
-
-
-@dataclass(frozen=True)
 class TrialFailure:
     """First randomized trial on which some virtual decoded the wrong word."""
 
@@ -57,6 +42,15 @@ class TrialFailure:
     virtual: int
     expected: int
     got: int
+
+
+def _cancels(v: VirtualReceiver, t: tuple[int, ...]) -> list[int] | None:
+    """The summands ``v`` must cancel to decode ``t``, or None when it cannot:
+    ``t`` must hold the want and ``v`` every other summand of ``t``."""
+    if v.want not in t:
+        return None
+    others = [i for i in t if i != v.want]
+    return others if v.has.issuperset(others) else None
 
 
 def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
@@ -74,70 +68,65 @@ def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
         raise ValidationError(f"invalid cover: not a partition of 0..{k - 1} into nonempty parts")
     transmissions = []
     for t, part in enumerate(c.parts):
-        wants = {u.virtuals[v].want for v in part}
+        wants = tuple(sorted({u.virtuals[v].want for v in part}))
         for v in part:
-            lacking = wants - u.virtuals[v].has - {u.virtuals[v].want}
-            if lacking:
-                raise ValidationError(
-                    f"invalid cover: part {t}: virtual {v} lacks {sorted(lacking)}"
-                )
-        transmissions.append(tuple(sorted(wants)))
+            r = u.virtuals[v]
+            if _cancels(r, wants) is None:
+                lacking = [i for i in wants if i != r.want and i not in r.has]
+                raise ValidationError(f"invalid cover: part {t}: virtual {v} lacks {lacking}")
+        transmissions.append(wants)
     return CodingScheme(u.num_messages, tuple(transmissions))
 
 
-def encode(s: CodingScheme, a: MessageAssignment) -> tuple[int, ...]:
-    """XOR the words of each transmission's messages."""
-    if len(a.words) != s.num_messages:
-        raise ValidationError(
-            f"assignment has {len(a.words)} words, scheme expects {s.num_messages}"
-        )
+def encode(s: CodingScheme, words: Mapping[int, int]) -> tuple[int, ...]:
+    """XOR the words of each transmission's messages.  ``words`` maps ids in
+    1..num_messages to words and must hold every message the scheme sends."""
+    outside = [i for i in words if not 1 <= i <= s.num_messages]
+    if outside:
+        raise ValidationError(f"word for message {min(outside)} outside [1, {s.num_messages}]")
     out = []
     for t in s.transmissions:
         word = 0
         for i in t:
-            word ^= a.words[i - 1]
+            if i not in words:
+                raise ValidationError(f"no word for message {i}")
+            word ^= words[i]
         out.append(word)
     return tuple(out)
 
 
-def decode_receiver(s: CodingScheme, v: DecodeView, assignment_index: int) -> int:
-    """Recover the wanted word from one transmission.
+def decode_receiver(
+    s: CodingScheme, v: VirtualReceiver, received: tuple[int, ...],
+    side_words: Mapping[int, int], t: int,
+) -> int:
+    """Recover ``v``'s wanted word from transmission ``t`` of ``received``.
 
-    The receiver must appear in the transmission and hold every other summand
-    as side information; otherwise the transmission cannot be decoded.
+    ``side_words`` maps message ids to words and is read only at the other
+    summands of ``t``, which ``v`` must hold, or ``t`` cannot be decoded.
     """
-    t = s.transmissions[assignment_index]
-    want = v.receiver.want
-    others = [i for i in t if i != want]
-    if want not in t or any(i not in v.receiver.has for i in others):
-        raise ValidationError(
-            f"virtual {v.receiver.origin} not decodable from transmission "
-            f"{assignment_index}"
-        )
-    word = v.received[assignment_index]
+    others = _cancels(v, s.transmissions[t])
+    if others is None:
+        raise ValidationError(f"virtual {v.origin} not decodable from transmission {t}")
+    word = received[t]
     for i in others:
-        word ^= v.side_words[i]
+        word ^= side_words[i]
     return word
 
 
 def assign_transmissions(u: UnicastInstance, s: CodingScheme) -> list[int | None]:
     """First decodable transmission per virtual, None where none qualifies."""
-    out: list[int | None] = []
-    for v in u.virtuals:
-        chosen = None
-        for idx, t in enumerate(s.transmissions):
-            if v.want in t and all(i in v.has for i in t if i != v.want):
-                chosen = idx
-                break
-        out.append(chosen)
-    return out
+    holding: dict[int, list] = {}  # message id -> (index, transmission) holding it, in order
+    for idx, t in enumerate(s.transmissions):
+        for i in t:
+            holding.setdefault(i, []).append((idx, t))
+    return [next((idx for idx, t in holding.get(v.want, ()) if _cancels(v, t) is not None), None)
+            for v in u.virtuals]
 
 
 def verify_scheme_symbolic(u: UnicastInstance, s: CodingScheme) -> list[int]:
     """Indices of virtuals no transmission satisfies (empty = scheme ok).
 
-    A transmission satisfies a virtual when it contains the want and the
-    virtual holds all other summands, which is exactly XOR decodability.
+    A transmission satisfies a virtual when the virtual can decode it.
     """
     assigned = assign_transmissions(u, s)
     return [idx for idx, t in enumerate(assigned) if t is None]
@@ -152,8 +141,9 @@ def verify_scheme_random(
 ) -> TrialFailure | None:
     """Bit-level confirmation of the symbolic check on random message words.
 
-    Draws ``trials`` uniform assignments from a generator seeded with
-    ``seed`` (deterministic), encodes, and decodes every virtual from its
+    Each of ``trials`` trials draws one word per message the scheme sends, in
+    ascending id order, from a generator seeded with ``seed``
+    (deterministic); it encodes once and decodes every virtual from its
     assigned transmission.  Returns None when every decoded word matches, or
     the first failure.  Raises if the symbolic check does not pass first.
     """
@@ -164,21 +154,16 @@ def verify_scheme_random(
         raise ValidationError(
             "symbolic verification failed; randomized check requires it to pass"
         )
+    sent = sorted({i for t in s.transmissions for i in t})
     rng = random.Random(seed)
     for trial in range(trials):
-        words = tuple(rng.getrandbits(word_width) for _ in range(u.num_messages))
-        a = MessageAssignment(words, word_width)
-        received = encode(s, a)
+        words = {i: rng.getrandbits(word_width) for i in sent}
+        received = encode(s, words)
         for idx, v in enumerate(u.virtuals):
-            view = DecodeView(
-                receiver=v,
-                received=received,
-                side_words={i: words[i - 1] for i in v.has},
-            )
-            got = decode_receiver(s, view, assigned[idx])
-            expected = words[v.want - 1]
-            if got != expected:
-                return TrialFailure(trial=trial, virtual=idx, expected=expected, got=got)
+            # every word is passed, but decode reads only the summands v holds
+            got = decode_receiver(s, v, received, words, assigned[idx])
+            if got != words[v.want]:
+                return TrialFailure(trial=trial, virtual=idx, expected=words[v.want], got=got)
     return None
 
 

@@ -1,18 +1,26 @@
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import indexcoding
 from indexcoding import (
     build_cross_neighbor_graph,
     dedup,
     derived_dot,
     greedy_cover,
     parse_instance,
+    serialize_instance,
     split_groupcast,
     validate,
 )
+from indexcoding import scheme as scheme_module
 from indexcoding.cli import main
+from indexcoding.generate import random_instance
 
 from conftest import INSTANCE_DIR
 
@@ -159,12 +167,104 @@ class TestVerify:
             assert out == ""
             assert "trials must be at least 1" in err
 
+    def test_word_width_out_of_range_exits_1_whatever_the_scheme(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "solve", EXAMPLE6)
+        solved = tmp_path / "solved.json"
+        solved.write_text(out)
+        failing = tmp_path / "failing.json"  # leaves five of the six demands unmet
+        failing.write_text('{"transmissions": [[1]]}')
+        for scheme_path in (solved, failing):
+            for width in ("0", "65"):
+                code, out, err = run(capsys, "verify", EXAMPLE6, str(scheme_path),
+                                     "--word-width", width)
+                assert code == 1
+                assert out == ""
+                assert err == f"error: word_width must be in [1, 64], got {width}\n"
+
+    def test_faulty_encode_exits_3(self, capsys, tmp_path, monkeypatch):
+        real_encode = scheme_module.encode
+
+        def flip_bit_of_first(s, words):
+            out = real_encode(s, words)
+            return (out[0] ^ 1,) + out[1:]
+
+        monkeypatch.setattr(scheme_module, "encode", flip_bit_of_first)
+        _, out, _ = run(capsys, "solve", EXAMPLE6)
+        scheme_path = tmp_path / "scheme.json"
+        scheme_path.write_text(out)
+        code, out, _ = run(capsys, "verify", EXAMPLE6, str(scheme_path))
+        assert code == 3
+        data = json.loads(out)
+        assert data["symbolic_ok"] and data["random_ok"] is False
+        first = next(i for i, v in enumerate(data["virtuals"]) if v["transmission"] == 0)
+        assert data["failure"] == {"trial": 0, "virtual": first}
+
+    def test_cost_is_bounded_by_what_the_scheme_sends(self, capsys, tmp_path):
+        # one word per message would be 10^12 words
+        inst_path = tmp_path / "huge.json"
+        inst_path.write_text(
+            '{"num_messages": 1000000000000, "receivers": [{"wants": [1], "has": []}]}'
+        )
+        scheme_path = tmp_path / "scheme.json"
+        scheme_path.write_text('{"transmissions": [[1]]}')
+        code, out, _ = run(capsys, "verify", str(inst_path), str(scheme_path))
+        assert code == 0
+        assert json.loads(out)["random_ok"] is True
+
     def test_bad_scheme_file_exits_1(self, capsys, tmp_path):
         scheme_path = tmp_path / "broken.json"
         scheme_path.write_text('{"transmissions": [[]]}')
         code, _, err = run(capsys, "verify", EXAMPLE6, str(scheme_path))
         assert code == 1
         assert "nonempty" in err
+
+
+def verify_output_corpus(capsys, tmp_path):
+    """Seeded (instance, scheme) files for the verify digest: each instance
+    with its solved scheme and three broken ones."""
+    cases = [EXAMPLE6, GROUPCAST3, CYCLE3]
+    for seed in range(30):
+        n = 2 + seed % 7
+        inst = random_instance(n, 1 + seed % 8, (0.2, 0.5, 0.8)[seed % 3], (1, min(3, n)),
+                               seed=3000 + seed)
+        path = tmp_path / f"inst{seed}.json"
+        path.write_text(serialize_instance(inst))
+        cases.append(str(path))
+    pairs = []
+    for k, inst_path in enumerate(cases):
+        code, out, _ = run(capsys, "solve", inst_path)
+        assert code == 0
+        transmissions = json.loads(out)["transmissions"]
+        ids = sorted({i for t in transmissions for i in t})
+        schemes = [
+            transmissions,
+            transmissions[:-1] or [[ids[0]]],  # drops a transmission
+            [ids],  # one XOR of every message sent
+            [t[1:] or t for t in transmissions],  # drops the least id of each
+        ]
+        for j, transmissions in enumerate(schemes):
+            path = tmp_path / f"scheme{k}_{j}.json"
+            path.write_text(json.dumps({"transmissions": transmissions}))
+            pairs.append((inst_path, str(path)))
+    return pairs
+
+
+class TestVerifyOutput:
+    # SHA-256 of verify's exit codes and stdout over the corpus, recorded
+    # before the word format of the random check changed; what verify prints
+    # does not depend on which words a seed draws
+    DIGEST = "f20d8fce613c66498b1ef42ab7f12510b259c29e8e3ccba331256f6899ea8729"
+
+    def test_stdout_matches_recorded_digest(self, capsys, tmp_path):
+        variants = [[], ["--seed", "5", "--trials", "7"], ["--word-width", "1", "--trials", "3"]]
+        records = []
+        for inst_path, scheme_path in verify_output_corpus(capsys, tmp_path):
+            for extra in variants:
+                code, out, _ = run(capsys, "verify", inst_path, scheme_path, *extra)
+                records.append([code, out])
+        assert sorted({code for code, _ in records}) == [0, 3]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestGap:
@@ -345,3 +445,41 @@ def test_hostile_input_exits_1(capsys, tmp_path, command, payload):
     assert out == ""
     assert err.startswith("error: malformed JSON") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["solve", EXAMPLE6], ["gap", CYCLE3], ["export-dot", EXAMPLE6]])
+def test_closed_stdout_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_leaves_no_traceback(unbuffered):
+    # buffered, the output fits the stdout buffer and the pipe fails only when
+    # it is flushed, at interpreter exit unless the CLI flushes it first;
+    # unbuffered, the first write fails
+    env = dict(os.environ, PYTHONPATH=str(Path(indexcoding.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "indexcoding", "solve", EXAMPLE6],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -6,9 +6,7 @@ import pytest
 from indexcoding import (
     CliqueCover,
     CodingScheme,
-    DecodeView,
     Instance,
-    MessageAssignment,
     ValidationError,
     build_cross_neighbor_graph,
     decode_receiver,
@@ -24,6 +22,7 @@ from indexcoding import (
     verify_scheme_random,
     verify_scheme_symbolic,
 )
+from indexcoding import scheme as scheme_module
 from indexcoding.generate import random_instance
 
 
@@ -161,60 +160,66 @@ class TestCoverCheckMatchesGraphCheck:
 class TestEncodeDecode:
     def test_encode_xor_words(self):
         s = CodingScheme(3, ((1, 2), (3,)))
-        out = encode(s, MessageAssignment((0x0A, 0x0B, 0x0C)))
+        out = encode(s, {1: 0x0A, 2: 0x0B, 3: 0x0C})
         assert out == (0x01, 0x0C)
 
     def test_identity_scheme_passthrough(self):
         s = CodingScheme(3, ((1,), (2,), (3,)))
-        words = (7, 99, 3)
-        assert encode(s, MessageAssignment(words)) == words
+        assert encode(s, {1: 7, 2: 99, 3: 3}) == (7, 99, 3)
 
     def test_worked_example_sums(self, example6):
         u, s = solve(example6)
-        words = tuple(random.Random(5).getrandbits(64) for _ in range(6))
-        out = encode(s, MessageAssignment(words))
-        assert out[0] == words[0] ^ words[2] ^ words[3]
-        assert out[1] == words[1] ^ words[4]
-        assert out[2] == words[5]
+        rng = random.Random(5)
+        words = {i: rng.getrandbits(64) for i in range(1, 7)}
+        out = encode(s, words)
+        assert out[0] == words[1] ^ words[3] ^ words[4]
+        assert out[1] == words[2] ^ words[5]
+        assert out[2] == words[6]
 
-    def test_encode_length_mismatch(self):
+    def test_encode_missing_word(self):
+        s = CodingScheme(3, ((1, 2),))
+        with pytest.raises(ValidationError, match="no word for message 2"):
+            encode(s, {1: 1, 3: 3})
+
+    def test_encode_rejects_words_outside_the_messages(self):
         s = CodingScheme(3, ((1,),))
-        with pytest.raises(ValidationError, match="words"):
-            encode(s, MessageAssignment((1, 2)))
+        for key in (0, 4):
+            with pytest.raises(ValidationError, match=f"message {key} outside"):
+                encode(s, {1: 1, key: 2})
 
     def test_decode_cancels_side_words(self, groupcast3):
         u, s = solve(groupcast3)
         v = u.virtuals[1]  # wants 2, has {1}
-        view = DecodeView(receiver=v, received=(0x01, 0x0C), side_words={1: 0x0A})
-        assert decode_receiver(s, view, 0) == 0x0B
+        assert decode_receiver(s, v, (0x01, 0x0C), {1: 0x0A}, 0) == 0x0B
 
     def test_decode_singleton_passthrough(self, example6):
         u, s = solve(example6)
         v = u.virtuals[5]  # wants 6
-        view = DecodeView(receiver=v, received=(1, 2, 42), side_words={4: 9})
-        assert decode_receiver(s, view, 2) == 42
+        assert decode_receiver(s, v, (1, 2, 42), {4: 9}, 2) == 42
 
     def test_decode_requires_membership_and_side_info(self, example6):
         u, s = solve(example6)
         v = u.virtuals[1]  # wants 2; transmission 0 is (1, 3, 4)
-        view = DecodeView(receiver=v, received=(0, 0, 0), side_words={5: 1})
         with pytest.raises(ValidationError, match="not decodable"):
-            decode_receiver(s, view, 0)
+            decode_receiver(s, v, (0, 0, 0), {5: 1}, 0)
+
+    def test_decode_requires_the_want_in_the_transmission(self):
+        # the virtual holds every summand of transmission 0, but it wants 1
+        s = CodingScheme(2, ((2,), (1,)))
+        v = split_groupcast(Instance.of(2, [({1}, {2})])).virtuals[0]
+        with pytest.raises(ValidationError, match="not decodable"):
+            decode_receiver(s, v, (5, 7), {2: 5}, 0)
+        assert decode_receiver(s, v, (5, 7), {2: 5}, 1) == 7
 
     def test_linearity(self):
         rng = random.Random(11)
         s = CodingScheme(4, ((1, 2, 4), (2, 3), (4,)))
         for _ in range(50):
-            a = tuple(rng.getrandbits(64) for _ in range(4))
-            b = tuple(rng.getrandbits(64) for _ in range(4))
-            xored = tuple(x ^ y for x, y in zip(a, b))
-            lhs = encode(s, MessageAssignment(xored))
-            rhs = tuple(
-                x ^ y
-                for x, y in zip(
-                    encode(s, MessageAssignment(a)), encode(s, MessageAssignment(b))
-                )
-            )
+            a = {i: rng.getrandbits(64) for i in range(1, 5)}
+            b = {i: rng.getrandbits(64) for i in range(1, 5)}
+            xored = {i: a[i] ^ b[i] for i in a}
+            lhs = encode(s, xored)
+            rhs = tuple(x ^ y for x, y in zip(encode(s, a), encode(s, b)))
             assert lhs == rhs
 
     def test_decode_inverse_exhaustive_one_bit(self):
@@ -231,15 +236,12 @@ class TestEncodeDecode:
             assigned = assign_transmissions(u, s)
             n = inst.num_messages
             for bits in itertools.product((0, 1), repeat=n):
-                words = tuple(bits)
-                received = encode(s, MessageAssignment(words, word_width=1))
+                words = dict(enumerate(bits, start=1))
+                received = encode(s, words)
                 for idx, v in enumerate(u.virtuals):
-                    view = DecodeView(
-                        receiver=v,
-                        received=received,
-                        side_words={i: words[i - 1] for i in v.has},
-                    )
-                    assert decode_receiver(s, view, assigned[idx]) == words[v.want - 1]
+                    side_words = {i: words[i] for i in v.has}
+                    got = decode_receiver(s, v, received, side_words, assigned[idx])
+                    assert got == words[v.want]
 
 
 class TestVerification:
@@ -281,6 +283,35 @@ class TestVerification:
         u, s = solve(example6)
         assert verify_scheme_random(u, s, trials=5, seed=7) is None
         assert verify_scheme_random(u, s, trials=5, seed=7) is None
+
+    def test_random_reports_a_faulty_encode(self, example6, monkeypatch):
+        real_encode = scheme_module.encode
+
+        def flip_bit_of_first(s, words):
+            out = real_encode(s, words)
+            return (out[0] ^ 1,) + out[1:]
+
+        monkeypatch.setattr(scheme_module, "encode", flip_bit_of_first)
+        u, s = solve(example6)
+        failure = verify_scheme_random(u, s, trials=5, seed=3)
+        first = scheme_module.assign_transmissions(u, s).index(0)
+        assert (failure.trial, failure.virtual) == (0, first)
+        assert failure.got == failure.expected ^ 1
+
+    def test_random_draws_words_only_for_sent_messages(self, monkeypatch):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(scheme_module.random, "Random", CountingRandom)
+        inst = Instance.of(50, [({1}, {2}), ({2}, {1}), ({3}, ())])
+        u = split_groupcast(inst)
+        s = CodingScheme(50, ((1, 2), (3,)))
+        assert verify_scheme_random(u, s, trials=7, seed=1, word_width=8) is None
+        assert draws == [8] * (7 * 3)
 
     def test_emitted_schemes_always_verify(self):
         for seed in range(40):
