@@ -1,7 +1,7 @@
 """Command-line surface: solve, verify, gap, gen, export-dot.
 
 Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 input error (or stdout closed early), 2 resource cap exceeded,
+0 success, 1 input error (or a failed stdout write), 2 resource cap exceeded,
 3 verification failure.
 Identical invocations produce byte-identical stdout.
 """
@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
+
+# gen's work bound: random_instance draws once per (receiver, message) pair,
+# and at -p 1 every draw is an id in the output (10^6 draws: 16 MB of JSON)
+GEN_MAX_DRAWS = 10**6
 
 
 def _emit(data: dict) -> None:
@@ -133,6 +137,11 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.messages * args.receivers > GEN_MAX_DRAWS:
+        raise ValidationError(
+            f"messages * receivers must be at most {GEN_MAX_DRAWS}, "
+            f"got {args.messages} * {args.receivers}"
+        )
     inst = random_instance(
         num_messages=args.messages,
         num_receivers=args.receivers,
@@ -247,13 +256,15 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except BrokenPipeError:
-        # the interpreter flushes what is left at exit: send it to the null device
+    except OSError as exc:
+        # _read_file turns read errors into ValidationError, so this is a
+        # failed stdout write (a closed pipe, a full device).  The interpreter
+        # flushes what is left at exit: send it to the null device
         devnull = os.open(os.devnull, os.O_WRONLY)
         with contextlib.suppress(AttributeError, OSError, ValueError):  # not a file
             os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: stdout was closed before the output was written", file=sys.stderr)
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

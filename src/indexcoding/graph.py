@@ -5,6 +5,13 @@ in the other's side information; a clique of this relation can be served by a
 single XOR transmission.  The builder here additionally joins virtuals that
 want the same message (one transmission of that message serves all of them);
 pass ``strict=True`` to get the bare mutual-containment relation.
+
+Rows are built from per-message bitmasks over virtual indices, not by pairs:
+``W[i]`` holds the virtuals that want message i and ``H[i]`` those that hold
+it.  Virtual p's row is ``(OR of W[i] over i in has_p) & H[want_p]``, the
+mutual-containment neighbors, OR-ed with ``W[want_p]`` unless strict, minus p
+itself.  Virtuals split from one receiver share their side information, so
+the OR is computed once per distinct ``has``.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .instance import Instance, UnicastInstance
+
+# characters per strip of the symmetry test (one per adjacency bit)
+_STRIP_CHARS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -23,16 +33,14 @@ class DerivedGraph:
     adjacency: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.adjacency) != self.vertex_count:
+        k = self.vertex_count
+        rows = self.adjacency
+        if len(rows) != k:
             raise ValueError("adjacency length must equal vertex_count")
-        for p, row in enumerate(self.adjacency):
-            if row >> self.vertex_count:
-                raise ValueError(f"vertex {p}: neighbor bit out of range")
-            if (row >> p) & 1:
-                raise ValueError(f"vertex {p}: self-loop")
-            for q in _bits(row):
-                if not (self.adjacency[q] >> p) & 1:
-                    raise ValueError(f"adjacency not symmetric on ({p}, {q})")
+        # a bulk test first; the row walk runs only to name the first defect
+        well_formed = not any(row >> k or (row >> p) & 1 for p, row in enumerate(rows))
+        if not (well_formed and _symmetric(rows, k)):
+            _raise_first_defect(rows, k)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "DerivedGraph":
@@ -76,6 +84,35 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _symmetric(rows: tuple[int, ...], k: int) -> bool:
+    """Exact symmetry test in C, column strip by column strip: each strip of
+    the bit matrix is one string, row p's bits low bit first, and its column
+    slices must equal the matching rows.  A strip holds at most
+    ``_STRIP_CHARS`` characters, so the test's memory does not grow as k^2."""
+    width = max(1, min(k, _STRIP_CHARS // max(k, 1)))
+    for c in range(0, k, width):
+        w = min(width, k - c)
+        low = (1 << w) - 1
+        strip = "".join([format(row >> c & low, f"0{w}b")[::-1] for row in rows])
+        for q in range(c, c + w):
+            # with one strip, row q is a slice of it; otherwise it is formatted
+            row_q = strip[q * k:(q + 1) * k] if w == k else format(rows[q], f"0{k}b")[::-1]
+            if strip[q - c::w] != row_q:
+                return False
+    return True
+
+
+def _raise_first_defect(rows: tuple[int, ...], k: int) -> None:
+    for p, row in enumerate(rows):
+        if row >> k:
+            raise ValueError(f"vertex {p}: neighbor bit out of range")
+        if (row >> p) & 1:
+            raise ValueError(f"vertex {p}: self-loop")
+        for q in _bits(row):
+            if not (rows[q] >> p) & 1:
+                raise ValueError(f"adjacency not symmetric on ({p}, {q})")
+
+
 def build_cross_neighbor_graph(u: UnicastInstance, strict: bool = False) -> DerivedGraph:
     """Edge {p, q} iff the pair can share one XOR transmission.
 
@@ -84,20 +121,26 @@ def build_cross_neighbor_graph(u: UnicastInstance, strict: bool = False) -> Deri
     makes two virtuals wanting the same message non-adjacent.
     """
     virtuals = u.virtuals
-    k = len(virtuals)
-    rows = [0] * k
-    for p in range(k):
-        vp = virtuals[p]
-        for q in range(p + 1, k):
-            vq = virtuals[q]
-            if vp.want == vq.want:
-                joined = not strict
-            else:
-                joined = vp.want in vq.has and vq.want in vp.has
-            if joined:
-                rows[p] |= 1 << q
-                rows[q] |= 1 << p
-    return DerivedGraph(k, tuple(rows))
+    wanted_by: dict[int, int] = {}  # W: message id -> virtuals wanting it
+    group: dict[frozenset[int], int] = {}  # has -> virtuals sharing it
+    for p, v in enumerate(virtuals):
+        wanted_by[v.want] = wanted_by.get(v.want, 0) | 1 << p
+        group[v.has] = group.get(v.has, 0) | 1 << p
+    held_by: dict[int, int] = {}  # H: message id -> virtuals holding it
+    wants_in: dict[frozenset[int], int] = {}  # has -> OR of W[i] over it
+    for has, members in group.items():
+        reach = 0
+        for i in has:
+            held_by[i] = held_by.get(i, 0) | members
+            reach |= wanted_by.get(i, 0)
+        wants_in[has] = reach
+    rows = []
+    for p, v in enumerate(virtuals):
+        row = wants_in[v.has] & held_by.get(v.want, 0)
+        if not strict:
+            row |= wanted_by[v.want]
+        rows.append(row & ~(1 << p))
+    return DerivedGraph(len(virtuals), tuple(rows))
 
 
 def connected_components(g: DerivedGraph) -> list[tuple[int, ...]]:

@@ -20,6 +20,9 @@ from .errors import ValidationError
 from .instance import UnicastInstance, VirtualReceiver
 
 DEFAULT_WORD_WIDTH = 64
+# trials per bit-sliced pass: at 64-bit words, 8 KiB per wide word whatever the
+# trial count
+TRIAL_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -141,11 +144,14 @@ def verify_scheme_random(
 ) -> TrialFailure | None:
     """Bit-level confirmation of the symbolic check on random message words.
 
-    Each of ``trials`` trials draws one word per message the scheme sends, in
-    ascending id order, from a generator seeded with ``seed``
-    (deterministic); it encodes once and decodes every virtual from its
-    assigned transmission.  Returns None when every decoded word matches, or
-    the first failure.  Raises if the symbolic check does not pass first.
+    The trials are bit-sliced: trial t's word for a message is bits
+    ``[t*w, (t+1)*w)`` of one wide integer, so one ``encode`` and one decode
+    per virtual check every trial at once.  The wide integers come from a
+    generator seeded with ``seed`` (deterministic), one per message the
+    scheme sends, in ascending id order, for each block of up to
+    ``TRIAL_BLOCK`` trials.  Returns None when every decoded word matches, or
+    the failure with the least (trial, virtual), with that trial's words.
+    Raises if the symbolic check does not pass first.
     """
     if not 1 <= word_width <= 64:
         raise ValidationError(f"word_width must be in [1, 64], got {word_width}")
@@ -156,14 +162,24 @@ def verify_scheme_random(
         )
     sent = sorted({i for t in s.transmissions for i in t})
     rng = random.Random(seed)
-    for trial in range(trials):
-        words = {i: rng.getrandbits(word_width) for i in sent}
+    mask = (1 << word_width) - 1
+    for start in range(0, trials, TRIAL_BLOCK):
+        width = min(TRIAL_BLOCK, trials - start) * word_width
+        words = {i: rng.getrandbits(width) for i in sent}
         received = encode(s, words)
+        first = None  # (trial in block, virtual, expected, got)
         for idx, v in enumerate(u.virtuals):
             # every word is passed, but decode reads only the summands v holds
             got = decode_receiver(s, v, received, words, assigned[idx])
-            if got != words[v.want]:
-                return TrialFailure(trial=trial, virtual=idx, expected=words[v.want], got=got)
+            wrong = got ^ words[v.want]
+            if wrong:
+                trial = ((wrong & -wrong).bit_length() - 1) // word_width
+                if first is None or trial < first[0]:
+                    first = (trial, idx, words[v.want], got)
+        if first is not None:
+            trial, idx, expected, got = first
+            shift = trial * word_width
+            return TrialFailure(start + trial, idx, expected >> shift & mask, got >> shift & mask)
     return None
 
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ from indexcoding import (
     split_groupcast,
     validate,
 )
+from indexcoding import cli as cli_module
 from indexcoding import scheme as scheme_module
 from indexcoding.cli import main
 from indexcoding.generate import random_instance
@@ -338,6 +340,16 @@ class TestGen:
         assert code == 1
         assert "demand range" in err
 
+    def test_work_limit_exits_1_before_drawing(self, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("random_instance called")
+
+        monkeypatch.setattr(cli_module, "random_instance", no_draws)
+        for n, m in [("1000000000000", "1"), ("1001", "1000"), ("1", "1000001")]:
+            code, out, err = run(capsys, "gen", "-n", n, "-m", m, "-p", "0")
+            assert code == 1 and out == ""
+            assert err == f"error: messages * receivers must be at most 1000000, got {n} * {m}\n"
+
 
 class TestExportDot:
     def test_bipartite(self, capsys):
@@ -462,6 +474,37 @@ def test_closed_stdout_exits_1(capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _FullDevice:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["solve", EXAMPLE6], ["gen", "-n", "3", "-m", "2", "-p", "0.5"]])
+def test_full_stdout_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullDevice())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_full_device_leaves_no_traceback():
+    # the output fits the stdout buffer, so the write fails when it is flushed
+    env = dict(os.environ, PYTHONPATH=str(Path(indexcoding.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "indexcoding", "solve", EXAMPLE6],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "error: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

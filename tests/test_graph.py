@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from indexcoding import (
@@ -16,6 +18,7 @@ from indexcoding import (
     verify_scheme_random,
     verify_scheme_symbolic,
 )
+from indexcoding import graph as graph_module
 from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.generate import random_graph, random_instance
 
@@ -39,6 +42,25 @@ def neighbour_walk_components(g):
                     stack.append(w)
         components.append(tuple(sorted(comp)))
     return components
+
+
+def pairwise_cross_neighbor_rows(u, strict=False):
+    """Reference rows: one want/side-information test per pair."""
+    virtuals = u.virtuals
+    k = len(virtuals)
+    rows = [0] * k
+    for p in range(k):
+        vp = virtuals[p]
+        for q in range(p + 1, k):
+            vq = virtuals[q]
+            if vp.want == vq.want:
+                joined = not strict
+            else:
+                joined = vp.want in vq.has and vq.want in vp.has
+            if joined:
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+    return tuple(rows)
 
 
 def unicast_of(num_messages, pairs):
@@ -74,6 +96,66 @@ class TestBuild:
             DerivedGraph(2, (0b10, 0b00))
         with pytest.raises(ValueError, match="self-loop"):
             DerivedGraph.from_edges(2, [(1, 1)])
+
+    @pytest.mark.parametrize(
+        "missing, named",
+        [
+            ((4, 0), (0, 4)),  # the bad pair sits in the first row
+            ((3, 5), (5, 3)),  # in the last row
+            ((1, 3), (3, 1)),  # only below the diagonal: row 3 holds 1, row 1 lacks 3
+        ],
+    )
+    def test_asymmetric_rows_name_the_first_bad_pair(self, missing, named):
+        rows = list(DerivedGraph.from_edges(6, [(0, 4), (1, 3), (3, 5), (2, 4)]).adjacency)
+        p, q = missing
+        rows[p] &= ~(1 << q)
+        with pytest.raises(ValueError, match=rf"^adjacency not symmetric on \({named[0]}, {named[1]}\)$"):
+            DerivedGraph(6, tuple(rows))
+
+    @pytest.mark.parametrize("strip_chars", [None, 1, 50])
+    def test_one_flipped_bit_is_always_rejected(self, monkeypatch, strip_chars):
+        if strip_chars is not None:  # many column strips per matrix
+            monkeypatch.setattr(graph_module, "_STRIP_CHARS", strip_chars)
+        rng = random.Random(8)
+        for seed in range(200):
+            g = random_graph(1 + seed % 40, (0.05, 0.3, 0.9)[seed % 3], seed=seed)
+            k = g.vertex_count
+            assert graph_module._symmetric(g.adjacency, k)  # the fast test, not the walk
+            p, q = rng.randrange(k), rng.randrange(k)
+            rows = list(g.adjacency)
+            rows[p] ^= 1 << q
+            if p == q:
+                expected = f"vertex {p}: self-loop"
+            elif (rows[p] >> q) & 1:  # an added bit: row p holds q, row q lacks p
+                expected = f"adjacency not symmetric on ({p}, {q})"
+            else:  # a removed bit: row q is the one that holds its partner
+                expected = f"adjacency not symmetric on ({q}, {p})"
+            assert graph_module._symmetric(rows, k) == (p == q)
+            with pytest.raises(ValueError) as exc:
+                DerivedGraph(k, tuple(rows))
+            assert str(exc.value) == expected, (seed, p, q)
+
+    def test_mask_rows_match_pairwise_reference(self):
+        rng = random.Random(31)
+        cases = [
+            unicast_of(3, []),
+            unicast_of(3, [(2, {1, 3})]),
+            unicast_of(4, [(1, ()), (2, ()), (3, ()), (4, ())]),  # no side information
+            unicast_of(5, [(3, {1}), (3, {2, 4}), (3, ()), (3, {1, 2, 4, 5})]),  # all want 3
+        ]
+        for seed in range(320):
+            n = rng.randint(1, 12)
+            density = (0.0, 0.2, 0.5, 0.8, 1.0)[seed % 5]
+            hi = rng.randint(1, min(4, n))
+            inst = random_instance(n, rng.randint(0, 12), density, (1, hi), seed=seed)
+            full = split_groupcast(inst)
+            cases += [full, dedup(full)]
+        for u in cases:
+            for strict in (False, True):
+                g = build_cross_neighbor_graph(u, strict=strict)
+                assert g.adjacency == pairwise_cross_neighbor_rows(u, strict), (u, strict)
+        sizes = {len(u.virtuals) for u in cases}
+        assert {0, 1} <= sizes and max(sizes) > 30
 
     def test_monotone_in_side_information(self):
         for seed in range(30):

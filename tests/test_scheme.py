@@ -23,6 +23,7 @@ from indexcoding import (
     verify_scheme_symbolic,
 )
 from indexcoding import scheme as scheme_module
+from indexcoding.scheme import TRIAL_BLOCK
 from indexcoding.generate import random_instance
 
 
@@ -286,19 +287,60 @@ class TestVerification:
 
     def test_random_reports_a_faulty_encode(self, example6, monkeypatch):
         real_encode = scheme_module.encode
-
-        def flip_bit_of_first(s, words):
-            out = real_encode(s, words)
-            return (out[0] ^ 1,) + out[1:]
-
-        monkeypatch.setattr(scheme_module, "encode", flip_bit_of_first)
         u, s = solve(example6)
-        failure = verify_scheme_random(u, s, trials=5, seed=3)
         first = scheme_module.assign_transmissions(u, s).index(0)
-        assert (failure.trial, failure.virtual) == (0, first)
-        assert failure.got == failure.expected ^ 1
+        # (trials, the one trial whose word is wrong, the bit flipped in it)
+        for trials, bad_trial, bit in [(5, 0, 0), (5, 3, 17), (TRIAL_BLOCK + 5, TRIAL_BLOCK + 2, 63)]:
+            calls = []
+
+            def flip_one_bit_of_first(s, words, bad_trial=bad_trial, bit=bit, calls=calls):
+                # each call encodes one block of bit-sliced trials
+                out = real_encode(s, words)
+                calls.append(None)
+                if len(calls) - 1 != bad_trial // TRIAL_BLOCK:
+                    return out
+                return (out[0] ^ 1 << ((bad_trial % TRIAL_BLOCK) * 64 + bit),) + out[1:]
+
+            monkeypatch.setattr(scheme_module, "encode", flip_one_bit_of_first)
+            failure = verify_scheme_random(u, s, trials=trials, seed=3)
+            assert (failure.trial, failure.virtual) == (bad_trial, first)
+            assert failure.got == failure.expected ^ 1 << bit
+
+    def test_random_reports_the_least_trial_then_the_least_virtual(self, example6, monkeypatch):
+        # the failure a trial-by-trial loop would meet first, whatever the flips
+        real_encode = scheme_module.encode
+        u, s = solve(example6)
+        assigned = scheme_module.assign_transmissions(u, s)
+        rng = random.Random(5)
+        width = 8
+        for _ in range(60):
+            trials = rng.randint(1, 40)
+            flips = {
+                (rng.randrange(s.rate), rng.randrange(trials), rng.randrange(width))
+                for _ in range(rng.randint(1, 4))
+            }
+
+            def faulty(s, words, flips=flips):
+                out = list(real_encode(s, words))
+                for t, trial, bit in flips:
+                    out[t] ^= 1 << (trial * width + bit)
+                return tuple(out)
+
+            monkeypatch.setattr(scheme_module, "encode", faulty)
+            failure = verify_scheme_random(u, s, trials=trials, seed=1, word_width=width)
+            assert (failure.trial, failure.virtual) == min(
+                (trial, idx) for t, trial, _ in flips for idx, a in enumerate(assigned) if a == t
+            )
+            flipped = sum(
+                1 << bit for t, trial, bit in flips
+                if (t, trial) == (assigned[failure.virtual], failure.trial)
+            )
+            assert failure.got == failure.expected ^ flipped
+            assert max(failure.got, failure.expected) < 1 << width
 
     def test_random_draws_words_only_for_sent_messages(self, monkeypatch):
+        # one bit-sliced word per sent message and block of trials, not one
+        # per message of the 50
         draws = []
 
         class CountingRandom(random.Random):
@@ -311,7 +353,10 @@ class TestVerification:
         u = split_groupcast(inst)
         s = CodingScheme(50, ((1, 2), (3,)))
         assert verify_scheme_random(u, s, trials=7, seed=1, word_width=8) is None
-        assert draws == [8] * (7 * 3)
+        assert draws == [7 * 8] * 3
+        draws.clear()
+        assert verify_scheme_random(u, s, trials=TRIAL_BLOCK + 1, seed=1, word_width=8) is None
+        assert draws == [TRIAL_BLOCK * 8] * 3 + [8] * 3
 
     def test_emitted_schemes_always_verify(self):
         for seed in range(40):
