@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -19,6 +18,7 @@ from .errors import CapExceeded, ValidationError
 from .generate import random_instance
 from .graph import bipartite_dot, derived_dot
 from .instance import Instance, parse_instance, serialize_instance, split_groupcast
+from .jsontext import dumps
 from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
 from .pipeline import SolveConfig, gap_report, pick_cover, prepare, solve_instance
 from .scheme import (
@@ -39,7 +39,7 @@ GEN_MAX_DRAWS = 10**6
 
 
 def _emit(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+    print(dumps(data))
 
 
 def _read_file(path: str) -> str:

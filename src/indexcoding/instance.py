@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
+from .jsontext import dumps
 
 # 1-indexed message identifier, valid range [1, Instance.num_messages].
 MessageId = int
@@ -40,6 +41,11 @@ class Instance:
 
     num_messages: int
     receivers: tuple[Receiver, ...]
+
+    # True on an object the parser built and found to keep every rule of
+    # validate().  Its fields are an int and a tuple of frozen receivers, so
+    # that cannot go stale; dataclasses.replace builds a new, unmarked object.
+    _validated = False
 
     @classmethod
     def of(
@@ -119,8 +125,9 @@ def _check_id_array(value, where: str) -> list[int]:
     return list(value)
 
 
-def instance_from_jsonable(data) -> Instance:
-    """Build and validate an Instance from decoded JSON data."""
+def _checked_walk(data) -> Instance:
+    """Build the instance, raising on its first structural defect or, once
+    the structure is sound, on every violation :func:`validate` finds."""
     if not isinstance(data, dict):
         raise ValidationError("instance must be a JSON object")
     unknown = set(data) - {"num_messages", "receivers"}
@@ -151,6 +158,60 @@ def instance_from_jsonable(data) -> Instance:
     return inst
 
 
+_INSTANCE_KEYS = frozenset(("num_messages", "receivers"))
+_RECEIVER_KEYS = frozenset(("wants", "has"))
+_INT_ONLY = frozenset((int,))
+
+
+def _valid_or_none(data) -> Instance | None:
+    """The instance when ``data`` is well formed and valid, else None.
+
+    One walk of C-speed checks per id array: exact int type, no duplicate, no
+    wants/has overlap, nonempty wants, and one range test over every id.  It
+    returns None on every input :func:`_checked_walk` rejects (and on int
+    subclasses, which that walk accepts), so that walk words every error.
+    """
+    if type(data) is not dict or not _INSTANCE_KEYS.issuperset(data):
+        return None
+    n = data.get("num_messages")
+    raw_receivers = data.get("receivers", [])
+    if type(n) is not int or n < 1 or type(raw_receivers) is not list:
+        return None
+    receivers = []
+    types: set[type] = set()
+    ids: set[int] = set()
+    for entry in raw_receivers:
+        if type(entry) is not dict or not _RECEIVER_KEYS.issuperset(entry):
+            return None
+        wants = entry.get("wants")
+        has = entry.get("has", [])
+        if type(wants) is not list or type(has) is not list or not wants:
+            return None
+        types.update(map(type, wants))
+        types.update(map(type, has))
+        # before hashing: a list id is unhashable, and 1.0 and True equal 1
+        if not _INT_ONLY.issuperset(types):
+            return None
+        w, h = frozenset(wants), frozenset(has)
+        if len(w) != len(wants) or len(h) != len(has) or not w.isdisjoint(h):
+            return None
+        ids |= w
+        ids |= h
+        receivers.append(Receiver(w, h))
+    if ids and (min(ids) < 1 or max(ids) > n):
+        return None
+    return Instance(n, tuple(receivers))
+
+
+def instance_from_jsonable(data) -> Instance:
+    """Build and validate an Instance from decoded JSON data."""
+    inst = _valid_or_none(data)
+    if inst is None:
+        inst = _checked_walk(data)
+    object.__setattr__(inst, "_validated", True)
+    return inst
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the canonical instance JSON; raise ValidationError on any defect."""
     # RecursionError: deep nesting; ValueError: JSONDecodeError, too-long integers
@@ -172,7 +233,7 @@ def instance_to_jsonable(inst: Instance) -> dict:
 
 def serialize_instance(inst: Instance) -> str:
     """Canonical JSON form: id arrays sorted ascending, 2-space indent."""
-    return json.dumps(instance_to_jsonable(inst), indent=2)
+    return dumps(instance_to_jsonable(inst))
 
 
 def split_groupcast(inst: Instance) -> UnicastInstance:
@@ -182,7 +243,8 @@ def split_groupcast(inst: Instance) -> UnicastInstance:
     has exactly sum(len(r.wants)) entries and downstream output is
     deterministic.  Duplicates are kept; apply :func:`dedup` to drop them.
     """
-    _require_valid(inst)
+    if not inst._validated:
+        _require_valid(inst)
     virtuals = []
     for j, r in enumerate(inst.receivers, start=1):
         for k, want in enumerate(sorted(r.wants), start=1):

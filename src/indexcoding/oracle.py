@@ -116,11 +116,14 @@ def min_linear_rate_gf2(
     max_rate: int | None = None,
     n_cap: int = DEFAULT_ORACLE_N_CAP,
     with_witness: bool = False,
+    lower_bound: int | None = None,
 ):
     """Least number of GF(2) codeword rows that lets every virtual decode.
 
-    Searches rates upward starting from the MAIS bound (lower rates are
-    provably infeasible), enumerating all row spaces of each dimension.  With
+    Searches rates upward starting from a lower bound (lower rates are
+    provably infeasible), enumerating all row spaces of each dimension.  The
+    bound is ``lower_bound`` when given (a caller that has the MAIS bound
+    passes it, or 0 for none), else the MAIS bound at its default cap.  With
     ``max_rate`` set, returns None when no rate up to it is feasible.  With
     ``with_witness=True`` returns (rate, Gf2Matrix) instead, the witness
     being the first feasible basis in enumeration order.
@@ -131,10 +134,12 @@ def min_linear_rate_gf2(
     receivers = _virtual_masks(u)
     if not receivers:
         return (0, Gf2Matrix((), n)) if with_witness else 0
-    try:
-        start = max(1, mais_lower_bound(u))
-    except CapExceeded:
-        start = 1
+    if lower_bound is None:
+        try:
+            lower_bound = mais_lower_bound(u)
+        except CapExceeded:
+            lower_bound = 0
+    start = max(1, lower_bound)
     limit = max_rate if max_rate is not None else n
     for beta in range(start, limit + 1):
         for rows in iter_rref_rowspaces(n, beta):

@@ -142,7 +142,9 @@ def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateRepor
     greedy = greedy_cover(g).size
     exact = _capped(lambda: exact_min_cover(g, cap=config.exact_cap).size)
     mais = _capped(lambda: mais_lower_bound(u, cap=config.mais_cap))
-    oracle = _capped(lambda: min_linear_rate_gf2(u, n_cap=config.oracle_n_cap))
+    # the oracle starts from this MAIS (0 when capped): MAIS runs once, under mais_cap
+    oracle = _capped(lambda: min_linear_rate_gf2(
+        u, n_cap=config.oracle_n_cap, lower_bound=mais or 0))
     gap = exact - oracle if exact is not None and oracle is not None else None
     return RateReport(
         mais_bound=mais,

@@ -18,6 +18,7 @@ from typing import Mapping
 from .cover import CliqueCover
 from .errors import ValidationError
 from .instance import UnicastInstance, VirtualReceiver
+from .jsontext import dumps
 
 DEFAULT_WORD_WIDTH = 64
 # trials per bit-sliced pass: at 64-bit words, 8 KiB per wide word whatever the
@@ -189,7 +190,7 @@ def scheme_to_jsonable(s: CodingScheme) -> dict:
 
 def serialize_scheme(s: CodingScheme) -> str:
     """Canonical scheme JSON: rate plus transmissions with ascending ids."""
-    return json.dumps(scheme_to_jsonable(s), indent=2)
+    return dumps(scheme_to_jsonable(s))
 
 
 def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:

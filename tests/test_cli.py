@@ -15,7 +15,9 @@ from indexcoding import (
     derived_dot,
     greedy_cover,
     parse_instance,
+    scheme_from_cover,
     serialize_instance,
+    serialize_scheme,
     split_groupcast,
     validate,
 )
@@ -265,6 +267,42 @@ class TestVerifyOutput:
                 code, out, _ = run(capsys, "verify", inst_path, scheme_path, *extra)
                 records.append([code, out])
         assert sorted({code for code, _ in records}) == [0, 3]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
+class TestOutputDigest:
+    # SHA-256 of solve, gap, gen, serialize_instance and serialize_scheme
+    # output over a seeded corpus, recorded from json.dumps(indent=2) output,
+    # whose bytes the package's own writer must reproduce
+    DIGEST = "bfcf66ea41f8363bd5b18831516f291d9ab9d033c57d92d1cbe3770f32ef4a59"
+
+    def test_outputs_match_recorded_digest(self, capsys, tmp_path):
+        instances = [parse_instance(Path(path).read_text()) for path in (EXAMPLE6, GROUPCAST3, CYCLE3)]
+        for seed in range(24):
+            n = 2 + seed % 7
+            instances.append(random_instance(
+                n, seed % 8, (0.2, 0.5, 0.8)[seed % 3], (1, min(3, n)), seed=4000 + seed))
+        instances += [random_instance(100, 220, p, (1, 3), seed=4100) for p in (0.2, 0.8)]
+        records = []
+        for k, inst in enumerate(instances):
+            text = serialize_instance(inst)
+            records.append(text)
+            path = tmp_path / f"inst{k}.json"
+            path.write_text(text)
+            u = dedup(split_groupcast(inst))
+            g = build_cross_neighbor_graph(u)
+            records.append(serialize_scheme(scheme_from_cover(u, greedy_cover(g))))
+            for argv in (["solve"], ["solve", "--no-dedup", "--solver", "greedy"],
+                         ["solve", "--strict-cross-neighbor"], ["gap"],
+                         ["gap", "--oracle-cap", "2", "--mais-cap", "1"]):
+                if len(inst.receivers) > 100 and argv[0] == "gap":
+                    continue
+                records.append([*argv, *run(capsys, argv[0], str(path), *argv[1:])[:2]])
+        for seed in range(4):
+            argv = ["gen", "-n", str(3 + 20 * seed), "-m", str(5 * seed), "-p", "0.5",
+                    "--demand-max", "3", "--seed", str(seed)]
+            records.append([*argv, *run(capsys, *argv)[:2]])
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == self.DIGEST
 

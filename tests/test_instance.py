@@ -1,7 +1,8 @@
+import dataclasses
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from indexcoding import (
     Instance,
@@ -13,7 +14,9 @@ from indexcoding import (
     split_groupcast,
     validate,
 )
+from indexcoding import instance as instance_module
 from indexcoding.generate import random_instance
+from indexcoding.instance import instance_from_jsonable
 
 
 @st.composite
@@ -109,6 +112,213 @@ class TestParseValidate:
         data = json.loads(serialize_instance(inst))
         assert data["receivers"][0]["wants"] == [1, 3]
         assert data["receivers"][0]["has"] == [2, 4]
+
+
+def _check_id_array(value, where):
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be an array of message ids")
+    seen = set()
+    for x in value:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValidationError(f"{where} contains non-integer entry {x!r}")
+        if x in seen:
+            raise ValidationError(f"{where} contains duplicate id {x}")
+        seen.add(x)
+    return list(value)
+
+
+def reference_instance_from_jsonable(data):
+    """Reference parse: every structural check in order, then validate()."""
+    if not isinstance(data, dict):
+        raise ValidationError("instance must be a JSON object")
+    unknown = set(data) - {"num_messages", "receivers"}
+    if unknown:
+        raise ValidationError(f"unknown instance keys: {sorted(unknown)}")
+    if "num_messages" not in data:
+        raise ValidationError("missing required key 'num_messages'")
+    n = data["num_messages"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValidationError("'num_messages' must be an integer")
+    raw_receivers = data.get("receivers", [])
+    if not isinstance(raw_receivers, list):
+        raise ValidationError("'receivers' must be an array")
+    receivers = []
+    for j, entry in enumerate(raw_receivers, start=1):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"receiver {j}: must be a JSON object")
+        unknown = set(entry) - {"wants", "has"}
+        if unknown:
+            raise ValidationError(f"receiver {j}: unknown keys {sorted(unknown)}")
+        if "wants" not in entry:
+            raise ValidationError(f"receiver {j}: missing 'wants'")
+        wants = _check_id_array(entry["wants"], f"receiver {j}: 'wants'")
+        has = _check_id_array(entry.get("has", []), f"receiver {j}: 'has'")
+        receivers.append(Receiver.of(wants, has))
+    inst = Instance(n, tuple(receivers))
+    violations = validate(inst)
+    if violations:
+        raise ValidationError("invalid instance", violations)
+    return inst
+
+
+HUGE = 10**4999  # 5000 digits: past the interpreter's int-to-str limit
+ODD_IDS = [True, False, 1.0, 2.5, "1", None, [1], {"id": 1}, 0, -1, HUGE, -HUGE]
+ODD_ARRAYS = [{"id": 1}, "1, 2", 3, None, (1, 2)]
+
+
+@st.composite
+def decoded_instances(draw):
+    """Decoded instance JSON: a valid instance with up to three mutations."""
+    inst = draw(instances())
+    data = {"num_messages": inst.num_messages, "receivers": []}
+    for r in inst.receivers:
+        entry = {"wants": draw(st.permutations(sorted(r.wants)))}
+        if r.has or draw(st.booleans()):
+            entry["has"] = draw(st.permutations(sorted(r.has)))
+        data["receivers"].append(entry)
+    for _ in range(draw(st.integers(0, 3))):
+        receivers = data.get("receivers")
+        entry = (
+            draw(st.sampled_from(receivers))
+            if isinstance(receivers, list) and receivers else None
+        )
+        arrays = [] if not isinstance(entry, dict) else [
+            entry[k] for k in ("wants", "has") if isinstance(entry.get(k), list)
+        ]
+        ids = draw(st.sampled_from(arrays)) if arrays else None
+        kind = draw(st.sampled_from([
+            "odd_id", "duplicate", "out_of_range", "overlap", "empty_wants",
+            "unknown_key", "odd_array", "odd_receiver", "odd_receivers",
+            "odd_num_messages", "missing_key",
+        ]))
+        if kind == "odd_id" and ids is not None:
+            ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ODD_IDS)))
+        elif kind == "duplicate" and ids:
+            ids.append(draw(st.sampled_from(ids)))
+        elif kind == "out_of_range" and ids is not None:
+            n = data.get("num_messages")
+            ids.append(n + 1 if type(n) is int else 0)
+        elif kind == "overlap" and arrays and isinstance(entry.get("wants"), list):
+            entry.setdefault("has", [])
+            if isinstance(entry["has"], list) and entry["wants"]:
+                entry["has"].append(draw(st.sampled_from(entry["wants"])))
+        elif kind == "empty_wants" and entry is not None and isinstance(entry, dict):
+            entry["wants"] = []
+        elif kind == "unknown_key":
+            (entry if isinstance(entry, dict) and draw(st.booleans()) else data)["extra"] = 1
+        elif kind == "odd_array" and isinstance(entry, dict):
+            entry[draw(st.sampled_from(["wants", "has"]))] = draw(st.sampled_from(ODD_ARRAYS))
+        elif kind == "odd_receiver" and entry is not None:
+            receivers[receivers.index(entry)] = draw(st.sampled_from([[1], 1, "r", None]))
+        elif kind == "odd_receivers":
+            data["receivers"] = draw(st.sampled_from(ODD_ARRAYS))
+        elif kind == "odd_num_messages":
+            data["num_messages"] = draw(st.sampled_from([0, -3, True, 2.0, "3", None, HUGE]))
+        elif kind == "missing_key":
+            target = entry if isinstance(entry, dict) and draw(st.booleans()) else data
+            if target:
+                del target[draw(st.sampled_from(sorted(target)))]
+    return data
+
+
+def _outcome(parse, data):
+    try:
+        return ("built", parse(data))
+    except (ValidationError, ValueError) as exc:  # ValueError: str() of a 5000-digit id
+        return ("raised", type(exc), str(exc), getattr(exc, "violations", None))
+
+
+def _defect(change):
+    data = {"num_messages": 4, "receivers": [
+        {"wants": [1, 2], "has": [3]}, {"wants": [4], "has": [1, 2]},
+    ]}
+    change(data)
+    return data
+
+
+ONE_DEFECT = [  # one per mutation kind of decoded_instances
+    *[_defect(lambda d, x=x: d["receivers"][1]["has"].append(x)) for x in ODD_IDS],
+    _defect(lambda d: d["receivers"][0]["wants"].append(2)),
+    _defect(lambda d: d["receivers"][1]["has"].append(1)),
+    _defect(lambda d: d["receivers"][0]["has"].append(5)),
+    _defect(lambda d: d["receivers"][1]["has"].append(4)),
+    _defect(lambda d: d["receivers"][1].update(wants=[])),
+    _defect(lambda d: d.update(extra=1)),
+    _defect(lambda d: d["receivers"][0].update(extra=1)),
+    *[_defect(lambda d, x=x: d["receivers"][0].update(has=x)) for x in ODD_ARRAYS],
+    *[_defect(lambda d, x=x: d["receivers"].__setitem__(1, x)) for x in ([1], 1, "r", None)],
+    *[_defect(lambda d, x=x: d.update(receivers=x)) for x in ODD_ARRAYS],
+    *[_defect(lambda d, x=x: d.update(num_messages=x)) for x in (0, -3, True, 2.0, "3", None)],
+    _defect(lambda d: d.update(num_messages=HUGE)),  # valid
+    _defect(lambda d: d.pop("num_messages")),
+    _defect(lambda d: d.pop("receivers")),  # valid
+    _defect(lambda d: d["receivers"][0].pop("wants")),
+    _defect(lambda d: d["receivers"][0].pop("has")),  # valid
+]
+
+
+class TestParseEquivalence:
+    @settings(max_examples=300)
+    @given(decoded_instances())
+    def test_matches_reference_parse(self, data):
+        want = _outcome(reference_instance_from_jsonable, data)
+        assert _outcome(instance_from_jsonable, data) == want
+
+    @pytest.mark.parametrize("data", ONE_DEFECT)
+    def test_each_defect_matches_reference_parse(self, data):
+        want = _outcome(reference_instance_from_jsonable, data)
+        assert _outcome(instance_from_jsonable, data) == want
+
+    def test_every_violation_in_order(self):
+        data = {"num_messages": 3, "receivers": [
+            {"wants": [], "has": [5, 0]},
+            {"wants": [2, 4], "has": [2]},
+        ]}
+        with pytest.raises(ValidationError) as info:
+            instance_from_jsonable(data)
+        assert info.value.violations == [
+            "receiver 1: empty demand",
+            "receiver 1: has id 0 out of range [1, 3]",
+            "receiver 1: has id 5 out of range [1, 3]",
+            "receiver 2: wants id 4 out of range [1, 3]",
+            "receiver 2: wants/has overlap on [2]",
+        ]
+
+
+class TestValidateOnce:
+    def test_parsed_instance_is_not_validated_again(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(instance_module, "validate", lambda inst: calls.append(inst) or [])
+        inst = parse_instance('{"num_messages": 2, "receivers": [{"wants": [1], "has": [2]}]}')
+        split_groupcast(inst)
+        assert calls == []
+        split_groupcast(dataclasses.replace(inst))
+        assert len(calls) == 1
+
+    def test_replace_of_a_parsed_instance_is_validated_again(self):
+        inst = parse_instance('{"num_messages": 3, "receivers": [{"wants": [1], "has": [2, 3]}]}')
+        with pytest.raises(ValidationError) as info:
+            split_groupcast(dataclasses.replace(inst, num_messages=2))
+        assert info.value.violations == ["receiver 1: has id 3 out of range [1, 2]"]
+
+    @pytest.mark.parametrize("inst, violations", [
+        (Instance(0, ()), ["num_messages must be a positive integer"]),
+        (Instance(True, (Receiver.of({1}),)), ["num_messages must be a positive integer"]),
+        (Instance(2.0, ()), ["num_messages must be a positive integer"]),
+        (Instance.of(3, [(set(), {1})]), ["receiver 1: empty demand"]),
+        (Instance(3, (Receiver(frozenset({"a"}), frozenset()),)),
+         ["receiver 1: wants contains non-integer id 'a'"]),
+        (Instance(3, (Receiver(frozenset({2}), frozenset({True})),)),
+         ["receiver 1: has contains non-integer id True"]),
+        (Instance.of(3, [({4}, {0})]),
+         ["receiver 1: wants id 4 out of range [1, 3]", "receiver 1: has id 0 out of range [1, 3]"]),
+        (Instance.of(3, [({1, 2}, {2, 3})]), ["receiver 1: wants/has overlap on [2]"]),
+    ])
+    def test_hand_built_instance_raises_every_violation(self, inst, violations):
+        with pytest.raises(ValidationError) as info:
+            split_groupcast(inst)
+        assert str(info.value) == "invalid instance: " + "; ".join(violations)
+        assert info.value.violations == violations
 
 
 class TestSplit:

@@ -14,6 +14,8 @@ from indexcoding import (
     scheme_from_cover,
     split_groupcast,
 )
+from indexcoding import oracle as oracle_module
+from indexcoding import pipeline as pipeline_module
 from indexcoding.generate import random_instance
 from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.oracle import can_decode, gf2_rank, iter_rref_rowspaces
@@ -107,6 +109,10 @@ class TestMinLinearRate:
     def test_max_rate_cutoff_returns_none(self):
         u = unicast_of(3, [(1, ()), (2, ()), (3, ())])
         assert min_linear_rate_gf2(u, max_rate=2) is None
+
+    def test_lower_bound_sets_the_start_not_the_answer(self, cycle3):
+        u = dedup(split_groupcast(cycle3))
+        assert [min_linear_rate_gf2(u, lower_bound=b) for b in (0, 1, 2)] == [2, 2, 2]
 
     def test_witness_decodes_every_virtual(self):
         for seed in range(20):
@@ -209,6 +215,21 @@ class TestGapReport:
         r = gap_report(example6, SolveConfig(exact_cap=2))
         assert r.cover_rate_exact is None and r.gap is None
         assert r.cover_rate_greedy == 3
+
+    def test_mais_runs_once_under_the_configured_cap(self, example6, monkeypatch):
+        caps = []
+
+        def counting_mais(u, cap=oracle_module.DEFAULT_MAIS_CAP):
+            caps.append(cap)
+            return mais_lower_bound(u, cap)
+
+        monkeypatch.setattr(oracle_module, "mais_lower_bound", counting_mais)
+        monkeypatch.setattr(pipeline_module, "mais_lower_bound", counting_mais)
+        assert gap_report(example6, SolveConfig(mais_cap=7)).oracle_rate == 3
+        assert caps == [7]
+        r = gap_report(example6, SolveConfig(mais_cap=2))
+        assert (r.mais_bound, r.oracle_rate) == (None, 3)
+        assert caps == [7, 2]
 
     def test_sandwich_on_random_instances(self):
         for seed in range(40):
