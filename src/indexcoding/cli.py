@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -23,9 +24,9 @@ from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
 from .pipeline import SolveConfig, gap_report, pick_cover, prepare, solve_instance
 from .scheme import (
     DEFAULT_WORD_WIDTH,
+    _random_trials,
     assign_transmissions,
     parse_scheme,
-    verify_scheme_random,
 )
 
 EXIT_OK = 0
@@ -46,7 +47,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
@@ -109,9 +110,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report.update({"random_ok": None, "trials": args.trials, "seed": args.seed})
         _emit(report)
         return EXIT_VERIFY
-    failure = verify_scheme_random(
-        u, scheme, trials=args.trials, seed=args.seed, word_width=args.word_width
-    )
+    failure = _random_trials(u, scheme, assigned, args.trials, args.seed, args.word_width)
     report["virtuals"] = [
         {"origin": list(v.origin), "want": v.want, "transmission": assigned[i]}
         for i, v in enumerate(u.virtuals)
@@ -183,7 +182,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="drop the equal-demand edge rule (mutual containment only)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call:
+    ``parse_args`` keeps no state on it (every default is immutable)."""
     parser = argparse.ArgumentParser(
         prog="indexcoding",
         description="Index coding solver: clique covers of the cross-neighbor "

@@ -173,26 +173,37 @@ def _exact_coloring(n: int, adj: list[int]) -> list[int]:
 
     uncolored = [v for v in range(n) if colors[v] < 0]
 
-    def search(num_colored: int, used: int) -> None:
-        nonlocal best_k, best
-        if used >= best_k:
-            return
-        if num_colored == n:
-            best_k = used
-            best = colors[:]
-            return
-        v = _pick(uncolored, colors, sat, degrees)
-        limit = min(used + 1, best_k - 1)
-        saved = sat[:]
-        for c in range(limit):
-            if (sat[v] >> c) & 1:
-                continue
-            _paint(v, c, adj, colors, sat)
-            search(num_colored + 1, max(used, c + 1))
-            colors[v] = -1
-            sat[:] = saved
-            if best_k == lower:
-                return
-
-    search(n - len(uncolored), len(clique))
-    return best
+    # Depth-first search on an explicit stack, one frame per colored vertex
+    # (a component can be deeper than the interpreter's recursion limit).  A
+    # frame is [v, c, limit, used, num_colored, saved]: v takes the colors
+    # below limit in turn, c is the one it was last given (-1 before the
+    # first), and saved is every saturation row before v was colored.
+    stack: list[list] = []
+    num_colored, used = n - len(uncolored), len(clique)
+    while True:
+        if used < best_k:  # enter the node (num_colored, used)
+            if num_colored == n:
+                best_k = used
+                best = colors[:]
+            else:
+                v = _pick(uncolored, colors, sat, degrees)
+                stack.append([v, -1, min(used + 1, best_k - 1), used, num_colored, sat[:]])
+        while stack:  # give the deepest open vertex its next color
+            frame = stack[-1]
+            v, c, limit, used, num_colored, saved = frame
+            if c >= 0:  # back from coloring v with c
+                colors[v] = -1
+                sat[:] = saved
+                if best_k == lower:  # optimal: every open frame would return now
+                    return best
+            c += 1
+            while c < limit and (saved[v] >> c) & 1:
+                c += 1
+            if c < limit:
+                frame[1] = c
+                _paint(v, c, adj, colors, sat)
+                num_colored, used = num_colored + 1, max(used, c + 1)
+                break
+            stack.pop()
+        else:
+            return best

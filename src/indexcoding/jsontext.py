@@ -3,9 +3,9 @@
 Given an indent, ``json.dumps`` cannot use the C encoder and formats every
 value in Python.  The bulk of the command outputs is lists of ints (id arrays
 and transmissions) and ``{"origin", "want", "transmission"}`` entries, so
-those are formatted here directly.  Any other value goes through
-``json.dumps`` and is re-indented to its depth, which is exact because encoded
-JSON holds no raw newline.
+those are formatted here directly, a list of such entries from one ``%``
+template.  Any other value goes through ``json.dumps`` and is re-indented to
+its depth, which is exact because encoded JSON holds no raw newline.
 """
 
 from __future__ import annotations
@@ -38,16 +38,37 @@ def _dump(value, nl: str) -> str:
         if _INT_ONLY.issuperset(map(type, value)):
             # repr of an int list is its ids joined by ", ", built in C
             return f"[{inner}{repr(value)[1:-1].replace(', ', ',' + inner)}{nl}]"
+        entries = _entry_ints(value)
+        if entries is not None:
+            return f"[{inner}{(',' + inner).join([_entry(inner)] * len(value)) % entries}{nl}]"
         return f"[{inner}{(',' + inner).join([_dump(v, inner) for v in value])}{nl}]"
     if t is dict and value and _STR_ONLY.issuperset(map(type, value)):
-        if tuple(value) == _ENTRY_KEYS:
-            origin, want, sent = value.values()
-            if (type(origin) is list and len(origin) == 2
-                    and _INT_ONLY.issuperset(map(type, origin))
-                    and type(want) is int and type(sent) is int):
-                at = inner + "  "
-                return (f'{{{inner}"origin": [{at}{origin[0]},{at}{origin[1]}{inner}],'
-                        f'{inner}"want": {want},{inner}"transmission": {sent}{nl}}}')
         items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
     return json.dumps(value, indent=2).replace("\n", nl)
+
+
+def _entry(nl: str) -> str:
+    """The ``%`` template of one entry written at the depth of ``nl``: four
+    ``%d`` for its origin pair, want and transmission."""
+    inner = nl + "  "
+    at = inner + "  "
+    return (f'{{{inner}"origin": [{at}%d,{at}%d{inner}],'
+            f'{inner}"want": %d,{inner}"transmission": %d{nl}}}')
+
+
+def _entry_ints(value: list) -> tuple[int, ...] | None:
+    """The origin pair, want and transmission of each item of ``value``, in
+    order, when every item is an entry ``{"origin": [a, b], "want": w,
+    "transmission": t}`` of exact ints with its keys in that order; else None."""
+    flat = []
+    for item in value:
+        if type(item) is not dict or tuple(item) != _ENTRY_KEYS:
+            return None
+        origin, want, sent = item.values()
+        if type(origin) is not list or len(origin) != 2:
+            return None
+        flat += origin
+        flat.append(want)
+        flat.append(sent)
+    return tuple(flat) if _INT_ONLY.issuperset(map(type, flat)) else None

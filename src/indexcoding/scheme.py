@@ -3,8 +3,9 @@
 Each transmission is the XOR of a set of messages over GF(2)^w words.  A
 virtual receiver decodes transmission T when T holds its want and it holds
 every other summand of T (``_cancels``): XOR-ing the received word with its
-side-information words for those summands cancels them exactly.  Message
-words are one mapping from 1-based message id to int word, shared by
+side-information words for those summands cancels them exactly.  The bulk
+checks test that rule against sets built once per transmission (``_others``).
+Message words are one mapping from 1-based message id to int word, shared by
 ``encode``, ``decode_receiver`` and the randomized check.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .cover import CliqueCover
@@ -57,6 +59,14 @@ def _cancels(v: VirtualReceiver, t: tuple[int, ...]) -> list[int] | None:
     return others if v.has.issuperset(others) else None
 
 
+def _others(t: tuple[int, ...]) -> dict[int, frozenset[int]]:
+    """``_cancels``' rule precomputed for ``t``: each summand ``i`` maps to
+    the other summands, and a virtual wanting ``i`` decodes ``t`` exactly
+    when its ``has`` is a superset of them."""
+    summands = frozenset(t)
+    return {i: summands - {i} for i in t}
+
+
 def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
     """One transmission per cover part: the distinct wants of its virtuals.
 
@@ -73,9 +83,10 @@ def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
     transmissions = []
     for t, part in enumerate(c.parts):
         wants = tuple(sorted({u.virtuals[v].want for v in part}))
+        others = _others(wants)
         for v in part:
             r = u.virtuals[v]
-            if _cancels(r, wants) is None:
+            if not r.has.issuperset(others[r.want]):
                 lacking = [i for i in wants if i != r.want and i not in r.has]
                 raise ValidationError(f"invalid cover: part {t}: virtual {v} lacks {lacking}")
         transmissions.append(wants)
@@ -119,11 +130,13 @@ def decode_receiver(
 
 def assign_transmissions(u: UnicastInstance, s: CodingScheme) -> list[int | None]:
     """First decodable transmission per virtual, None where none qualifies."""
-    holding: dict[int, list] = {}  # message id -> (index, transmission) holding it, in order
+    # message id -> (index, other summands) of each transmission holding it, in order
+    holding: dict[int, list[tuple[int, frozenset[int]]]] = {}
     for idx, t in enumerate(s.transmissions):
-        for i in t:
-            holding.setdefault(i, []).append((idx, t))
-    return [next((idx for idx, t in holding.get(v.want, ()) if _cancels(v, t) is not None), None)
+        for i, others in _others(t).items():
+            holding.setdefault(i, []).append((idx, others))
+    return [next((idx for idx, others in holding.get(v.want, ()) if v.has.issuperset(others)),
+                 None)
             for v in u.virtuals]
 
 
@@ -161,6 +174,16 @@ def verify_scheme_random(
         raise ValidationError(
             "symbolic verification failed; randomized check requires it to pass"
         )
+    return _random_trials(u, s, assigned, trials, seed, word_width)
+
+
+def _random_trials(
+    u: UnicastInstance, s: CodingScheme, assigned: list[int], trials: int, seed: int,
+    word_width: int,
+) -> TrialFailure | None:
+    """The trials of :func:`verify_scheme_random`, decoding each virtual from
+    its transmission in ``assigned`` (``assign_transmissions(u, s)``, with no
+    None); ``word_width`` is in [1, 64]."""
     sent = sorted({i for t in s.transmissions for i in t})
     rng = random.Random(seed)
     mask = (1 << word_width) - 1
@@ -204,6 +227,45 @@ def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:
         data = json.loads(text)
     except (RecursionError, ValueError) as exc:
         raise ValidationError(f"malformed JSON: {exc}") from exc
+    scheme = _scheme_or_none(data, num_messages)
+    return scheme if scheme is not None else _checked_scheme(data, num_messages)
+
+
+_INT_ONLY = frozenset((int,))
+_LIST_ONLY = frozenset((list,))
+
+
+def _scheme_or_none(data, num_messages: int | None) -> CodingScheme | None:
+    """The scheme when ``data`` is well formed, else None.
+
+    C-speed checks over all transmissions at once: nonempty lists of exact
+    ints with no duplicate; then every id at least 1 and at most
+    ``num_messages``, and the declared rate (if any) equal to the
+    transmission count.  It returns None on every input
+    :func:`_checked_scheme` rejects (and on int subclasses, which that walk
+    accepts), so that walk words every error.
+    """
+    if type(data) is not dict:
+        return None
+    raw = data.get("transmissions")
+    # types before sorting: a list id is unorderable, and 1.0 and True equal 1
+    if (type(raw) is not list or not _LIST_ONLY.issuperset(map(type, raw)) or not all(raw)
+            or not _INT_ONLY.issuperset(map(type, chain.from_iterable(raw)))):
+        return None
+    transmissions = list(map(tuple, map(sorted, raw)))
+    if list(map(len, map(set, transmissions))) != list(map(len, transmissions)):
+        return None
+    if "rate" in data and data["rate"] != len(transmissions):
+        return None
+    max_id = max([t[-1] for t in transmissions], default=0)
+    n = num_messages if num_messages is not None else max_id
+    if transmissions and (min([t[0] for t in transmissions]) < 1 or max_id > n):
+        return None
+    return CodingScheme(n, tuple(transmissions))
+
+
+def _checked_scheme(data, num_messages: int | None) -> CodingScheme:
+    """Build the scheme, raising on its first defect."""
     if not isinstance(data, dict):
         raise ValidationError("scheme must be a JSON object")
     if "transmissions" not in data:

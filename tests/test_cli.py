@@ -1,12 +1,16 @@
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import indexcoding
 from indexcoding import (
@@ -122,6 +126,33 @@ class TestSolve:
         assert json.loads(out)["rate"] == 1
         _, out, _ = run(capsys, "solve", str(path), "--strict-cross-neighbor")
         assert json.loads(out)["rate"] == 2
+
+
+class TestCachedParser:
+    def test_built_once(self):
+        assert cli_module.build_parser() is cli_module.build_parser()
+
+    def test_flags_do_not_carry_over(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "solve", EXAMPLE6, "--no-dedup", "--solver", "greedy")
+        assert json.loads(out)["dedup"] is False and json.loads(out)["solver"] == "greedy"
+        _, out, _ = run(capsys, "solve", EXAMPLE6)
+        assert json.loads(out)["dedup"] is True and json.loads(out)["solver"] == "exact"
+        scheme_path = tmp_path / "scheme.json"
+        scheme_path.write_text(out)
+        _, out, _ = run(capsys, "verify", EXAMPLE6, str(scheme_path), "--trials", "7",
+                        "--seed", "3")
+        assert (json.loads(out)["trials"], json.loads(out)["seed"]) == (7, 3)
+        _, out, _ = run(capsys, "verify", EXAMPLE6, str(scheme_path))
+        assert (json.loads(out)["trials"], json.loads(out)["seed"]) == (100, 0)
+
+    def test_usage_errors_still_exit_1(self, capsys):
+        for argv in (["solve"], ["solve", EXAMPLE6, "--bogus"], ["gap"], [], ["nope"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and "usage" in err
+        code, out, _ = run(capsys, "solve", EXAMPLE6)
+        assert code == 0 and json.loads(out)["rate"] == 3
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: indexcoding")
 
 
 class TestVerify:
@@ -495,6 +526,76 @@ def test_hostile_input_exits_1(capsys, tmp_path, command, payload):
     assert out == ""
     assert err.startswith("error: malformed JSON") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+ids = st.integers(-1, 7) | st.sampled_from([True, 1.5, "2", None, 10**12])
+id_lists = st.lists(ids, max_size=4) | ids
+hostile_instance = st.fixed_dictionaries(
+    {"num_messages": st.integers(-1, 6) | st.sampled_from([0, 7, 10**12, True, 2.0])},
+    optional={
+        "receivers": st.lists(
+            st.fixed_dictionaries({"wants": id_lists}, optional={"has": id_lists}),
+            max_size=5,
+        ) | ids,
+        "extra": st.none(),
+    },
+)
+hostile_scheme = st.fixed_dictionaries(
+    {"transmissions": st.lists(id_lists, max_size=5) | ids},
+    optional={"rate": st.integers(0, 5) | ids},
+)
+valid_instance = st.builds(
+    lambda n, m, p, seed: random_instance(n, m, p, (1, min(2, n)), seed=seed),
+    st.integers(1, 6), st.integers(1, 5), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 99),
+).map(serialize_instance)
+plausible_scheme = (
+    st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True), max_size=6)
+    | st.integers(1, 6).map(lambda k: [[i] for i in range(1, k + 1)])  # sends every message
+).map(lambda transmissions: json.dumps({"transmissions": transmissions}))
+# arbitrary bytes, JSON of the right shape with hostile values in it, and
+# files that pass the parse
+instance_bytes = (
+    st.binary(max_size=64) | hostile_instance.map(json.dumps).map(str.encode)
+    | valid_instance.map(str.encode)
+)
+scheme_bytes = (
+    st.binary(max_size=64) | hostile_scheme.map(json.dumps).map(str.encode)
+    | plausible_scheme.map(str.encode)
+)
+cap = st.integers(-1, 64).map(str)
+solve_argv = st.tuples(
+    st.just("solve"), st.sampled_from([["--solver", s] for s in ("exact", "greedy", "auto")]),
+    st.sampled_from([[], ["--no-dedup"], ["--strict-cross-neighbor"]]),
+    cap.map(lambda c: ["--exact-cap", c]),
+)
+verify_argv = st.tuples(
+    st.just("verify"), st.integers(-1, 64).map(lambda t: ["--trials", str(t)]),
+    st.integers(-1, 70).map(lambda w: ["--word-width", str(w)]),
+    st.integers(-1, 3).map(lambda s: ["--seed", str(s)]),
+)
+gap_argv = st.tuples(
+    st.just("gap"), st.sampled_from([[], ["--no-dedup"], ["--strict-cross-neighbor"]]),
+    cap.map(lambda c: ["--exact-cap", c]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(solve_argv, verify_argv, gap_argv), instance_bytes, scheme_bytes)
+def test_any_input_ends_in_an_exit_code(command, instance, scheme):
+    name, *flags = command
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "instance.json"), os.path.join(tmp, "scheme.json")]
+        for path, data in zip(paths, (instance, scheme)):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        files = paths if name == "verify" else paths[:1]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([name, *files, *(arg for flag in flags for arg in flag)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (1, 2):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class _ClosedPipe:

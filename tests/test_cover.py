@@ -17,6 +17,7 @@ from indexcoding import (
     split_groupcast,
     verify_cover,
 )
+from indexcoding.cover import _exact_coloring
 from indexcoding.generate import random_graph, random_instance
 
 
@@ -78,6 +79,19 @@ class TestExact:
         cover = exact_min_cover(g)
         assert verify_cover(g, cover) is None
         assert cover.size == 3 == brute_min_cover_size(g)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # an odd cycle of 1201 vertices: DSATUR gives 3 colors, the clique
+        # bound is 2, and refuting 2 colors takes a path through every vertex
+        n = 1201
+        cycle = [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)]
+        colors = _exact_coloring(n, cycle)
+        assert max(colors) == 2
+        assert all(colors[v] != colors[(v + 1) % n] for v in range(n))
+        full = (1 << n) - 1
+        g = DerivedGraph(n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(cycle)))
+        cover = exact_min_cover(g, cap=2000)
+        assert cover.size == 3 and verify_cover(g, cover) is None
 
     def test_cap_exceeded_points_at_greedy(self):
         g = random_graph(12, 0.5, seed=0)

@@ -2,7 +2,7 @@ import json
 
 from hypothesis import given, strategies as st
 
-from indexcoding.jsontext import dumps
+from indexcoding.jsontext import _entry_ints, dumps
 
 KEYS = (
     "num_messages", "rate", "transmissions", "solver", "dedup", "assignments",
@@ -43,3 +43,49 @@ def test_matches_json_dumps_indent_2(value):
 def test_empty_and_nested_containers():
     for value in ([], {}, [[]], [[], [1]], {"a": []}, {"a": {}}, [{"origin": [], "want": 1}]):
         assert dumps(value) == json.dumps(value, indent=2)
+
+
+# exact-int entries as solve's assignments and verify's virtuals hold them
+int_entries = st.lists(
+    st.builds(lambda a, b, w, t: {"origin": [a, b], "want": w, "transmission": t},
+              ids, ids, ids, ids),
+    min_size=1, max_size=6,
+)
+
+
+@given(int_entries)
+def test_entry_list_matches_json_dumps(value):
+    assert _entry_ints(value) is not None
+    for wrapped in (value, {"assignments": value}, [[value]]):
+        assert dumps(wrapped) == json.dumps(wrapped, indent=2)
+
+
+ENTRY = {"origin": [1, 2], "want": 3, "transmission": 0}
+# lists one off the entry shape; each must take the general path and still
+# give the bytes of json.dumps
+OFF_SHAPE = [
+    [ENTRY, {**ENTRY, "want": True}],
+    [{**ENTRY, "transmission": False}],
+    [{**ENTRY, "origin": [1, True]}],
+    [ENTRY, {**ENTRY, "want": 3.0}],
+    [{**ENTRY, "origin": [1.5, 2]}],
+    [{"want": 3, "origin": [1, 2], "transmission": 0}],
+    [ENTRY, {"origin": [1, 2], "transmission": 0, "want": 3}],
+    [{"origin": [1, 2], "want": 3}],
+    [ENTRY, {"origin": [1, 2], "want": 3, "transmission": 0, "extra": 1}],
+    [{**ENTRY, "origin": [1, 2, 3]}],
+    [{**ENTRY, "origin": (1, 2)}],
+    [{**ENTRY, "transmission": None}],
+    [ENTRY, 1],
+    [1, ENTRY],
+    [ENTRY, [1, 2]],
+    [ENTRY, {"virtual": 0, "origin": [1, 1], "want": 1}],
+    [ENTRY, None],
+]
+
+
+def test_off_shape_lists_fall_back():
+    for value in OFF_SHAPE:
+        assert _entry_ints(value) is None, value
+        assert dumps(value) == json.dumps(value, indent=2), value
+        assert dumps({"virtuals": value}) == json.dumps({"virtuals": value}, indent=2)

@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from indexcoding import (
     CliqueCover,
@@ -23,7 +25,14 @@ from indexcoding import (
     verify_scheme_symbolic,
 )
 from indexcoding import scheme as scheme_module
-from indexcoding.scheme import TRIAL_BLOCK
+from indexcoding.instance import UnicastInstance, VirtualReceiver
+from indexcoding.scheme import (
+    TRIAL_BLOCK,
+    _cancels,
+    _checked_scheme,
+    _scheme_or_none,
+    assign_transmissions,
+)
 from indexcoding.generate import random_instance
 
 
@@ -232,8 +241,6 @@ class TestEncodeDecode:
         ]
         for inst in cases:
             u, s = solve(inst)
-            from indexcoding.scheme import assign_transmissions
-
             assigned = assign_transmissions(u, s)
             n = inst.num_messages
             for bits in itertools.product((0, 1), repeat=n):
@@ -427,3 +434,103 @@ class TestSchemeJson:
     def test_id_out_of_instance_range_rejected(self):
         with pytest.raises(ValidationError, match="out of range"):
             parse_scheme('{"transmissions": [[4]]}', num_messages=3)
+
+
+def reference_assign_transmissions(u, s):
+    """``assign_transmissions`` as it was before the per-transmission sets:
+    ``_cancels`` per candidate transmission, in order."""
+    holding = {}
+    for idx, t in enumerate(s.transmissions):
+        for i in t:
+            holding.setdefault(i, []).append((idx, t))
+    return [next((idx for idx, t in holding.get(v.want, ()) if _cancels(v, t) is not None), None)
+            for v in u.virtuals]
+
+
+class TestAssignMatchesReference:
+    def test_random_valid_and_invalid_schemes(self):
+        rng = random.Random(77)
+        outcomes = {True: 0, False: 0}
+        for seed in range(200):
+            n = rng.randint(1, 8)
+            inst = random_instance(n, rng.randint(1, 6), (0.2, 0.5, 0.8, 1.0)[seed % 4],
+                                   (1, min(3, n)), seed=seed)
+            u, solved = solve(inst, greedy_cover)
+            schemes = [solved, CodingScheme(n, solved.transmissions[:-1])]
+            for _ in range(4):
+                schemes.append(CodingScheme(n, tuple(
+                    tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+                    for _ in range(rng.randint(0, 4))
+                )))
+            for s in schemes:
+                for v_set in (u, split_groupcast(inst)):
+                    got = assign_transmissions(v_set, s)
+                    assert got == reference_assign_transmissions(v_set, s), (seed, s)
+                    outcomes[None not in got] += 1
+        assert min(outcomes.values()) > 300, outcomes
+
+    def test_want_inside_has(self):
+        # a directly built virtual may hold its own want; neither rule reads it
+        u = UnicastInstance(4, (
+            VirtualReceiver(want=2, has=frozenset({1, 2, 3}), origin=(1, 1)),
+            VirtualReceiver(want=2, has=frozenset({2}), origin=(2, 1)),
+            VirtualReceiver(want=4, has=frozenset({1, 2, 3, 4}), origin=(3, 1)),
+        ))
+        for transmissions in (((1, 2, 3),), ((2,), (1, 2, 3)), ((1, 2), (2, 4)), ((4,), (2,))):
+            s = CodingScheme(4, transmissions)
+            assert assign_transmissions(u, s) == reference_assign_transmissions(u, s)
+        assert assign_transmissions(u, CodingScheme(4, ((1, 2, 3), (4,)))) == [0, None, 1]
+
+
+# every error parse_scheme words, with the text it must keep
+SCHEME_ERRORS = [
+    ("[]", None, "scheme must be a JSON object"),
+    ('{"rate": 0}', None, "missing required key 'transmissions'"),
+    ('{"transmissions": {}}', None, "'transmissions' must be an array"),
+    ('{"transmissions": [[1], 2]}', None, "transmission 1 must be a nonempty array"),
+    ('{"transmissions": [[]]}', None, "transmission 0 must be a nonempty array"),
+    ('{"transmissions": [[1, true]]}', None, "transmission 0: bad message id True"),
+    ('{"transmissions": [[2.0]]}', None, "transmission 0: bad message id 2.0"),
+    ('{"transmissions": [["1"]]}', None, "transmission 0: bad message id '1'"),
+    ('{"transmissions": [[[1]]]}', None, "transmission 0: bad message id [1]"),
+    ('{"transmissions": [[3], [1, 0]]}', None, "transmission 1: bad message id 0"),
+    ('{"transmissions": [[-2]]}', None, "transmission 0: bad message id -2"),
+    ('{"transmissions": [[2, 1, 2]]}', None, "transmission 0: duplicate id 2"),
+    ('{"rate": 2, "transmissions": [[1]]}', None,
+     "declared rate 2 does not match 1 transmissions"),
+    ('{"rate": "1", "transmissions": [[1]]}', None,
+     "declared rate 1 does not match 1 transmissions"),
+    ('{"transmissions": [[1], [4, 2]]}', 3, "message id 4 out of range [1, 3]"),
+    ('{"transmissions": [[1]]}', 0, "message id 1 out of range [1, 0]"),
+]
+
+
+class TestParseSchemeFastPath:
+    @pytest.mark.parametrize("text, n, message", SCHEME_ERRORS)
+    def test_every_error_falls_back_to_the_same_words(self, text, n, message):
+        data = json.loads(text)
+        assert _scheme_or_none(data, n) is None
+        for parse in (lambda: parse_scheme(text, num_messages=n),
+                      lambda: _checked_scheme(data, n)):
+            with pytest.raises(ValidationError) as info:
+                parse()
+            assert str(info.value) == message
+
+    @given(
+        st.lists(st.lists(st.integers(-1, 7) | st.sampled_from([True, 1.0, "2"]), max_size=4),
+                 max_size=4),
+        st.none() | st.integers(0, 5) | st.sampled_from([1.0, True, "2"]),
+        st.none() | st.integers(0, 8),
+    )
+    def test_agrees_with_the_walk(self, transmissions, rate, n):
+        data = {"transmissions": transmissions}
+        if rate is not None:
+            data["rate"] = rate
+        fast = _scheme_or_none(data, n)
+        try:
+            slow = _checked_scheme(data, n)
+        except ValidationError:
+            assert fast is None
+            return
+        # json.loads makes no int subclass, so the walk accepts nothing the fast path doubts
+        assert fast == slow
