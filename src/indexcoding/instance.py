@@ -5,6 +5,11 @@ list of receivers, each demanding a set of messages (``wants``) while already
 holding another, disjoint set (``has``) as side information.  Message ids are
 1-indexed everywhere, including on the JSON wire format.
 
+``parse_instance`` reads the JSON wire format in one walk: each receiver
+passes C-speed type and duplicate tests or is walked id by id for the first
+structural defect, and one range, nonempty and overlap test over the whole
+instance decides whether :func:`validate` must list the violations.
+
 The groupcast-to-unicast reduction lives here as well: ``split_groupcast``
 breaks every receiver into one virtual receiver per demanded message, and
 ``dedup`` drops virtual receivers that are exact duplicates of an earlier one.
@@ -125,12 +130,49 @@ def _check_id_array(value, where: str) -> list[int]:
     return list(value)
 
 
-def _checked_walk(data) -> Instance:
-    """Build the instance, raising on its first structural defect or, once
-    the structure is sound, on every violation :func:`validate` finds."""
+_INSTANCE_KEYS = frozenset(("num_messages", "receivers"))
+_RECEIVER_KEYS = frozenset(("wants", "has"))
+_INT_ONLY = frozenset((int,))
+
+
+def _receiver(entry, j: int) -> Receiver:
+    """Receiver ``j``, raising on its first structural defect.
+
+    A dict of known keys whose arrays are lists of exact ints with no
+    duplicate passes at C speed.  Any other entry is walked key by key and
+    id by id, so the error names the first defect in document order.
+    """
+    if type(entry) is dict and _RECEIVER_KEYS.issuperset(entry):
+        wants = entry.get("wants")
+        has = entry.get("has", [])
+        # types before hashing: a list id is unhashable, and 1.0 and True equal 1
+        if (type(wants) is list and type(has) is list
+                and _INT_ONLY.issuperset(map(type, wants))
+                and _INT_ONLY.issuperset(map(type, has))):
+            w, h = frozenset(wants), frozenset(has)
+            if len(w) == len(wants) and len(h) == len(has):
+                return Receiver(w, h)
+    if not isinstance(entry, dict):
+        raise ValidationError(f"receiver {j}: must be a JSON object")
+    unknown = set(entry) - _RECEIVER_KEYS
+    if unknown:
+        raise ValidationError(f"receiver {j}: unknown keys {sorted(unknown)}")
+    if "wants" not in entry:
+        raise ValidationError(f"receiver {j}: missing 'wants'")
+    wants = _check_id_array(entry["wants"], f"receiver {j}: 'wants'")
+    has = _check_id_array(entry.get("has", []), f"receiver {j}: 'has'")
+    return Receiver.of(wants, has)
+
+
+def instance_from_jsonable(data) -> Instance:
+    """Build and validate an Instance from decoded JSON data.
+
+    Raises on the first structural defect or, once the structure is sound,
+    with every violation :func:`validate` finds.
+    """
     if not isinstance(data, dict):
         raise ValidationError("instance must be a JSON object")
-    unknown = set(data) - {"num_messages", "receivers"}
+    unknown = set(data) - _INSTANCE_KEYS
     if unknown:
         raise ValidationError(f"unknown instance keys: {sorted(unknown)}")
     if "num_messages" not in data:
@@ -141,73 +183,13 @@ def _checked_walk(data) -> Instance:
     raw_receivers = data.get("receivers", [])
     if not isinstance(raw_receivers, list):
         raise ValidationError("'receivers' must be an array")
-    receivers = []
-    for j, entry in enumerate(raw_receivers, start=1):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"receiver {j}: must be a JSON object")
-        unknown = set(entry) - {"wants", "has"}
-        if unknown:
-            raise ValidationError(f"receiver {j}: unknown keys {sorted(unknown)}")
-        if "wants" not in entry:
-            raise ValidationError(f"receiver {j}: missing 'wants'")
-        wants = _check_id_array(entry["wants"], f"receiver {j}: 'wants'")
-        has = _check_id_array(entry.get("has", []), f"receiver {j}: 'has'")
-        receivers.append(Receiver.of(wants, has))
+    receivers = [_receiver(entry, j) for j, entry in enumerate(raw_receivers, start=1)]
+    ids = set().union(*[r.wants for r in receivers], *[r.has for r in receivers])
     inst = Instance(n, tuple(receivers))
-    _require_valid(inst)
-    return inst
-
-
-_INSTANCE_KEYS = frozenset(("num_messages", "receivers"))
-_RECEIVER_KEYS = frozenset(("wants", "has"))
-_INT_ONLY = frozenset((int,))
-
-
-def _valid_or_none(data) -> Instance | None:
-    """The instance when ``data`` is well formed and valid, else None.
-
-    One walk of C-speed checks per id array: exact int type, no duplicate, no
-    wants/has overlap, nonempty wants, and one range test over every id.  It
-    returns None on every input :func:`_checked_walk` rejects (and on int
-    subclasses, which that walk accepts), so that walk words every error.
-    """
-    if type(data) is not dict or not _INSTANCE_KEYS.issuperset(data):
-        return None
-    n = data.get("num_messages")
-    raw_receivers = data.get("receivers", [])
-    if type(n) is not int or n < 1 or type(raw_receivers) is not list:
-        return None
-    receivers = []
-    types: set[type] = set()
-    ids: set[int] = set()
-    for entry in raw_receivers:
-        if type(entry) is not dict or not _RECEIVER_KEYS.issuperset(entry):
-            return None
-        wants = entry.get("wants")
-        has = entry.get("has", [])
-        if type(wants) is not list or type(has) is not list or not wants:
-            return None
-        types.update(map(type, wants))
-        types.update(map(type, has))
-        # before hashing: a list id is unhashable, and 1.0 and True equal 1
-        if not _INT_ONLY.issuperset(types):
-            return None
-        w, h = frozenset(wants), frozenset(has)
-        if len(w) != len(wants) or len(h) != len(has) or not w.isdisjoint(h):
-            return None
-        ids |= w
-        ids |= h
-        receivers.append(Receiver(w, h))
-    if ids and (min(ids) < 1 or max(ids) > n):
-        return None
-    return Instance(n, tuple(receivers))
-
-
-def instance_from_jsonable(data) -> Instance:
-    """Build and validate an Instance from decoded JSON data."""
-    inst = _valid_or_none(data)
-    if inst is None:
-        inst = _checked_walk(data)
+    # validate() finds a violation exactly when one of these tests fails
+    if (n < 1 or not all(r.wants and r.wants.isdisjoint(r.has) for r in receivers)
+            or ids and (min(ids) < 1 or max(ids) > n)):
+        _require_valid(inst)
     object.__setattr__(inst, "_validated", True)
     return inst
 

@@ -48,10 +48,11 @@ class SolveOutcome:
 class RateReport:
     """The bound sandwich for one instance: mais <= oracle <= exact <= greedy.
 
-    Fields are None when the corresponding computation exceeded its cap.  A
-    positive gap (exact cover beats the oracle is impossible; oracle beating
-    the exact cover) marks the instance as a counterexample to the claim that
-    the clique-cover program is linearly optimal.
+    Fields are None when the corresponding computation exceeded its cap.  The
+    gap is the exact cover's rate minus the oracle's, never negative, since a
+    cover scheme is itself linear.  A positive gap means some linear code
+    beats the best cover, so the instance is a counterexample to the claim
+    that the clique-cover program is linearly optimal.
     """
 
     mais_bound: int | None

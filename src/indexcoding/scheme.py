@@ -2,11 +2,11 @@
 
 Each transmission is the XOR of a set of messages over GF(2)^w words.  A
 virtual receiver decodes transmission T when T holds its want and it holds
-every other summand of T (``_cancels``): XOR-ing the received word with its
-side-information words for those summands cancels them exactly.  The bulk
-checks test that rule against sets built once per transmission (``_others``).
-Message words are one mapping from 1-based message id to int word, shared by
-``encode``, ``decode_receiver`` and the randomized check.
+every other summand of T: XOR-ing the received word with its
+side-information words for those summands cancels them exactly.
+``_others`` is the one statement of that rule, and every check and decode
+reads it.  Message words are one mapping from 1-based message id to int
+word, shared by ``encode``, ``decode_receiver`` and the randomized check.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping
 
 from .cover import CliqueCover
@@ -50,19 +49,10 @@ class TrialFailure:
     got: int
 
 
-def _cancels(v: VirtualReceiver, t: tuple[int, ...]) -> list[int] | None:
-    """The summands ``v`` must cancel to decode ``t``, or None when it cannot:
-    ``t`` must hold the want and ``v`` every other summand of ``t``."""
-    if v.want not in t:
-        return None
-    others = [i for i in t if i != v.want]
-    return others if v.has.issuperset(others) else None
-
-
 def _others(t: tuple[int, ...]) -> dict[int, frozenset[int]]:
-    """``_cancels``' rule precomputed for ``t``: each summand ``i`` maps to
-    the other summands, and a virtual wanting ``i`` decodes ``t`` exactly
-    when its ``has`` is a superset of them."""
+    """The decode rule for ``t``: each summand ``i`` maps to the other
+    summands, and a virtual decodes ``t`` exactly when its want is a key and
+    its ``has`` is a superset of that key's set."""
     summands = frozenset(t)
     return {i: summands - {i} for i in t}
 
@@ -119,8 +109,10 @@ def decode_receiver(
     ``side_words`` maps message ids to words and is read only at the other
     summands of ``t``, which ``v`` must hold, or ``t`` cannot be decoded.
     """
-    others = _cancels(v, s.transmissions[t])
-    if others is None:
+    if not 0 <= t < s.rate:
+        raise ValidationError(f"transmission {t} out of range [0, {s.rate})")
+    others = _others(s.transmissions[t]).get(v.want)
+    if others is None or not v.has.issuperset(others):
         raise ValidationError(f"virtual {v.origin} not decodable from transmission {t}")
     word = received[t]
     for i in others:
@@ -183,8 +175,11 @@ def _random_trials(
 ) -> TrialFailure | None:
     """The trials of :func:`verify_scheme_random`, decoding each virtual from
     its transmission in ``assigned`` (``assign_transmissions(u, s)``, with no
-    None); ``word_width`` is in [1, 64]."""
+    None, so every virtual holds the other summands it XORs out);
+    ``word_width`` is in [1, 64]."""
     sent = sorted({i for t in s.transmissions for i in t})
+    others = [_others(t) for t in s.transmissions]
+    cancel = [others[t][v.want] for v, t in zip(u.virtuals, assigned)]
     rng = random.Random(seed)
     mask = (1 << word_width) - 1
     for start in range(0, trials, TRIAL_BLOCK):
@@ -193,8 +188,9 @@ def _random_trials(
         received = encode(s, words)
         first = None  # (trial in block, virtual, expected, got)
         for idx, v in enumerate(u.virtuals):
-            # every word is passed, but decode reads only the summands v holds
-            got = decode_receiver(s, v, received, words, assigned[idx])
+            got = received[assigned[idx]]
+            for i in cancel[idx]:
+                got ^= words[i]
             wrong = got ^ words[v.want]
             if wrong:
                 trial = ((wrong & -wrong).bit_length() - 1) // word_width
@@ -227,45 +223,6 @@ def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:
         data = json.loads(text)
     except (RecursionError, ValueError) as exc:
         raise ValidationError(f"malformed JSON: {exc}") from exc
-    scheme = _scheme_or_none(data, num_messages)
-    return scheme if scheme is not None else _checked_scheme(data, num_messages)
-
-
-_INT_ONLY = frozenset((int,))
-_LIST_ONLY = frozenset((list,))
-
-
-def _scheme_or_none(data, num_messages: int | None) -> CodingScheme | None:
-    """The scheme when ``data`` is well formed, else None.
-
-    C-speed checks over all transmissions at once: nonempty lists of exact
-    ints with no duplicate; then every id at least 1 and at most
-    ``num_messages``, and the declared rate (if any) equal to the
-    transmission count.  It returns None on every input
-    :func:`_checked_scheme` rejects (and on int subclasses, which that walk
-    accepts), so that walk words every error.
-    """
-    if type(data) is not dict:
-        return None
-    raw = data.get("transmissions")
-    # types before sorting: a list id is unorderable, and 1.0 and True equal 1
-    if (type(raw) is not list or not _LIST_ONLY.issuperset(map(type, raw)) or not all(raw)
-            or not _INT_ONLY.issuperset(map(type, chain.from_iterable(raw)))):
-        return None
-    transmissions = list(map(tuple, map(sorted, raw)))
-    if list(map(len, map(set, transmissions))) != list(map(len, transmissions)):
-        return None
-    if "rate" in data and data["rate"] != len(transmissions):
-        return None
-    max_id = max([t[-1] for t in transmissions], default=0)
-    n = num_messages if num_messages is not None else max_id
-    if transmissions and (min([t[0] for t in transmissions]) < 1 or max_id > n):
-        return None
-    return CodingScheme(n, tuple(transmissions))
-
-
-def _checked_scheme(data, num_messages: int | None) -> CodingScheme:
-    """Build the scheme, raising on its first defect."""
     if not isinstance(data, dict):
         raise ValidationError("scheme must be a JSON object")
     if "transmissions" not in data:
@@ -273,28 +230,44 @@ def _checked_scheme(data, num_messages: int | None) -> CodingScheme:
     raw = data["transmissions"]
     if not isinstance(raw, list):
         raise ValidationError("'transmissions' must be an array")
-    transmissions = []
-    max_id = 0
-    for t_idx, entry in enumerate(raw):
-        if not isinstance(entry, list) or not entry:
-            raise ValidationError(f"transmission {t_idx} must be a nonempty array")
-        ids = set()
-        for x in entry:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                raise ValidationError(
-                    f"transmission {t_idx}: bad message id {x!r}"
-                )
-            if x in ids:
-                raise ValidationError(f"transmission {t_idx}: duplicate id {x}")
-            ids.add(x)
-        max_id = max(max_id, max(ids))
-        transmissions.append(tuple(sorted(ids)))
-    if "rate" in data and data["rate"] != len(transmissions):
-        raise ValidationError(
-            f"declared rate {data['rate']} does not match "
-            f"{len(transmissions)} transmissions"
-        )
+    transmissions = [_transmission(entry, t_idx) for t_idx, entry in enumerate(raw)]
+    if "rate" in data:
+        rate = data["rate"]
+        if not isinstance(rate, int) or isinstance(rate, bool):
+            raise ValidationError("'rate' must be an integer")
+        if rate != len(transmissions):
+            raise ValidationError(
+                f"declared rate {rate} does not match {len(transmissions)} transmissions"
+            )
+    max_id = max([t[-1] for t in transmissions], default=0)
     n = num_messages if num_messages is not None else max_id
     if max_id > n:
         raise ValidationError(f"message id {max_id} out of range [1, {n}]")
     return CodingScheme(n, tuple(transmissions))
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def _transmission(entry, t_idx: int) -> tuple[int, ...]:
+    """Transmission ``t_idx`` as ascending ids, raising on its first defect.
+
+    A nonempty list of distinct exact ints, each at least 1, passes at C
+    speed.  Any other entry is walked id by id, so the error names the first
+    defect in document order.
+    """
+    # types before sorting: a list id is unorderable, and 1.0 and True equal 1
+    if type(entry) is list and entry and _INT_ONLY.issuperset(map(type, entry)):
+        t = sorted(entry)
+        if t[0] >= 1 and len(set(t)) == len(t):
+            return tuple(t)
+    if not isinstance(entry, list) or not entry:
+        raise ValidationError(f"transmission {t_idx} must be a nonempty array")
+    ids = set()
+    for x in entry:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise ValidationError(f"transmission {t_idx}: bad message id {x!r}")
+        if x in ids:
+            raise ValidationError(f"transmission {t_idx}: duplicate id {x}")
+        ids.add(x)
+    return tuple(sorted(ids))

@@ -26,13 +26,7 @@ from indexcoding import (
 )
 from indexcoding import scheme as scheme_module
 from indexcoding.instance import UnicastInstance, VirtualReceiver
-from indexcoding.scheme import (
-    TRIAL_BLOCK,
-    _cancels,
-    _checked_scheme,
-    _scheme_or_none,
-    assign_transmissions,
-)
+from indexcoding.scheme import TRIAL_BLOCK, assign_transmissions
 from indexcoding.generate import random_instance
 
 
@@ -220,6 +214,15 @@ class TestEncodeDecode:
         with pytest.raises(ValidationError, match="not decodable"):
             decode_receiver(s, v, (5, 7), {2: 5}, 0)
         assert decode_receiver(s, v, (5, 7), {2: 5}, 1) == 7
+
+    def test_decode_rejects_a_transmission_index_out_of_range(self, example6):
+        u, s = solve(example6)
+        v = u.virtuals[5]  # wants 6, sent alone as transmission 2
+        received = encode(s, {i: i for i in range(1, 7)})
+        assert decode_receiver(s, v, received, {}, 2) == 6
+        for t in (-1, -3, 3, 10):  # -1 would alias transmission 2 if indexed unchecked
+            with pytest.raises(ValidationError, match=rf"transmission {t} out of range \[0, 3\)"):
+                decode_receiver(s, v, received, {}, t)
 
     def test_linearity(self):
         rng = random.Random(11)
@@ -436,6 +439,15 @@ class TestSchemeJson:
             parse_scheme('{"transmissions": [[4]]}', num_messages=3)
 
 
+def _cancels(v, t):
+    """Reference decode rule: the summands ``v`` must cancel to decode ``t``,
+    or None when it cannot (``t`` lacks the want, or ``v`` another summand)."""
+    if v.want not in t:
+        return None
+    others = [i for i in t if i != v.want]
+    return others if v.has.issuperset(others) else None
+
+
 def reference_assign_transmissions(u, s):
     """``assign_transmissions`` as it was before the per-transmission sets:
     ``_cancels`` per candidate transmission, in order."""
@@ -445,6 +457,25 @@ def reference_assign_transmissions(u, s):
             holding.setdefault(i, []).append((idx, t))
     return [next((idx for idx, t in holding.get(v.want, ()) if _cancels(v, t) is not None), None)
             for v in u.virtuals]
+
+
+def assert_decode_matches_reference(u, s, rng):
+    """decode_receiver decodes exactly where ``_cancels`` does, to the word
+    the reference XOR gives."""
+    words = {i: rng.getrandbits(16) for i in range(1, s.num_messages + 1)}
+    received = encode(s, words)
+    for v in u.virtuals:
+        for t, summands in enumerate(s.transmissions):
+            others = _cancels(v, summands)
+            if others is None:
+                with pytest.raises(ValidationError, match="not decodable"):
+                    decode_receiver(s, v, received, words, t)
+                continue
+            expected = received[t]
+            for i in others:
+                expected ^= words[i]
+            side_words = {i: words[i] for i in v.has}
+            assert decode_receiver(s, v, received, side_words, t) == expected == words[v.want]
 
 
 class TestAssignMatchesReference:
@@ -467,6 +498,7 @@ class TestAssignMatchesReference:
                     got = assign_transmissions(v_set, s)
                     assert got == reference_assign_transmissions(v_set, s), (seed, s)
                     outcomes[None not in got] += 1
+                assert_decode_matches_reference(u, s, random.Random(seed))
         assert min(outcomes.values()) > 300, outcomes
 
     def test_want_inside_has(self):
@@ -480,6 +512,46 @@ class TestAssignMatchesReference:
             s = CodingScheme(4, transmissions)
             assert assign_transmissions(u, s) == reference_assign_transmissions(u, s)
         assert assign_transmissions(u, CodingScheme(4, ((1, 2, 3), (4,)))) == [0, None, 1]
+        for transmissions in (((1, 2, 3),), ((2,), (1, 2, 3)), ((1, 2), (2, 4)), ((4,), (2,))):
+            assert_decode_matches_reference(u, CodingScheme(4, transmissions), random.Random(1))
+
+
+def reference_parse_scheme(data, num_messages):
+    """Reference parse of decoded scheme JSON: every check in document
+    order, each transmission walked id by id."""
+    if not isinstance(data, dict):
+        raise ValidationError("scheme must be a JSON object")
+    if "transmissions" not in data:
+        raise ValidationError("missing required key 'transmissions'")
+    raw = data["transmissions"]
+    if not isinstance(raw, list):
+        raise ValidationError("'transmissions' must be an array")
+    transmissions = []
+    max_id = 0
+    for t_idx, entry in enumerate(raw):
+        if not isinstance(entry, list) or not entry:
+            raise ValidationError(f"transmission {t_idx} must be a nonempty array")
+        ids = set()
+        for x in entry:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                raise ValidationError(f"transmission {t_idx}: bad message id {x!r}")
+            if x in ids:
+                raise ValidationError(f"transmission {t_idx}: duplicate id {x}")
+            ids.add(x)
+        max_id = max(max_id, max(ids))
+        transmissions.append(tuple(sorted(ids)))
+    if "rate" in data:
+        if not isinstance(data["rate"], int) or isinstance(data["rate"], bool):
+            raise ValidationError("'rate' must be an integer")
+        if data["rate"] != len(transmissions):
+            raise ValidationError(
+                f"declared rate {data['rate']} does not match "
+                f"{len(transmissions)} transmissions"
+            )
+    n = num_messages if num_messages is not None else max_id
+    if max_id > n:
+        raise ValidationError(f"message id {max_id} out of range [1, {n}]")
+    return CodingScheme(n, tuple(transmissions))
 
 
 # every error parse_scheme words, with the text it must keep
@@ -496,22 +568,23 @@ SCHEME_ERRORS = [
     ('{"transmissions": [[3], [1, 0]]}', None, "transmission 1: bad message id 0"),
     ('{"transmissions": [[-2]]}', None, "transmission 0: bad message id -2"),
     ('{"transmissions": [[2, 1, 2]]}', None, "transmission 0: duplicate id 2"),
+    ('{"transmissions": [[2], [1, 3, 1]]}', None, "transmission 1: duplicate id 1"),
     ('{"rate": 2, "transmissions": [[1]]}', None,
      "declared rate 2 does not match 1 transmissions"),
-    ('{"rate": "1", "transmissions": [[1]]}', None,
-     "declared rate 1 does not match 1 transmissions"),
+    ('{"rate": "1", "transmissions": [[1]]}', None, "'rate' must be an integer"),
+    ('{"rate": true, "transmissions": [[1]]}', None, "'rate' must be an integer"),
+    ('{"rate": 1.0, "transmissions": [[1]]}', None, "'rate' must be an integer"),
     ('{"transmissions": [[1], [4, 2]]}', 3, "message id 4 out of range [1, 3]"),
     ('{"transmissions": [[1]]}', 0, "message id 1 out of range [1, 0]"),
 ]
 
 
-class TestParseSchemeFastPath:
+class TestParseSchemeMatchesReference:
     @pytest.mark.parametrize("text, n, message", SCHEME_ERRORS)
-    def test_every_error_falls_back_to_the_same_words(self, text, n, message):
+    def test_every_error_keeps_its_words(self, text, n, message):
         data = json.loads(text)
-        assert _scheme_or_none(data, n) is None
         for parse in (lambda: parse_scheme(text, num_messages=n),
-                      lambda: _checked_scheme(data, n)):
+                      lambda: reference_parse_scheme(data, n)):
             with pytest.raises(ValidationError) as info:
                 parse()
             assert str(info.value) == message
@@ -522,15 +595,15 @@ class TestParseSchemeFastPath:
         st.none() | st.integers(0, 5) | st.sampled_from([1.0, True, "2"]),
         st.none() | st.integers(0, 8),
     )
-    def test_agrees_with_the_walk(self, transmissions, rate, n):
+    def test_agrees_with_the_reference_walk(self, transmissions, rate, n):
         data = {"transmissions": transmissions}
         if rate is not None:
             data["rate"] = rate
-        fast = _scheme_or_none(data, n)
-        try:
-            slow = _checked_scheme(data, n)
-        except ValidationError:
-            assert fast is None
-            return
-        # json.loads makes no int subclass, so the walk accepts nothing the fast path doubts
-        assert fast == slow
+        outcomes = []
+        for parse in (lambda: parse_scheme(json.dumps(data), num_messages=n),
+                      lambda: reference_parse_scheme(data, n)):
+            try:
+                outcomes.append(("built", parse()))
+            except ValidationError as exc:
+                outcomes.append(("raised", str(exc)))
+        assert outcomes[0] == outcomes[1]
