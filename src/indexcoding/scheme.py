@@ -49,12 +49,11 @@ class TrialFailure:
     got: int
 
 
-def _others(t: tuple[int, ...]) -> dict[int, frozenset[int]]:
-    """The decode rule for ``t``: each summand ``i`` maps to the other
-    summands, and a virtual decodes ``t`` exactly when its want is a key and
-    its ``has`` is a superset of that key's set."""
-    summands = frozenset(t)
-    return {i: summands - {i} for i in t}
+def _others(t: tuple[int, ...], i: int) -> frozenset[int] | None:
+    """The decode rule: a virtual wanting ``i`` decodes transmission ``t``
+    exactly when this is not None and its ``has`` is a superset of it, the
+    summands of ``t`` other than ``i``."""
+    return frozenset(t).difference((i,)) if i in t else None
 
 
 def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
@@ -73,10 +72,9 @@ def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
     transmissions = []
     for t, part in enumerate(c.parts):
         wants = tuple(sorted({u.virtuals[v].want for v in part}))
-        others = _others(wants)
         for v in part:
             r = u.virtuals[v]
-            if not r.has.issuperset(others[r.want]):
+            if not r.has.issuperset(_others(wants, r.want)):
                 lacking = [i for i in wants if i != r.want and i not in r.has]
                 raise ValidationError(f"invalid cover: part {t}: virtual {v} lacks {lacking}")
         transmissions.append(wants)
@@ -111,7 +109,7 @@ def decode_receiver(
     """
     if not 0 <= t < s.rate:
         raise ValidationError(f"transmission {t} out of range [0, {s.rate})")
-    others = _others(s.transmissions[t]).get(v.want)
+    others = _others(s.transmissions[t], v.want)
     if others is None or not v.has.issuperset(others):
         raise ValidationError(f"virtual {v.origin} not decodable from transmission {t}")
     word = received[t]
@@ -125,8 +123,8 @@ def assign_transmissions(u: UnicastInstance, s: CodingScheme) -> list[int | None
     # message id -> (index, other summands) of each transmission holding it, in order
     holding: dict[int, list[tuple[int, frozenset[int]]]] = {}
     for idx, t in enumerate(s.transmissions):
-        for i, others in _others(t).items():
-            holding.setdefault(i, []).append((idx, others))
+        for i in t:
+            holding.setdefault(i, []).append((idx, _others(t, i)))
     return [next((idx for idx, others in holding.get(v.want, ()) if v.has.issuperset(others)),
                  None)
             for v in u.virtuals]
@@ -178,8 +176,10 @@ def _random_trials(
     None, so every virtual holds the other summands it XORs out);
     ``word_width`` is in [1, 64]."""
     sent = sorted({i for t in s.transmissions for i in t})
-    others = [_others(t) for t in s.transmissions]
-    cancel = [others[t][v.want] for v, t in zip(u.virtuals, assigned)]
+    # one set per (transmission, want) pair: many virtuals share a pair
+    keys = [(t, v.want) for v, t in zip(u.virtuals, assigned)]
+    others = {key: _others(s.transmissions[key[0]], key[1]) for key in set(keys)}
+    cancel = [others[key] for key in keys]
     rng = random.Random(seed)
     mask = (1 << word_width) - 1
     for start in range(0, trials, TRIAL_BLOCK):
@@ -246,21 +246,9 @@ def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:
     return CodingScheme(n, tuple(transmissions))
 
 
-_INT_ONLY = frozenset((int,))
-
-
 def _transmission(entry, t_idx: int) -> tuple[int, ...]:
-    """Transmission ``t_idx`` as ascending ids, raising on its first defect.
-
-    A nonempty list of distinct exact ints, each at least 1, passes at C
-    speed.  Any other entry is walked id by id, so the error names the first
-    defect in document order.
-    """
-    # types before sorting: a list id is unorderable, and 1.0 and True equal 1
-    if type(entry) is list and entry and _INT_ONLY.issuperset(map(type, entry)):
-        t = sorted(entry)
-        if t[0] >= 1 and len(set(t)) == len(t):
-            return tuple(t)
+    """Transmission ``t_idx`` as ascending ids, walked id by id so the error
+    names its first defect in document order."""
     if not isinstance(entry, list) or not entry:
         raise ValidationError(f"transmission {t_idx} must be a nonempty array")
     ids = set()
