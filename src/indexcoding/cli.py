@@ -37,6 +37,8 @@ EXIT_VERIFY = 3
 # gen's work bound: random_instance draws once per (receiver, message) pair,
 # and at -p 1 every draw is an id in the output (10^6 draws: 16 MB of JSON)
 GEN_MAX_DRAWS = 10**6
+# export-dot's bipartite bound: the diagram draws one node line per message
+DOT_MAX_MESSAGES = 10**6
 
 
 def _emit(data: dict) -> None:
@@ -155,6 +157,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_export_dot(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     if args.variant == "bipartite":
+        if inst.num_messages > DOT_MAX_MESSAGES:
+            raise ValidationError(
+                f"bipartite diagram: num_messages must be at most {DOT_MAX_MESSAGES}, "
+                f"got {inst.num_messages}"
+            )
         sys.stdout.write(bipartite_dot(inst))
         return EXIT_OK
     config = _config_from_args(args)

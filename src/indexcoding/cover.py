@@ -2,9 +2,10 @@
 
 A clique cover of g is a proper coloring of g's complement, so the exact
 solver runs a DSATUR-ordered branch-and-bound coloring on the complement of
-each connected component (cliques never span components).  Everything is
-deterministic: ties break on ascending vertex index and parts are emitted
-sorted by smallest member, so covers can be asserted exactly in tests.
+each connected component (cliques never span components).  Greedy first-fit
+builds each part whole, as one ascending sequential clique: O(k) big-int
+steps on k vertices.  Ties break on ascending vertex index and parts are sorted
+by smallest member, so covers are deterministic and asserted exactly in tests.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ class CliqueCover:
         return out
 
 
-def _canonical(parts: Sequence[Sequence[int]]) -> CliqueCover:
-    ordered = sorted((tuple(sorted(p)) for p in parts), key=lambda p: p[0])
-    return CliqueCover(tuple(ordered))
-
-
 def verify_cover(g: DerivedGraph, c: CliqueCover) -> str | None:
     """Return None when c is a partition into cliques, else a diagnostic."""
     seen: set[int] = set()
@@ -66,19 +62,22 @@ def verify_cover(g: DerivedGraph, c: CliqueCover) -> str | None:
 
 def greedy_cover(g: DerivedGraph) -> CliqueCover:
     """First-fit cover: scan vertices ascending, join the first part whose
-    every member is adjacent, else open a new part."""
-    parts: list[list[int]] = []
-    masks: list[int] = []  # intersection of members' adjacency rows
-    for v in range(g.vertex_count):
-        for i, mask in enumerate(masks):
-            if (mask >> v) & 1:
-                parts[i].append(v)
-                masks[i] = mask & g.adjacency[v]
-                break
-        else:
-            parts.append([v])
-            masks.append(g.adjacency[v])
-    return _canonical(parts)
+    every member is adjacent, else open a new part.  That puts v in part i
+    exactly when no earlier part took v and v is adjacent to every member of
+    part i below v, so part i is built whole as the ascending sequential clique
+    over the vertices left: O(k) big-int steps, with the parts already canonical."""
+    adj, parts = g.adjacency, []
+    left = (1 << g.vertex_count) - 1
+    while left:
+        part, cand = [], left
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            part.append(v)
+            left ^= low
+            cand &= adj[v]
+        parts.append(tuple(part))
+    return CliqueCover(tuple(parts))
 
 
 def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCover:
@@ -95,7 +94,7 @@ def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCove
             f"exact cover cap exceeded (component of {largest} vertices > {cap}); "
             "use greedy_cover"
         )
-    parts: list[list[int]] = []
+    parts: list[tuple[int, ...]] = []
     for comp in components:
         full = (1 << len(comp)) - 1
         rows = g.induced_subgraph(comp).adjacency
@@ -103,8 +102,8 @@ def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCove
         classes: dict[int, list[int]] = {}
         for local, color in enumerate(_exact_coloring(len(comp), complement)):
             classes.setdefault(color, []).append(comp[local])
-        parts.extend(classes.values())
-    return _canonical(parts)
+        parts.extend(tuple(sorted(part)) for part in classes.values())
+    return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
 
 
 def _pick(candidates: Sequence[int], colors: list[int], sat: list[int], degrees: list[int]) -> int:

@@ -105,13 +105,17 @@ def decode_receiver(
     """Recover ``v``'s wanted word from transmission ``t`` of ``received``.
 
     ``side_words`` maps message ids to words and is read only at the other
-    summands of ``t``, which ``v`` must hold, or ``t`` cannot be decoded.
+    summands of ``t``, which ``v`` must hold, or ``t`` cannot be decoded;
+    like ``encode``, it names the least summand that has no word.
     """
     if not 0 <= t < s.rate:
         raise ValidationError(f"transmission {t} out of range [0, {s.rate})")
     others = _others(s.transmissions[t], v.want)
     if others is None or not v.has.issuperset(others):
         raise ValidationError(f"virtual {v.origin} not decodable from transmission {t}")
+    missing = others.difference(side_words)
+    if missing:
+        raise ValidationError(f"no word for message {min(missing)}")
     word = received[t]
     for i in others:
         word ^= side_words[i]

@@ -434,6 +434,22 @@ class TestExportDot:
         assert out.count("style=filled") == 6
         assert sum("--" in line for line in out.splitlines()) == 4
 
+    def test_bipartite_message_limit_exits_1_before_drawing(self, capsys, tmp_path,
+                                                            monkeypatch):
+        def no_lines(*args, **kwargs):
+            raise AssertionError("bipartite_dot called")
+
+        monkeypatch.setattr(cli_module, "bipartite_dot", no_lines)
+        path = tmp_path / "huge.json"
+        path.write_text('{"num_messages": 1000000000000, '
+                        '"receivers": [{"wants": [1], "has": []}]}')
+        code, out, err = run(capsys, "export-dot", str(path), "--variant", "bipartite")
+        assert code == 1 and out == ""
+        assert err == ("error: bipartite diagram: num_messages must be at most 1000000, "
+                       "got 1000000000000\n")
+        for argv in (["solve", str(path)], ["gap", str(path)]):
+            assert run(capsys, *argv)[0] == 0
+
     def test_parse_error_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")

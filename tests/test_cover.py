@@ -3,6 +3,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from indexcoding import (
     CapExceeded,
@@ -53,6 +54,32 @@ def disjoint_union(graphs):
         edges += [(p + offset, q + offset) for p, q in g.edges()]
         offset += g.vertex_count
     return DerivedGraph.from_edges(offset, edges)
+
+
+def first_fit_scan_parts(g: DerivedGraph):
+    """Reference greedy: the first-fit scan that tests each vertex against
+    every open part, its parts sorted into canonical order."""
+    parts: list[list[int]] = []
+    masks: list[int] = []  # intersection of members' adjacency rows
+    for v in range(g.vertex_count):
+        for i, mask in enumerate(masks):
+            if (mask >> v) & 1:
+                parts[i].append(v)
+                masks[i] = mask & g.adjacency[v]
+                break
+        else:
+            parts.append([v])
+            masks.append(g.adjacency[v])
+    return tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda p: p[0]))
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Arbitrary graphs of 0-48 vertices, one drawn int per row above the diagonal."""
+    n = draw(st.integers(0, 48))
+    upper = [draw(st.integers(0, (1 << (n - p - 1)) - 1)) for p in range(n)]
+    edges = [(p, p + 1 + i) for p in range(n) for i in range(n - p - 1) if (upper[p] >> i) & 1]
+    return DerivedGraph.from_edges(n, edges)
 
 
 @pytest.fixture
@@ -163,6 +190,43 @@ class TestGreedy:
             greedy = greedy_cover(g)
             assert verify_cover(g, greedy) is None
             assert exact.size <= greedy.size <= n
+
+    def test_matches_the_scan_on_random_graphs(self):
+        for n in range(61):
+            for step in range(21):
+                g = random_graph(n, step / 20, seed=5000 + 21 * n + step)
+                assert greedy_cover(g).parts == first_fit_scan_parts(g), (n, step)
+
+    def test_matches_the_scan_on_cross_neighbor_graphs(self):
+        sizes = set()
+        for seed in range(200):
+            inst = random_instance(
+                4 + seed % 17, 2 + seed % 29, (0.0, 0.2, 0.5, 0.8, 1.0)[seed % 5],
+                (1, 1 + seed % 3), seed=6000 + seed,
+            )
+            full = split_groupcast(inst)
+            for u in (full, dedup(full)):
+                for strict in (False, True):
+                    g = build_cross_neighbor_graph(u, strict=strict)
+                    sizes.add(g.vertex_count)
+                    assert greedy_cover(g).parts == first_fit_scan_parts(g), (seed, strict)
+        assert min(sizes) <= 2 and max(sizes) > 50
+
+    @pytest.mark.parametrize(
+        "params, min_vertices",
+        [((100, 250, 0.5, (1, 3)), 400), ((300, 1100, 0.3, (1, 3)), 2000)],
+        ids=["solve-bulk-sized", "2000-plus"],
+    )
+    def test_matches_the_scan_on_large_graphs(self, params, min_vertices):
+        g = build_cross_neighbor_graph(split_groupcast(random_instance(*params, seed=7)))
+        assert g.vertex_count >= min_vertices
+        assert greedy_cover(g).parts == first_fit_scan_parts(g)
+
+    @given(symmetric_graphs())
+    def test_matches_the_scan_on_arbitrary_graphs(self, g):
+        cover = greedy_cover(g)
+        assert cover.parts == first_fit_scan_parts(g)
+        assert verify_cover(g, cover) is None
 
 
 class TestVerify:

@@ -215,6 +215,13 @@ class TestEncodeDecode:
             decode_receiver(s, v, (5, 7), {2: 5}, 0)
         assert decode_receiver(s, v, (5, 7), {2: 5}, 1) == 7
 
+    def test_decode_missing_side_word(self):
+        s = CodingScheme(2, ((1, 2),))
+        v = split_groupcast(Instance.of(2, [({1}, {2})])).virtuals[0]
+        with pytest.raises(ValidationError, match="^no word for message 2$"):
+            decode_receiver(s, v, (3,), {}, 0)
+        assert decode_receiver(s, v, (3,), {2: 1}, 0) == 2
+
     def test_decode_rejects_a_transmission_index_out_of_range(self, example6):
         u, s = solve(example6)
         v = u.virtuals[5]  # wants 6, sent alone as transmission 2
