@@ -25,7 +25,6 @@ from .instance import (
     parse_instance,
     serialize_instance,
     split_groupcast,
-    validate,
 )
 from .oracle import Gf2Matrix, mais_lower_bound, min_linear_rate_gf2
 from .pipeline import RateReport, gap_report
@@ -75,7 +74,6 @@ __all__ = [
     "serialize_instance",
     "serialize_scheme",
     "split_groupcast",
-    "validate",
     "verify_cover",
     "verify_scheme_random",
     "verify_scheme_symbolic",

@@ -5,10 +5,11 @@ list of receivers, each demanding a set of messages (``wants``) while already
 holding another, disjoint set (``has``) as side information.  Message ids are
 1-indexed everywhere, including on the JSON wire format.
 
-``parse_instance`` reads the JSON wire format in one walk: each receiver
-passes C-speed type and duplicate tests or is walked id by id for the first
-structural defect, and one range, nonempty and overlap test over the whole
-instance decides whether :func:`validate` must list the violations.
+An ``Instance`` is valid by construction: its constructor tests every rule
+at C speed and raises ``ValidationError`` listing every violation, so no
+later stage checks it again.  ``parse_instance`` hands receivers that pass
+C-speed shape and duplicate tests to that constructor; otherwise it walks
+them id by id for the first structural defect.
 
 The groupcast-to-unicast reduction lives here as well: ``split_groupcast``
 breaks every receiver into one virtual receiver per demanded message, and
@@ -17,15 +18,15 @@ breaks every receiver into one virtual receiver per demanded message, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import and_
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .jsontext import dumps
+from .jsontext import dumps, loads
 
-# 1-indexed message identifier, valid range [1, Instance.num_messages].
-MessageId = int
+_INT_ONLY = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,23 @@ class Receiver:
 
 @dataclass(frozen=True)
 class Instance:
-    """A (possibly groupcast) index coding problem."""
+    """A (possibly groupcast) index coding problem, valid by construction:
+    ``num_messages`` is at least 1, and every receiver wants a nonempty set
+    of ids in ``[1, num_messages]`` disjoint from the ids it has."""
 
     num_messages: int
     receivers: tuple[Receiver, ...]
 
-    # True on an object the parser built and found to keep every rule of
-    # validate().  Its fields are an int and a tuple of frozen receivers, so
-    # that cannot go stale; dataclasses.replace builds a new, unmarked object.
-    _validated = False
+    def __post_init__(self):
+        n = self.num_messages
+        wants, has = [r.wants for r in self.receivers], [r.has for r in self.receivers]
+        ids = set().union(*wants, *has)
+        # a bulk test first; the walk runs only to list the violations.  Types
+        # are tested id by id, as the union merges True into 1
+        if not (type(n) is int and n >= 1 and all(wants) and not any(map(and_, wants, has))
+                and _INT_ONLY.issuperset(map(type, chain(*wants, *has)))
+                and (not ids or 1 <= min(ids) and max(ids) <= n)):
+            raise ValidationError("invalid instance", _violations(n, self.receivers))
 
     @classmethod
     def of(
@@ -87,34 +96,26 @@ class UnicastInstance:
     dedup_map: Mapping[int, int] | None = None
 
 
-def validate(inst: Instance) -> list[str]:
-    """Check every invariant; return one message per violation (empty = ok)."""
+def _violations(n, receivers: tuple[Receiver, ...]) -> list[str]:
+    """One message per broken rule of :class:`Instance`, in receiver order
+    (empty = valid).  ``n`` and the ids must be of type ``int``, not bool."""
     out: list[str] = []
-    n = inst.num_messages
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if type(n) is not int or n < 1:
         out.append("num_messages must be a positive integer")
         return out
-    for j, r in enumerate(inst.receivers, start=1):
+    for j, r in enumerate(receivers, start=1):
         if not r.wants:
             out.append(f"receiver {j}: empty demand")
         for label, ids in (("wants", r.wants), ("has", r.has)):
             for i in sorted(ids):
-                if not isinstance(i, int) or isinstance(i, bool):
+                if type(i) is not int:
                     out.append(f"receiver {j}: {label} contains non-integer id {i!r}")
                 elif not 1 <= i <= n:
-                    out.append(
-                        f"receiver {j}: {label} id {i} out of range [1, {n}]"
-                    )
+                    out.append(f"receiver {j}: {label} id {i} out of range [1, {n}]")
         overlap = r.wants & r.has
         if overlap:
             out.append(f"receiver {j}: wants/has overlap on {sorted(overlap)}")
     return out
-
-
-def _require_valid(inst: Instance) -> None:
-    violations = validate(inst)
-    if violations:
-        raise ValidationError("invalid instance", violations)
 
 
 def _check_id_array(value, where: str) -> list[int]:
@@ -132,26 +133,26 @@ def _check_id_array(value, where: str) -> list[int]:
 
 _INSTANCE_KEYS = frozenset(("num_messages", "receivers"))
 _RECEIVER_KEYS = frozenset(("wants", "has"))
-_INT_ONLY = frozenset((int,))
 
 
-def _receiver(entry, j: int) -> Receiver:
-    """Receiver ``j``, raising on its first structural defect.
-
-    A dict of known keys whose arrays are lists of exact ints with no
-    duplicate passes at C speed.  Any other entry is walked key by key and
-    id by id, so the error names the first defect in document order.
-    """
+def _receiver(entry) -> Receiver:
+    """The receiver ``entry`` when it passes C-speed tests: a dict of known
+    keys whose arrays are lists of distinct hashable ids.  Raises TypeError
+    when it does not; the ``Instance`` constructor tests the ids' types."""
     if type(entry) is dict and _RECEIVER_KEYS.issuperset(entry):
         wants = entry.get("wants")
         has = entry.get("has", [])
-        # types before hashing: a list id is unhashable, and 1.0 and True equal 1
-        if (type(wants) is list and type(has) is list
-                and _INT_ONLY.issuperset(map(type, wants))
-                and _INT_ONLY.issuperset(map(type, has))):
-            w, h = frozenset(wants), frozenset(has)
+        if type(wants) is list and type(has) is list:
+            w, h = frozenset(wants), frozenset(has)  # TypeError: an unhashable id
+            # 1.0 and True equal 1, so a list holding one of them and 1 is longer
             if len(w) == len(wants) and len(h) == len(has):
                 return Receiver(w, h)
+    raise TypeError("receiver fails the C-speed tests")
+
+
+def _walked_receiver(entry, j: int) -> Receiver:
+    """Receiver ``j`` walked key by key and id by id, raising on its first
+    structural defect in document order."""
     if not isinstance(entry, dict):
         raise ValidationError(f"receiver {j}: must be a JSON object")
     unknown = set(entry) - _RECEIVER_KEYS
@@ -165,10 +166,10 @@ def _receiver(entry, j: int) -> Receiver:
 
 
 def instance_from_jsonable(data) -> Instance:
-    """Build and validate an Instance from decoded JSON data.
+    """Build an Instance from decoded JSON data.
 
     Raises on the first structural defect or, once the structure is sound,
-    with every violation :func:`validate` finds.
+    with every violation the ``Instance`` constructor finds.
     """
     if not isinstance(data, dict):
         raise ValidationError("instance must be a JSON object")
@@ -183,39 +184,28 @@ def instance_from_jsonable(data) -> Instance:
     raw_receivers = data.get("receivers", [])
     if not isinstance(raw_receivers, list):
         raise ValidationError("'receivers' must be an array")
-    receivers = [_receiver(entry, j) for j, entry in enumerate(raw_receivers, start=1)]
-    ids = set().union(*[r.wants for r in receivers], *[r.has for r in receivers])
-    inst = Instance(n, tuple(receivers))
-    # validate() finds a violation exactly when one of these tests fails
-    if (n < 1 or not all(r.wants and r.wants.isdisjoint(r.has) for r in receivers)
-            or ids and (min(ids) < 1 or max(ids) > n)):
-        _require_valid(inst)
-    object.__setattr__(inst, "_validated", True)
-    return inst
+    try:
+        return Instance(n, tuple(map(_receiver, raw_receivers)))
+    except (TypeError, ValueError, ValidationError):
+        # a receiver failed its C-speed tests, or the instance a rule (listing an
+        # odd id can also raise: unsortable, or too long to print).  The walk of
+        # every receiver names a structural defect before any violation
+        pass
+    receivers = [_walked_receiver(entry, j) for j, entry in enumerate(raw_receivers, start=1)]
+    return Instance(n, tuple(receivers))
 
 
 def parse_instance(text: str) -> Instance:
     """Parse the canonical instance JSON; raise ValidationError on any defect."""
-    # RecursionError: deep nesting; ValueError: JSONDecodeError, too-long integers
-    try:
-        data = json.loads(text)
-    except (RecursionError, ValueError) as exc:
-        raise ValidationError(f"malformed JSON: {exc}") from exc
-    return instance_from_jsonable(data)
-
-
-def instance_to_jsonable(inst: Instance) -> dict:
-    return {
-        "num_messages": inst.num_messages,
-        "receivers": [
-            {"wants": sorted(r.wants), "has": sorted(r.has)} for r in inst.receivers
-        ],
-    }
+    return instance_from_jsonable(loads(text))
 
 
 def serialize_instance(inst: Instance) -> str:
     """Canonical JSON form: id arrays sorted ascending, 2-space indent."""
-    return dumps(instance_to_jsonable(inst))
+    return dumps({
+        "num_messages": inst.num_messages,
+        "receivers": [{"wants": sorted(r.wants), "has": sorted(r.has)} for r in inst.receivers],
+    })
 
 
 def split_groupcast(inst: Instance) -> UnicastInstance:
@@ -225,8 +215,6 @@ def split_groupcast(inst: Instance) -> UnicastInstance:
     has exactly sum(len(r.wants)) entries and downstream output is
     deterministic.  Duplicates are kept; apply :func:`dedup` to drop them.
     """
-    if not inst._validated:
-        _require_valid(inst)
     virtuals = []
     for j, r in enumerate(inst.receivers, start=1):
         for k, want in enumerate(sorted(r.wants), start=1):

@@ -1,4 +1,4 @@
-"""JSON text with a 2-space indent, byte-identical to ``json.dumps(value, indent=2)``.
+"""JSON text: ``loads``, and ``dumps`` byte-identical to ``json.dumps(value, indent=2)``.
 
 Given an indent, ``json.dumps`` cannot use the C encoder and formats every
 value in Python.  The bulk of the command outputs is lists of ints (id arrays
@@ -13,10 +13,21 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
+from .errors import ValidationError
+
 _INT_ONLY = frozenset((int,))
 _STR_ONLY = frozenset((str,))
 _ENTRY_KEYS = ("origin", "want", "transmission")
 _LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def loads(text: str):
+    """``json.loads(text)``, raising ``ValidationError`` on malformed text."""
+    # RecursionError: deep nesting; ValueError: JSONDecodeError, too-long integers
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise ValidationError(f"malformed JSON: {exc}") from exc
 
 
 def dumps(value) -> str:

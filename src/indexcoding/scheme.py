@@ -11,7 +11,6 @@ word, shared by ``encode``, ``decode_receiver`` and the randomized check.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Mapping
@@ -19,7 +18,7 @@ from typing import Mapping
 from .cover import CliqueCover
 from .errors import ValidationError
 from .instance import UnicastInstance, VirtualReceiver
-from .jsontext import dumps
+from .jsontext import dumps, loads
 
 DEFAULT_WORD_WIDTH = 64
 # trials per bit-sliced pass: at 64-bit words, 8 KiB per wide word whatever the
@@ -159,16 +158,23 @@ def verify_scheme_random(
     scheme sends, in ascending id order, for each block of up to
     ``TRIAL_BLOCK`` trials.  Returns None when every decoded word matches, or
     the failure with the least (trial, virtual), with that trial's words.
-    Raises if the symbolic check does not pass first.
+    Raises on trials below 1, a word width outside [1, 64] or a failed symbolic check.
     """
-    if not 1 <= word_width <= 64:
-        raise ValidationError(f"word_width must be in [1, 64], got {word_width}")
+    _check_trials(trials, word_width)
     assigned = assign_transmissions(u, s)
     if any(t is None for t in assigned):
         raise ValidationError(
             "symbolic verification failed; randomized check requires it to pass"
         )
     return _random_trials(u, s, assigned, trials, seed, word_width)
+
+
+def _check_trials(trials: int, word_width: int) -> None:
+    """The random verify's parameters: at least one trial, 1 to 64 bits a word."""
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    if not 1 <= word_width <= 64:
+        raise ValidationError(f"word_width must be in [1, 64], got {word_width}")
 
 
 def _random_trials(
@@ -178,7 +184,7 @@ def _random_trials(
     """The trials of :func:`verify_scheme_random`, decoding each virtual from
     its transmission in ``assigned`` (``assign_transmissions(u, s)``, with no
     None, so every virtual holds the other summands it XORs out);
-    ``word_width`` is in [1, 64]."""
+    ``trials`` and ``word_width`` keep :func:`_check_trials`."""
     sent = sorted({i for t in s.transmissions for i in t})
     # one set per (transmission, want) pair: many virtuals share a pair
     keys = [(t, v.want) for v, t in zip(u.virtuals, assigned)]
@@ -207,13 +213,9 @@ def _random_trials(
     return None
 
 
-def scheme_to_jsonable(s: CodingScheme) -> dict:
-    return {"rate": s.rate, "transmissions": [list(t) for t in s.transmissions]}
-
-
 def serialize_scheme(s: CodingScheme) -> str:
     """Canonical scheme JSON: rate plus transmissions with ascending ids."""
-    return dumps(scheme_to_jsonable(s))
+    return dumps({"rate": s.rate, "transmissions": [list(t) for t in s.transmissions]})
 
 
 def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:
@@ -222,11 +224,7 @@ def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:
     When ``num_messages`` is not given it is inferred as the largest id
     mentioned; verification against an instance re-checks the range.
     """
-    # RecursionError: deep nesting; ValueError: JSONDecodeError, too-long integers
-    try:
-        data = json.loads(text)
-    except (RecursionError, ValueError) as exc:
-        raise ValidationError(f"malformed JSON: {exc}") from exc
+    data = loads(text)
     if not isinstance(data, dict):
         raise ValidationError("scheme must be a JSON object")
     if "transmissions" not in data:

@@ -23,7 +23,6 @@ from indexcoding import (
     serialize_instance,
     serialize_scheme,
     split_groupcast,
-    validate,
 )
 from indexcoding import cli as cli_module
 from indexcoding import scheme as scheme_module
@@ -216,6 +215,19 @@ class TestVerify:
                 assert out == ""
                 assert err == f"error: word_width must be in [1, 64], got {width}\n"
 
+    def test_trials_limit_exits_1_before_reading(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        for trials in (cli_module.VERIFY_MAX_TRIALS + 1, 10**12):
+            code, out, err = run(capsys, "verify", missing, missing, "--trials", str(trials))
+            assert code == 1 and out == ""
+            assert err == f"error: trials must be at most 1000000, got {trials}\n"
+        _, out, _ = run(capsys, "solve", GROUPCAST3)
+        scheme_path = tmp_path / "scheme.json"
+        scheme_path.write_text(out)
+        code, out, _ = run(capsys, "verify", GROUPCAST3, str(scheme_path),
+                           "--trials", str(cli_module.VERIFY_MAX_TRIALS))
+        assert code == 0 and json.loads(out)["random_ok"] is True
+
     def test_faulty_encode_exits_3(self, capsys, tmp_path, monkeypatch):
         real_encode = scheme_module.encode
 
@@ -386,7 +398,7 @@ class TestGen:
     def test_output_is_valid_and_deterministic(self, capsys):
         code, first, _ = run(capsys, "gen", "-n", "6", "-m", "6", "-p", "0.4", "--seed", "7")
         assert code == 0
-        assert validate(parse_instance(first)) == []
+        parse_instance(first)  # raises unless the instance is valid
         _, second, _ = run(capsys, "gen", "-n", "6", "-m", "6", "-p", "0.4", "--seed", "7")
         assert first == second
 
@@ -585,7 +597,9 @@ solve_argv = st.tuples(
     cap.map(lambda c: ["--exact-cap", c]),
 )
 verify_argv = st.tuples(
-    st.just("verify"), st.integers(-1, 64).map(lambda t: ["--trials", str(t)]),
+    st.just("verify"),
+    (st.integers(-1, 64) | st.sampled_from([10**6, 10**6 + 1, 10**12]))
+    .map(lambda t: ["--trials", str(t)]),
     st.integers(-1, 70).map(lambda w: ["--word-width", str(w)]),
     st.integers(-1, 3).map(lambda s: ["--seed", str(s)]),
 )

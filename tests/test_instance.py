@@ -12,11 +12,10 @@ from indexcoding import (
     parse_instance,
     serialize_instance,
     split_groupcast,
-    validate,
 )
-from indexcoding import instance as instance_module
 from indexcoding.generate import random_instance
-from indexcoding.instance import instance_from_jsonable
+from indexcoding.graph import bipartite_dot
+from indexcoding.instance import _violations, instance_from_jsonable
 
 
 @st.composite
@@ -53,7 +52,6 @@ class TestParseValidate:
         assert inst.num_messages == 6
         assert len(inst.receivers) == 6
         assert inst.receivers[0] == Receiver.of({1}, {2, 3, 4})
-        assert validate(inst) == []
 
     def test_wants_has_overlap_rejected(self):
         text = '{"num_messages": 3, "receivers": [{"wants": [1], "has": [1]}]}'
@@ -88,15 +86,18 @@ class TestParseValidate:
             parse_instance('{"num_messages": 2, "receivers": [{"has": [1]}]}')
 
     def test_validate_reports_every_violation(self):
-        inst = Instance.of(6, [(set(), set()), ({7}, {1}), ({2}, {2, 9})])
-        messages = validate(inst)
+        with pytest.raises(ValidationError) as info:
+            Instance.of(6, [(set(), set()), ({7}, {1}), ({2}, {2, 9})])
+        messages = info.value.violations
         assert any("receiver 1: empty demand" in v for v in messages)
         assert any("receiver 2" in v and "out of range" in v for v in messages)
         assert any("receiver 3" in v and "overlap" in v for v in messages)
         assert any("receiver 3" in v and "9 out of range" in v for v in messages)
 
     def test_zero_messages_rejected(self):
-        assert validate(Instance(0, ())) == ["num_messages must be a positive integer"]
+        with pytest.raises(ValidationError) as info:
+            Instance(0, ())
+        assert info.value.violations == ["num_messages must be a positive integer"]
 
     @given(instances())
     def test_round_trip(self, inst):
@@ -128,7 +129,7 @@ def _check_id_array(value, where):
 
 
 def reference_instance_from_jsonable(data):
-    """Reference parse: every structural check in order, then validate()."""
+    """Reference parse: every structural check in order, then the violation walk."""
     if not isinstance(data, dict):
         raise ValidationError("instance must be a JSON object")
     unknown = set(data) - {"num_messages", "receivers"}
@@ -154,11 +155,10 @@ def reference_instance_from_jsonable(data):
         wants = _check_id_array(entry["wants"], f"receiver {j}: 'wants'")
         has = _check_id_array(entry.get("has", []), f"receiver {j}: 'has'")
         receivers.append(Receiver.of(wants, has))
-    inst = Instance(n, tuple(receivers))
-    violations = validate(inst)
+    violations = _violations(n, receivers)
     if violations:
         raise ValidationError("invalid instance", violations)
-    return inst
+    return Instance(n, tuple(receivers))
 
 
 HUGE = 10**4999  # 5000 digits: past the interpreter's int-to-str limit
@@ -255,6 +255,19 @@ ONE_DEFECT = [  # one per mutation kind of decoded_instances
     _defect(lambda d: d["receivers"][0].pop("wants")),
     _defect(lambda d: d["receivers"][0].pop("has")),  # valid
 ]
+# odd ids that the C-speed tests of the parse let through to the constructor:
+# True next to a 1 of another receiver, and odd ids followed by a defect of a
+# later receiver, where the earlier receiver's structural defect is named first
+ORDER_DEFECTS = [_defect(lambda d: d["receivers"][1].update(has=[2, True]))] + [
+    _defect(lambda d, first=first, then=then: (first(d["receivers"][0]), then(d["receivers"][1])))
+    for first, then in [
+        (lambda r: r["has"].append(True), lambda r: r.update(x=1)),
+        (lambda r: r["wants"].append(2.5), lambda r: r["has"].append([1])),
+        (lambda r: r["has"].append("a"), lambda r: r["has"].append(1)),
+        (lambda r: r["has"].append(HUGE), lambda r: r["has"].append(None)),
+        (lambda r: r["has"].append(5), lambda r: r.pop("wants")),
+    ]
+]
 
 
 class TestParseEquivalence:
@@ -264,7 +277,7 @@ class TestParseEquivalence:
         want = _outcome(reference_instance_from_jsonable, data)
         assert _outcome(instance_from_jsonable, data) == want
 
-    @pytest.mark.parametrize("data", ONE_DEFECT)
+    @pytest.mark.parametrize("data", ONE_DEFECT + ORDER_DEFECTS)
     def test_each_defect_matches_reference_parse(self, data):
         want = _outcome(reference_instance_from_jsonable, data)
         assert _outcome(instance_from_jsonable, data) == want
@@ -288,37 +301,92 @@ class TestParseEquivalence:
 class TestValidateOnce:
     def test_parsed_instance_is_not_validated_again(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(instance_module, "validate", lambda inst: calls.append(inst) or [])
+        check = Instance.__post_init__
+        monkeypatch.setattr(Instance, "__post_init__",
+                            lambda inst: calls.append(inst) or check(inst))
         inst = parse_instance('{"num_messages": 2, "receivers": [{"wants": [1], "has": [2]}]}')
+        assert calls == [inst]
         split_groupcast(inst)
-        assert calls == []
+        assert calls == [inst]
         split_groupcast(dataclasses.replace(inst))
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_replace_of_a_parsed_instance_is_validated_again(self):
         inst = parse_instance('{"num_messages": 3, "receivers": [{"wants": [1], "has": [2, 3]}]}')
         with pytest.raises(ValidationError) as info:
-            split_groupcast(dataclasses.replace(inst, num_messages=2))
+            dataclasses.replace(inst, num_messages=2)
+        assert str(info.value) == "invalid instance: receiver 1: has id 3 out of range [1, 2]"
         assert info.value.violations == ["receiver 1: has id 3 out of range [1, 2]"]
-
-    @pytest.mark.parametrize("inst, violations", [
-        (Instance(0, ()), ["num_messages must be a positive integer"]),
-        (Instance(True, (Receiver.of({1}),)), ["num_messages must be a positive integer"]),
-        (Instance(2.0, ()), ["num_messages must be a positive integer"]),
-        (Instance.of(3, [(set(), {1})]), ["receiver 1: empty demand"]),
-        (Instance(3, (Receiver(frozenset({"a"}), frozenset()),)),
-         ["receiver 1: wants contains non-integer id 'a'"]),
-        (Instance(3, (Receiver(frozenset({2}), frozenset({True})),)),
-         ["receiver 1: has contains non-integer id True"]),
-        (Instance.of(3, [({4}, {0})]),
-         ["receiver 1: wants id 4 out of range [1, 3]", "receiver 1: has id 0 out of range [1, 3]"]),
-        (Instance.of(3, [({1, 2}, {2, 3})]), ["receiver 1: wants/has overlap on [2]"]),
-    ])
-    def test_hand_built_instance_raises_every_violation(self, inst, violations):
         with pytest.raises(ValidationError) as info:
-            split_groupcast(inst)
+            dataclasses.replace(inst, receivers=(Receiver.of({1}, {1}),))
+        assert info.value.violations == ["receiver 1: wants/has overlap on [1]"]
+
+    @pytest.mark.parametrize("build, violations", [
+        (lambda: Instance(0, ()), ["num_messages must be a positive integer"]),
+        (lambda: Instance(True, (Receiver.of({1}),)), ["num_messages must be a positive integer"]),
+        (lambda: Instance(2.0, ()), ["num_messages must be a positive integer"]),
+        (lambda: Instance.of(3, [(set(), {1})]), ["receiver 1: empty demand"]),
+        (lambda: Instance(3, (Receiver(frozenset({"a"}), frozenset()),)),
+         ["receiver 1: wants contains non-integer id 'a'"]),
+        (lambda: Instance(3, (Receiver(frozenset({2}), frozenset({True})),)),
+         ["receiver 1: has contains non-integer id True"]),
+        (lambda: Instance.of(3, [({1}, {2}), ({2}, {True})]),  # True equals the 1 of receiver 1
+         ["receiver 2: has contains non-integer id True"]),
+        (lambda: Instance.of(3, [({4}, {0})]), ["receiver 1: wants id 4 out of range [1, 3]",
+                                                "receiver 1: has id 0 out of range [1, 3]"]),
+        (lambda: Instance.of(3, [({1, 2}, {2, 3})]), ["receiver 1: wants/has overlap on [2]"]),
+    ])
+    def test_hand_built_instance_raises_every_violation(self, build, violations):
+        with pytest.raises(ValidationError) as info:
+            build()
         assert str(info.value) == "invalid instance: " + "; ".join(violations)
         assert info.value.violations == violations
+
+    def test_invalid_instance_reaches_no_output(self):
+        # it used to serialize to JSON the parser rejects, and to draw edges
+        # r1 -- m9 and r1 -- m5 to message nodes the diagram does not have
+        with pytest.raises(ValidationError) as info:
+            serialize_instance(Instance.of(2, [({5}, {9})]))
+        assert info.value.violations == [
+            "receiver 1: wants id 5 out of range [1, 2]",
+            "receiver 1: has id 9 out of range [1, 2]",
+        ]
+        with pytest.raises(ValidationError):
+            bipartite_dot(Instance.of(2, [({5}, {9})]))
+
+
+ODD_NUM_MESSAGES = [0, -1, True, False, 2.0, "3", None]
+# odd id sets, 0 and n + 1 among the ints; the ids of one set compare with
+# each other, as the walk lists them in sorted order
+ODD_IDS_SET = (
+    st.frozensets(st.integers(-1, 7) | st.sampled_from([True, False, 1.0, 2.5]), max_size=4)
+    | st.frozensets(st.sampled_from(["a", "b"])) | st.just(frozenset({None}))
+)
+
+
+@st.composite
+def hand_built(draw):
+    """Fields for ``Instance``: each drawn valid or, often, not."""
+    n = draw(st.integers(1, 6) | st.sampled_from(ODD_NUM_MESSAGES))
+    valid = type(n) is int and n >= 1
+    ids = st.frozensets(st.integers(1, n), max_size=4) if valid else ODD_IDS_SET
+    ids = ids | ODD_IDS_SET if draw(st.booleans()) else ids
+    receivers = tuple(Receiver(draw(ids), draw(ids)) for _ in range(draw(st.integers(0, 4))))
+    return n, receivers
+
+
+class TestConstructorMatchesWalk:
+    @settings(max_examples=500)
+    @given(hand_built())
+    def test_raises_exactly_when_the_walk_lists_a_violation(self, fields):
+        walk = _violations(*fields)
+        if not walk:
+            assert Instance(*fields).receivers == fields[1]
+            return
+        with pytest.raises(ValidationError) as info:
+            Instance(*fields)
+        assert str(info.value) == "invalid instance: " + "; ".join(walk)
+        assert info.value.violations == walk
 
 
 class TestSplit:

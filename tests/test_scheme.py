@@ -292,6 +292,21 @@ class TestVerification:
         with pytest.raises(ValidationError, match="symbolic"):
             verify_scheme_random(u, s)
 
+    def test_random_needs_a_trial(self, example6):
+        # checked first: a zero-trial pass would have checked nothing
+        for s in (solve(example6)[1], CodingScheme(6, ((1, 3, 4), (2, 5)))):
+            for trials in (0, -5):
+                with pytest.raises(ValidationError) as info:
+                    verify_scheme_random(split_groupcast(example6), s, trials=trials)
+                assert str(info.value) == f"trials must be at least 1, got {trials}"
+
+    def test_random_word_width_in_range(self, example6):
+        u, s = solve(example6)
+        for width in (0, 65):
+            with pytest.raises(ValidationError) as info:
+                verify_scheme_random(u, s, word_width=width)
+            assert str(info.value) == f"word_width must be in [1, 64], got {width}"
+
     def test_random_identity_scheme(self):
         inst = Instance.of(3, [({1}, ()), ({2}, ()), ({3}, ())])
         u, s = solve(inst)
