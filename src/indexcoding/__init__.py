@@ -6,9 +6,9 @@ cliques, and emit one XOR transmission per clique.  Brute-force GF(2) and
 MAIS oracles audit the achieved rate.
 """
 
-from .cover import CliqueCover, exact_min_cover, greedy_cover, verify_cover
+from .cover import CliqueCover, exact_min_cover, greedy_cover
 from .errors import CapExceeded, IndexCodingError, ValidationError
-from .generate import random_graph, random_instance
+from .generate import random_instance
 from .graph import (
     DerivedGraph,
     bipartite_dot,
@@ -68,13 +68,11 @@ __all__ = [
     "min_linear_rate_gf2",
     "parse_instance",
     "parse_scheme",
-    "random_graph",
     "random_instance",
     "scheme_from_cover",
     "serialize_instance",
     "serialize_scheme",
     "split_groupcast",
-    "verify_cover",
     "verify_scheme_random",
     "verify_scheme_symbolic",
 ]

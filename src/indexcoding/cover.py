@@ -38,28 +38,6 @@ class CliqueCover:
         return out
 
 
-def verify_cover(g: DerivedGraph, c: CliqueCover) -> str | None:
-    """Return None when c is a partition into cliques, else a diagnostic."""
-    seen: set[int] = set()
-    for t, part in enumerate(c.parts):
-        if not part:
-            return f"part {t} is empty"
-        for v in part:
-            if not 0 <= v < g.vertex_count:
-                return f"part {t}: vertex {v} does not exist"
-            if v in seen:
-                return f"not a partition: vertex {v} appears twice"
-            seen.add(v)
-        for i, p in enumerate(part):
-            for q in part[i + 1 :]:
-                if not g.has_edge(p, q):
-                    return f"part {t} is not a clique: missing edge ({p}, {q})"
-    if len(seen) != g.vertex_count:
-        missing = sorted(set(range(g.vertex_count)) - seen)
-        return f"not a partition: vertices {missing} uncovered"
-    return None
-
-
 def greedy_cover(g: DerivedGraph) -> CliqueCover:
     """First-fit cover: scan vertices ascending, join the first part whose
     every member is adjacent, else open a new part.  That puts v in part i

@@ -1,4 +1,4 @@
-"""Seeded random instances and graphs for tests, demos, and the CLI.
+"""Seeded random instances for tests, demos, and the CLI.
 
 Generators promise validity and determinism for a fixed seed, not a byte
 layout that other tools must reproduce.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 
 from .errors import ValidationError
-from .graph import DerivedGraph
 from .instance import Instance, Receiver
 
 
@@ -47,18 +46,3 @@ def random_instance(
         receivers.append(Receiver(wants, has))
     return Instance(num_messages, tuple(receivers))
 
-
-def random_graph(num_vertices: int, edge_density: float, seed: int = 0) -> DerivedGraph:
-    """Erdos-Renyi style undirected graph, each edge present independently."""
-    if num_vertices < 0:
-        raise ValidationError("num_vertices must be non-negative")
-    if not 0.0 <= edge_density <= 1.0:
-        raise ValidationError(f"edge_density must be in [0, 1], got {edge_density}")
-    rng = random.Random(seed)
-    edges = [
-        (p, q)
-        for p in range(num_vertices)
-        for q in range(p + 1, num_vertices)
-        if rng.random() < edge_density
-    ]
-    return DerivedGraph.from_edges(num_vertices, edges)

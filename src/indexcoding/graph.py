@@ -17,7 +17,7 @@ the OR is computed once per distinct ``has``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .instance import Instance, UnicastInstance
 
@@ -41,25 +41,6 @@ class DerivedGraph:
         well_formed = not any(row >> k or (row >> p) & 1 for p, row in enumerate(rows))
         if not (well_formed and _symmetric(rows, k)):
             _raise_first_defect(rows, k)
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "DerivedGraph":
-        rows = [0] * vertex_count
-        for p, q in edges:
-            if p == q:
-                raise ValueError(f"self-loop on vertex {p}")
-            rows[p] |= 1 << q
-            rows[q] |= 1 << p
-        return cls(vertex_count, tuple(rows))
-
-    def has_edge(self, p: int, q: int) -> bool:
-        return bool((self.adjacency[p] >> q) & 1)
-
-    def neighbors(self, p: int) -> Iterator[int]:
-        return _bits(self.adjacency[p])
-
-    def degree(self, p: int) -> int:
-        return self.adjacency[p].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(p, q) for p in range(self.vertex_count) for q in _bits(self.adjacency[p]) if p < q]

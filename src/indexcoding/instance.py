@@ -26,8 +26,6 @@ from typing import Iterable, Mapping
 from .errors import ValidationError
 from .jsontext import dumps, loads
 
-_INT_ONLY = frozenset((int,))
-
 
 @dataclass(frozen=True)
 class Receiver:
@@ -44,22 +42,26 @@ class Receiver:
 @dataclass(frozen=True)
 class Instance:
     """A (possibly groupcast) index coding problem, valid by construction:
-    ``num_messages`` is at least 1, and every receiver wants a nonempty set
-    of ids in ``[1, num_messages]`` disjoint from the ids it has."""
+    ``num_messages`` is at least 1, ``receivers`` is a tuple of ``Receiver``
+    with frozenset fields, and every receiver wants a nonempty set of ids in
+    ``[1, num_messages]`` disjoint from the ids it has."""
 
     num_messages: int
     receivers: tuple[Receiver, ...]
 
     def __post_init__(self):
-        n = self.num_messages
-        wants, has = [r.wants for r in self.receivers], [r.has for r in self.receivers]
-        ids = set().union(*wants, *has)
-        # a bulk test first; the walk runs only to list the violations.  Types
-        # are tested id by id, as the union merges True into 1
-        if not (type(n) is int and n >= 1 and all(wants) and not any(map(and_, wants, has))
-                and _INT_ONLY.issuperset(map(type, chain(*wants, *has)))
-                and (not ids or 1 <= min(ids) and max(ids) <= n)):
-            raise ValidationError("invalid instance", _violations(n, self.receivers))
+        n, receivers = self.num_messages, self.receivers
+        # a bulk test first; the walk runs only to list the violations.  Types come
+        # before any set operation, ids one by one as the union merges True into 1
+        if type(receivers) is tuple and {Receiver}.issuperset(map(type, receivers)):
+            wants, has = [r.wants for r in receivers], [r.has for r in receivers]
+            if ({frozenset}.issuperset(map(type, chain(wants, has))) and type(n) is int
+                    and n >= 1 and all(wants) and not any(map(and_, wants, has))
+                    and {int}.issuperset(map(type, chain(*wants, *has)))
+                    and 1 <= min(ids := set().union(*wants, *has), default=1)
+                    and max(ids, default=1) <= n):
+                return
+        raise ValidationError("invalid instance", _violations(n, receivers))
 
     @classmethod
     def of(
@@ -96,26 +98,42 @@ class UnicastInstance:
     dedup_map: Mapping[int, int] | None = None
 
 
-def _violations(n, receivers: tuple[Receiver, ...]) -> list[str]:
+def _violations(n, receivers) -> list[str]:
     """One message per broken rule of :class:`Instance`, in receiver order
-    (empty = valid).  ``n`` and the ids must be of type ``int``, not bool."""
-    out: list[str] = []
+    (empty = valid).  ``n`` and the ids must be of type ``int``, not bool;
+    ``receivers`` a tuple of ``Receiver`` whose fields are frozensets."""
     if type(n) is not int or n < 1:
-        out.append("num_messages must be a positive integer")
-        return out
+        return ["num_messages must be a positive integer"]
+    if type(receivers) is not tuple:
+        return [f"receivers must be a tuple, not {type(receivers).__name__}"]
+    out: list[str] = []
     for j, r in enumerate(receivers, start=1):
+        if type(r) is not Receiver:
+            out.append(f"receiver {j}: must be a Receiver, not {type(r).__name__}")
+            continue
+        fields = (("wants", r.wants), ("has", r.has))
+        odd = [f"receiver {j}: {label} must be a frozenset, not {type(ids).__name__}"
+               for label, ids in fields if type(ids) is not frozenset]
+        if odd:
+            out += odd
+            continue
         if not r.wants:
             out.append(f"receiver {j}: empty demand")
-        for label, ids in (("wants", r.wants), ("has", r.has)):
-            for i in sorted(ids):
+        for label, ids in fields:
+            for i in sorted(ids, key=_listing_key):
                 if type(i) is not int:
                     out.append(f"receiver {j}: {label} contains non-integer id {i!r}")
                 elif not 1 <= i <= n:
                     out.append(f"receiver {j}: {label} id {i} out of range [1, {n}]")
         overlap = r.wants & r.has
         if overlap:
-            out.append(f"receiver {j}: wants/has overlap on {sorted(overlap)}")
+            out.append(f"receiver {j}: wants/has overlap on {sorted(overlap, key=_listing_key)}")
     return out
+
+
+def _listing_key(i) -> tuple:
+    """Ints ascending, then other ids by type and repr: never compares across types."""
+    return (0, i, "") if type(i) is int else (1, 0, f"{type(i).__name__} {i!r}")
 
 
 def _check_id_array(value, where: str) -> list[int]:

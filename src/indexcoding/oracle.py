@@ -53,10 +53,6 @@ def gf2_basis(rows: Sequence[int]) -> dict[int, int]:
     return basis
 
 
-def gf2_rank(rows: Sequence[int]) -> int:
-    return len(gf2_basis(rows))
-
-
 def can_decode(rows: Sequence[int], want: int, has_mask: int) -> bool:
     """Rank test: e_want in rowspace(rows) + span of the has unit vectors.
 
@@ -113,7 +109,6 @@ def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
 
 def min_linear_rate_gf2(
     u: UnicastInstance,
-    max_rate: int | None = None,
     n_cap: int = DEFAULT_ORACLE_N_CAP,
     with_witness: bool = False,
     lower_bound: int | None = None,
@@ -124,7 +119,6 @@ def min_linear_rate_gf2(
     provably infeasible), enumerating all row spaces of each dimension.  The
     bound is ``lower_bound`` when given (a caller that has the MAIS bound
     passes it, or 0 for none), else the MAIS bound at its default cap.  With
-    ``max_rate`` set, returns None when no rate up to it is feasible.  With
     ``with_witness=True`` returns (rate, Gf2Matrix) instead, the witness
     being the first feasible basis in enumeration order.
     """
@@ -139,9 +133,7 @@ def min_linear_rate_gf2(
             lower_bound = mais_lower_bound(u)
         except CapExceeded:
             lower_bound = 0
-    start = max(1, lower_bound)
-    limit = max_rate if max_rate is not None else n
-    for beta in range(start, limit + 1):
+    for beta in range(max(1, lower_bound), n + 1):
         for rows in iter_rref_rowspaces(n, beta):
             if all(can_decode(rows, want, mask) for want, mask in receivers):
                 if with_witness:

@@ -103,12 +103,15 @@ def decode_receiver(
 ) -> int:
     """Recover ``v``'s wanted word from transmission ``t`` of ``received``.
 
-    ``side_words`` maps message ids to words and is read only at the other
-    summands of ``t``, which ``v`` must hold, or ``t`` cannot be decoded;
-    like ``encode``, it names the least summand that has no word.
+    ``received`` holds one word per transmission.  ``side_words`` maps
+    message ids to words and is read only at the other summands of ``t``,
+    which ``v`` must hold, or ``t`` cannot be decoded; like ``encode``, it
+    names the least summand that has no word.
     """
     if not 0 <= t < s.rate:
         raise ValidationError(f"transmission {t} out of range [0, {s.rate})")
+    if len(received) < s.rate:
+        raise ValidationError(f"received {len(received)} words for {s.rate} transmissions")
     others = _others(s.transmissions[t], v.want)
     if others is None or not v.has.issuperset(others):
         raise ValidationError(f"virtual {v.origin} not decodable from transmission {t}")
@@ -218,12 +221,9 @@ def serialize_scheme(s: CodingScheme) -> str:
     return dumps({"rate": s.rate, "transmissions": [list(t) for t in s.transmissions]})
 
 
-def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:
-    """Parse scheme JSON; extra keys are tolerated so solve output round-trips.
-
-    When ``num_messages`` is not given it is inferred as the largest id
-    mentioned; verification against an instance re-checks the range.
-    """
+def parse_scheme(text: str, num_messages: int) -> CodingScheme:
+    """Parse scheme JSON for an instance of ``num_messages`` messages; extra
+    keys are tolerated so solve output round-trips."""
     data = loads(text)
     if not isinstance(data, dict):
         raise ValidationError("scheme must be a JSON object")
@@ -242,10 +242,9 @@ def parse_scheme(text: str, num_messages: int | None = None) -> CodingScheme:
                 f"declared rate {rate} does not match {len(transmissions)} transmissions"
             )
     max_id = max([t[-1] for t in transmissions], default=0)
-    n = num_messages if num_messages is not None else max_id
-    if max_id > n:
-        raise ValidationError(f"message id {max_id} out of range [1, {n}]")
-    return CodingScheme(n, tuple(transmissions))
+    if max_id > num_messages:
+        raise ValidationError(f"message id {max_id} out of range [1, {num_messages}]")
+    return CodingScheme(num_messages, tuple(transmissions))
 
 
 def _transmission(entry, t_idx: int) -> tuple[int, ...]:

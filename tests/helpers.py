@@ -1,0 +1,76 @@
+"""Builders and references the tests share: graphs by hand or at random, a
+split instance from (want, has) pairs, the graph-side clique-cover check that
+``scheme_from_cover``'s own check is tested against, and a naive GF(2) rate."""
+
+import itertools
+import random
+
+from indexcoding import CliqueCover, DerivedGraph
+from indexcoding.instance import UnicastInstance, VirtualReceiver
+from indexcoding.oracle import can_decode
+
+
+def graph_from_edges(vertex_count: int, edges) -> DerivedGraph:
+    """The undirected graph with the given (p, q) edges."""
+    rows = [0] * vertex_count
+    for p, q in edges:
+        rows[p] |= 1 << q
+        rows[q] |= 1 << p
+    return DerivedGraph(vertex_count, tuple(rows))
+
+
+def random_graph(num_vertices: int, edge_density: float, seed: int = 0) -> DerivedGraph:
+    """Erdos-Renyi style graph: each edge (p, q), p < q, drawn in ascending
+    order, is present independently with probability ``edge_density``."""
+    rng = random.Random(seed)
+    edges = [
+        (p, q)
+        for p in range(num_vertices)
+        for q in range(p + 1, num_vertices)
+        if rng.random() < edge_density
+    ]
+    return graph_from_edges(num_vertices, edges)
+
+
+def verify_cover(g: DerivedGraph, c: CliqueCover) -> str | None:
+    """Return None when c is a partition of g's vertices into cliques, else a
+    diagnostic."""
+    seen: set[int] = set()
+    for t, part in enumerate(c.parts):
+        if not part:
+            return f"part {t} is empty"
+        for v in part:
+            if not 0 <= v < g.vertex_count:
+                return f"part {t}: vertex {v} does not exist"
+            if v in seen:
+                return f"not a partition: vertex {v} appears twice"
+            seen.add(v)
+        for i, p in enumerate(part):
+            for q in part[i + 1 :]:
+                if not (g.adjacency[p] >> q) & 1:
+                    return f"part {t} is not a clique: missing edge ({p}, {q})"
+    if len(seen) != g.vertex_count:
+        missing = sorted(set(range(g.vertex_count)) - seen)
+        return f"not a partition: vertices {missing} uncovered"
+    return None
+
+
+def unicast_of(num_messages, pairs) -> UnicastInstance:
+    """A split instance with one virtual per (want, has) pair."""
+    virtuals = tuple(
+        VirtualReceiver(want=w, has=frozenset(h), origin=(i + 1, 1))
+        for i, (w, h) in enumerate(pairs)
+    )
+    return UnicastInstance(num_messages, virtuals)
+
+
+def naive_min_rate(n, pairs):
+    """Independent oracle over (want, has mask) pairs: try every matrix of
+    every height, smallest first."""
+    if not pairs:
+        return 0
+    for beta in range(1, n + 1):
+        for rows in itertools.product(range(1 << n), repeat=beta):
+            if all(can_decode(rows, w, h) for w, h in pairs):
+                return beta
+    raise AssertionError("identity rows must have succeeded")

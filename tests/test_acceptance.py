@@ -22,10 +22,10 @@ from indexcoding import (
     verify_scheme_symbolic,
 )
 from indexcoding.pipeline import SolveConfig, solve_instance
-from indexcoding.generate import random_graph, random_instance
-from indexcoding.oracle import can_decode
+from indexcoding.generate import random_instance
 from indexcoding.scheme import assign_transmissions
 
+from helpers import naive_min_rate, random_graph
 from test_cover import brute_min_cover_size
 
 
@@ -126,15 +126,6 @@ def test_c5_exact_cover_matches_partition_enumeration():
 
 def test_c6_oracle_matches_naive_matrix_enumeration():
     with criterion("C6 RREF oracle vs naive enumeration (n <= 3, exhaustive)", 60.0):
-        def naive_min_rate(n, pairs):
-            if not pairs:
-                return 0
-            for beta in range(1, n + 1):
-                for rows in itertools.product(range(1 << n), repeat=beta):
-                    if all(can_decode(rows, w, h) for w, h in pairs):
-                        return beta
-            raise AssertionError("identity rows must succeed")
-
         checked = 0
         for n in (1, 2, 3):
             non_self = [

@@ -1,7 +1,7 @@
 import pytest
 
 from indexcoding import ValidationError
-from indexcoding.generate import random_graph, random_instance
+from indexcoding.generate import random_instance
 
 
 class TestRandomInstance:
@@ -39,11 +39,3 @@ class TestRandomInstance:
         with pytest.raises(ValidationError, match="side_density"):
             random_instance(3, 2, 1.5, (1, 1), seed=0)
 
-
-class TestRandomGraph:
-    def test_deterministic_for_seed(self):
-        assert random_graph(8, 0.5, seed=2) == random_graph(8, 0.5, seed=2)
-
-    def test_density_extremes(self):
-        assert random_graph(6, 0.0, seed=1).edges() == []
-        assert len(random_graph(6, 1.0, seed=1).edges()) == 15

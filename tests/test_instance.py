@@ -155,7 +155,7 @@ def reference_instance_from_jsonable(data):
         wants = _check_id_array(entry["wants"], f"receiver {j}: 'wants'")
         has = _check_id_array(entry.get("has", []), f"receiver {j}: 'has'")
         receivers.append(Receiver.of(wants, has))
-    violations = _violations(n, receivers)
+    violations = _violations(n, tuple(receivers))
     if violations:
         raise ValidationError("invalid instance", violations)
     return Instance(n, tuple(receivers))
@@ -335,6 +335,18 @@ class TestValidateOnce:
         (lambda: Instance.of(3, [({4}, {0})]), ["receiver 1: wants id 4 out of range [1, 3]",
                                                 "receiver 1: has id 0 out of range [1, 3]"]),
         (lambda: Instance.of(3, [({1, 2}, {2, 3})]), ["receiver 1: wants/has overlap on [2]"]),
+        # ids that do not compare: ints listed first, never sorted with the others
+        (lambda: Instance.of(3, [({"a", 1}, ())]), ["receiver 1: wants contains non-integer id 'a'"]),
+        (lambda: Instance.of(3, [({1, "a"}, {"a", 1})]), ["receiver 1: wants contains non-integer id 'a'",
+         "receiver 1: has contains non-integer id 'a'", "receiver 1: wants/has overlap on [1, 'a']"]),
+        # fields that are not frozensets could be mutated into an overlap later
+        (lambda: Instance(3, (Receiver({1}, {2}),)), ["receiver 1: wants must be a frozenset, not set",
+                                                      "receiver 1: has must be a frozenset, not set"]),
+        (lambda: Instance(3, (Receiver([1], [2]),)), ["receiver 1: wants must be a frozenset, not list",
+                                                      "receiver 1: has must be a frozenset, not list"]),
+        (lambda: Instance(2, [Receiver.of({1}, {2})]), ["receivers must be a tuple, not list"]),
+        (lambda: Instance(2, None), ["receivers must be a tuple, not NoneType"]),
+        (lambda: Instance(2, (("a", "b"),)), ["receiver 1: must be a Receiver, not tuple"]),
     ])
     def test_hand_built_instance_raises_every_violation(self, build, violations):
         with pytest.raises(ValidationError) as info:
@@ -356,23 +368,25 @@ class TestValidateOnce:
 
 
 ODD_NUM_MESSAGES = [0, -1, True, False, 2.0, "3", None]
-# odd id sets, 0 and n + 1 among the ints; the ids of one set compare with
-# each other, as the walk lists them in sorted order
-ODD_IDS_SET = (
-    st.frozensets(st.integers(-1, 7) | st.sampled_from([True, False, 1.0, 2.5]), max_size=4)
-    | st.frozensets(st.sampled_from(["a", "b"])) | st.just(frozenset({None}))
+# odd id sets, 0 and n + 1 among the ints, mixing ids that do not compare
+ODD_IDS_SET = st.frozensets(
+    st.integers(-1, 7) | st.sampled_from([True, False, 1.0, 2.5, "a", "b", None]), max_size=4
 )
 
 
 @st.composite
 def hand_built(draw):
-    """Fields for ``Instance``: each drawn valid or, often, not."""
+    """Fields for ``Instance``: each drawn valid or, often, not, down to its types."""
     n = draw(st.integers(1, 6) | st.sampled_from(ODD_NUM_MESSAGES))
     valid = type(n) is int and n >= 1
     ids = st.frozensets(st.integers(1, n), max_size=4) if valid else ODD_IDS_SET
     ids = ids | ODD_IDS_SET if draw(st.booleans()) else ids
-    receivers = tuple(Receiver(draw(ids), draw(ids)) for _ in range(draw(st.integers(0, 4))))
-    return n, receivers
+    receiver, container = st.builds(Receiver, ids, ids), tuple
+    if draw(st.booleans()):  # odd shapes: set or list fields, pairs, a list of receivers
+        field = ids | ids.map(set) | ids.map(list)
+        receiver = st.builds(Receiver, field, field) | st.tuples(field, field)
+        container = draw(st.sampled_from([tuple, list]))
+    return n, container(draw(st.lists(receiver, max_size=4)))
 
 
 class TestConstructorMatchesWalk:

@@ -20,7 +20,6 @@ from indexcoding import (
     scheme_from_cover,
     serialize_scheme,
     split_groupcast,
-    verify_cover,
     verify_scheme_random,
     verify_scheme_symbolic,
 )
@@ -28,6 +27,8 @@ from indexcoding import scheme as scheme_module
 from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.scheme import TRIAL_BLOCK, assign_transmissions
 from indexcoding.generate import random_instance
+
+from helpers import verify_cover
 
 
 def solve(inst, solver=exact_min_cover):
@@ -68,7 +69,7 @@ class TestSchemeFromCover:
         inst = Instance.of(2, [({1}, {2}), ({1}, ()), ({2}, {1})])
         u = split_groupcast(inst)  # no dedup: virtuals 0 and 1 both want 1
         g = build_cross_neighbor_graph(u)
-        assert g.has_edge(0, 1)
+        assert (g.adjacency[0] >> 1) & 1
         cover = exact_min_cover(g)
         s = scheme_from_cover(u, cover)
         for t in s.transmissions:
@@ -221,6 +222,15 @@ class TestEncodeDecode:
         with pytest.raises(ValidationError, match="^no word for message 2$"):
             decode_receiver(s, v, (3,), {}, 0)
         assert decode_receiver(s, v, (3,), {2: 1}, 0) == 2
+
+    def test_decode_rejects_a_short_received(self, example6):
+        v = split_groupcast(Instance.of(2, [({1}, {2})])).virtuals[0]
+        with pytest.raises(ValidationError, match=r"^received 0 words for 1 transmissions$"):
+            decode_receiver(CodingScheme(2, ((1, 2),)), v, (), {2: 1}, 0)
+        u, s = solve(example6)
+        for t in (0, 2):  # 0 is within the two words received, 2 is not
+            with pytest.raises(ValidationError, match="received 2 words for 3 transmissions"):
+                decode_receiver(s, u.virtuals[5], (1, 2), {}, t)
 
     def test_decode_rejects_a_transmission_index_out_of_range(self, example6):
         u, s = solve(example6)
@@ -445,16 +455,16 @@ class TestSchemeJson:
         assert parse_scheme(serialize_scheme(s), num_messages=6) == s
 
     def test_extra_keys_tolerated(self):
-        s = parse_scheme('{"rate": 1, "transmissions": [[1, 2]], "solver": "exact"}')
+        s = parse_scheme('{"rate": 1, "transmissions": [[1, 2]], "solver": "exact"}', 2)
         assert s.transmissions == ((1, 2),)
 
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="rate"):
-            parse_scheme('{"rate": 2, "transmissions": [[1]]}')
+            parse_scheme('{"rate": 2, "transmissions": [[1]]}', 1)
 
     def test_empty_transmission_rejected(self):
         with pytest.raises(ValidationError, match="nonempty"):
-            parse_scheme('{"transmissions": [[]]}')
+            parse_scheme('{"transmissions": [[]]}', 1)
 
     def test_id_out_of_instance_range_rejected(self):
         with pytest.raises(ValidationError, match="out of range"):
@@ -570,32 +580,31 @@ def reference_parse_scheme(data, num_messages):
                 f"declared rate {data['rate']} does not match "
                 f"{len(transmissions)} transmissions"
             )
-    n = num_messages if num_messages is not None else max_id
-    if max_id > n:
-        raise ValidationError(f"message id {max_id} out of range [1, {n}]")
-    return CodingScheme(n, tuple(transmissions))
+    if max_id > num_messages:
+        raise ValidationError(f"message id {max_id} out of range [1, {num_messages}]")
+    return CodingScheme(num_messages, tuple(transmissions))
 
 
 # every error parse_scheme words, with the text it must keep
 SCHEME_ERRORS = [
     ("[]", None, "scheme must be a JSON object"),
-    ('{"rate": 0}', None, "missing required key 'transmissions'"),
-    ('{"transmissions": {}}', None, "'transmissions' must be an array"),
-    ('{"transmissions": [[1], 2]}', None, "transmission 1 must be a nonempty array"),
-    ('{"transmissions": [[]]}', None, "transmission 0 must be a nonempty array"),
-    ('{"transmissions": [[1, true]]}', None, "transmission 0: bad message id True"),
-    ('{"transmissions": [[2.0]]}', None, "transmission 0: bad message id 2.0"),
-    ('{"transmissions": [["1"]]}', None, "transmission 0: bad message id '1'"),
-    ('{"transmissions": [[[1]]]}', None, "transmission 0: bad message id [1]"),
-    ('{"transmissions": [[3], [1, 0]]}', None, "transmission 1: bad message id 0"),
-    ('{"transmissions": [[-2]]}', None, "transmission 0: bad message id -2"),
-    ('{"transmissions": [[2, 1, 2]]}', None, "transmission 0: duplicate id 2"),
-    ('{"transmissions": [[2], [1, 3, 1]]}', None, "transmission 1: duplicate id 1"),
-    ('{"rate": 2, "transmissions": [[1]]}', None,
+    ('{"rate": 0}', 3, "missing required key 'transmissions'"),
+    ('{"transmissions": {}}', 3, "'transmissions' must be an array"),
+    ('{"transmissions": [[1], 2]}', 3, "transmission 1 must be a nonempty array"),
+    ('{"transmissions": [[]]}', 3, "transmission 0 must be a nonempty array"),
+    ('{"transmissions": [[1, true]]}', 3, "transmission 0: bad message id True"),
+    ('{"transmissions": [[2.0]]}', 3, "transmission 0: bad message id 2.0"),
+    ('{"transmissions": [["1"]]}', 3, "transmission 0: bad message id '1'"),
+    ('{"transmissions": [[[1]]]}', 3, "transmission 0: bad message id [1]"),
+    ('{"transmissions": [[3], [1, 0]]}', 3, "transmission 1: bad message id 0"),
+    ('{"transmissions": [[-2]]}', 3, "transmission 0: bad message id -2"),
+    ('{"transmissions": [[2, 1, 2]]}', 3, "transmission 0: duplicate id 2"),
+    ('{"transmissions": [[2], [1, 3, 1]]}', 3, "transmission 1: duplicate id 1"),
+    ('{"rate": 2, "transmissions": [[1]]}', 3,
      "declared rate 2 does not match 1 transmissions"),
-    ('{"rate": "1", "transmissions": [[1]]}', None, "'rate' must be an integer"),
-    ('{"rate": true, "transmissions": [[1]]}', None, "'rate' must be an integer"),
-    ('{"rate": 1.0, "transmissions": [[1]]}', None, "'rate' must be an integer"),
+    ('{"rate": "1", "transmissions": [[1]]}', 3, "'rate' must be an integer"),
+    ('{"rate": true, "transmissions": [[1]]}', 3, "'rate' must be an integer"),
+    ('{"rate": 1.0, "transmissions": [[1]]}', 3, "'rate' must be an integer"),
     ('{"transmissions": [[1], [4, 2]]}', 3, "message id 4 out of range [1, 3]"),
     ('{"transmissions": [[1]]}', 0, "message id 1 out of range [1, 0]"),
 ]
@@ -615,7 +624,7 @@ class TestParseSchemeMatchesReference:
         st.lists(st.lists(st.integers(-1, 7) | st.sampled_from([True, 1.0, "2"]), max_size=4),
                  max_size=4),
         st.none() | st.integers(0, 5) | st.sampled_from([1.0, True, "2"]),
-        st.none() | st.integers(0, 8),
+        st.integers(0, 8),
     )
     def test_agrees_with_the_reference_walk(self, transmissions, rate, n):
         data = {"transmissions": transmissions}
