@@ -1,17 +1,17 @@
-"""Cross-neighbor graph construction and DOT diagram export.
+"""The side-information digraph, its cross-neighbor graph, and DOT export.
 
-Two virtual receivers are cross neighbors when each one's wanted message sits
-in the other's side information; a clique of this relation can be served by a
-single XOR transmission.  The builder here additionally joins virtuals that
-want the same message (one transmission of that message serves all of them);
-pass ``strict=True`` to get the bare mutual-containment relation.
+One relation over virtual receivers underlies the cover and its converse: an
+arc p -> q when q's want sits in p's side information.  The cross-neighbor
+graph is its bidirected arcs (one XOR serves a clique of them) plus an edge
+between virtuals that want the same message, dropped when ``strict``; the
+MAIS bound (``oracle.mais_lower_bound``) is its largest acyclic set of
+virtuals with distinct wants.
 
-Rows are built from per-message bitmasks over virtual indices, not by pairs:
-``W[i]`` holds the virtuals that want message i and ``H[i]`` those that hold
-it.  Virtual p's row is ``(OR of W[i] over i in has_p) & H[want_p]``, the
-mutual-containment neighbors, OR-ed with ``W[want_p]`` unless strict, minus p
-itself.  Virtuals split from one receiver share their side information, so
-the OR is computed once per distinct ``has``.
+The arcs are bitmasks over virtual indices, built per message, not by pairs:
+``W[i]`` and ``H[i]`` hold the virtuals that want and that hold message i,
+and ``out[has]``, the OR of ``W[i]`` over i in ``has``, is taken once per
+distinct side information.  Virtual p's cross-neighbor row is
+``out[has_p] & H[want_p]``, OR-ed with ``W[want_p]`` unless strict, minus p.
 """
 
 from __future__ import annotations
@@ -94,6 +94,39 @@ def _raise_first_defect(rows: tuple[int, ...], k: int) -> None:
                 raise ValueError(f"adjacency not symmetric on ({p}, {q})")
 
 
+def side_information_arcs(u: UnicastInstance) -> tuple[dict, dict, dict]:
+    """``(W, H, out)``: message -> virtuals wanting it, message -> virtuals
+    holding it (no entry when none does), and side information -> the heads
+    of the arcs leaving each virtual that has it."""
+    wanted_by: dict[int, int] = {}
+    group: dict[frozenset[int], int] = {}  # has -> virtuals sharing it
+    for p, v in enumerate(u.virtuals):
+        wanted_by[v.want] = wanted_by.get(v.want, 0) | 1 << p
+        group[v.has] = group.get(v.has, 0) | 1 << p
+    held_by: dict[int, int] = {}
+    out: dict[frozenset[int], int] = {}
+    for has, members in group.items():
+        reach = 0
+        for i in has:
+            held_by[i] = held_by.get(i, 0) | members
+            reach |= wanted_by.get(i, 0)
+        out[has] = reach
+    return wanted_by, held_by, out
+
+
+def closure(rows: Sequence[int], frontier: int, within: int) -> int:
+    """``frontier`` and every vertex of ``within`` it reaches along the
+    bitmask ``rows`` without leaving ``within``."""
+    reached = frontier
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= rows[v]
+        frontier = reach & within & ~reached
+        reached |= frontier
+    return reached
+
+
 def build_cross_neighbor_graph(u: UnicastInstance, strict: bool = False) -> DerivedGraph:
     """Edge {p, q} iff the pair can share one XOR transmission.
 
@@ -101,45 +134,23 @@ def build_cross_neighbor_graph(u: UnicastInstance, strict: bool = False) -> Deri
     side info).  With ``strict=True`` only mutual containment counts, which
     makes two virtuals wanting the same message non-adjacent.
     """
-    virtuals = u.virtuals
-    wanted_by: dict[int, int] = {}  # W: message id -> virtuals wanting it
-    group: dict[frozenset[int], int] = {}  # has -> virtuals sharing it
-    for p, v in enumerate(virtuals):
-        wanted_by[v.want] = wanted_by.get(v.want, 0) | 1 << p
-        group[v.has] = group.get(v.has, 0) | 1 << p
-    held_by: dict[int, int] = {}  # H: message id -> virtuals holding it
-    wants_in: dict[frozenset[int], int] = {}  # has -> OR of W[i] over it
-    for has, members in group.items():
-        reach = 0
-        for i in has:
-            held_by[i] = held_by.get(i, 0) | members
-            reach |= wanted_by.get(i, 0)
-        wants_in[has] = reach
+    wanted_by, held_by, out = side_information_arcs(u)
     rows = []
-    for p, v in enumerate(virtuals):
-        row = wants_in[v.has] & held_by.get(v.want, 0)
+    for p, v in enumerate(u.virtuals):
+        row = out[v.has] & held_by.get(v.want, 0)
         if not strict:
             row |= wanted_by[v.want]
         rows.append(row & ~(1 << p))
-    return DerivedGraph(len(virtuals), tuple(rows))
+    return DerivedGraph(len(u.virtuals), tuple(rows))
 
 
 def connected_components(g: DerivedGraph) -> list[tuple[int, ...]]:
-    """Components as ascending vertex tuples, ordered by smallest member.
-
-    Each frontier is the OR of the previous frontier's adjacency rows, minus
-    the vertices the component already holds.
-    """
+    """Components as ascending vertex tuples, ordered by smallest member:
+    each is the closure of the lowest vertex no earlier component holds."""
     unseen = (1 << g.vertex_count) - 1
     components = []
     while unseen:
-        comp = frontier = unseen & -unseen
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= g.adjacency[v]
-            frontier = reach & ~comp
-            comp |= frontier
+        comp = closure(g.adjacency, unseen & -unseen, unseen)
         unseen &= ~comp
         components.append(tuple(_bits(comp)))
     return components

@@ -122,18 +122,27 @@ def _violations(n, receivers) -> list[str]:
         for label, ids in fields:
             for i in sorted(ids, key=_listing_key):
                 if type(i) is not int:
-                    out.append(f"receiver {j}: {label} contains non-integer id {i!r}")
+                    out.append(f"receiver {j}: {label} contains non-integer id {_id_text(i)}")
                 elif not 1 <= i <= n:
-                    out.append(f"receiver {j}: {label} id {i} out of range [1, {n}]")
-        overlap = r.wants & r.has
+                    out.append(f"receiver {j}: {label} id {_id_text(i)} out of range"
+                               f" [1, {_id_text(n)}]")
+        overlap = sorted(r.wants & r.has, key=_listing_key)
         if overlap:
-            out.append(f"receiver {j}: wants/has overlap on {sorted(overlap, key=_listing_key)}")
+            out.append(f"receiver {j}: wants/has overlap on [{', '.join(map(_id_text, overlap))}]")
     return out
 
 
 def _listing_key(i) -> tuple:
     """Ints ascending, then other ids by type and repr: never compares across types."""
-    return (0, i, "") if type(i) is int else (1, 0, f"{type(i).__name__} {i!r}")
+    return (0, i, "") if type(i) is int else (1, 0, f"{type(i).__name__} {_id_text(i)}")
+
+
+def _id_text(i) -> str:
+    """``repr(i)``, or the bit length of an int too long for Python to print."""
+    try:
+        return repr(i)
+    except ValueError:
+        return f"<{type(i).__name__} of {i.bit_length()} bits>"
 
 
 def _check_id_array(value, where: str) -> list[int]:
@@ -144,7 +153,7 @@ def _check_id_array(value, where: str) -> list[int]:
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValidationError(f"{where} contains non-integer entry {x!r}")
         if x in seen:
-            raise ValidationError(f"{where} contains duplicate id {x}")
+            raise ValidationError(f"{where} contains duplicate id {_id_text(x)}")
         seen.add(x)
     return list(value)
 
@@ -204,10 +213,9 @@ def instance_from_jsonable(data) -> Instance:
         raise ValidationError("'receivers' must be an array")
     try:
         return Instance(n, tuple(map(_receiver, raw_receivers)))
-    except (TypeError, ValueError, ValidationError):
-        # a receiver failed its C-speed tests, or the instance a rule (listing an
-        # odd id can also raise: unsortable, or too long to print).  The walk of
-        # every receiver names a structural defect before any violation
+    except (TypeError, ValidationError):
+        # a receiver failed its C-speed tests, or the instance a rule.  The walk
+        # of every receiver names a structural defect before any violation
         pass
     receivers = [_walked_receiver(entry, j) for j, entry in enumerate(raw_receivers, start=1)]
     return Instance(n, tuple(receivers))

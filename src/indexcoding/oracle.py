@@ -7,9 +7,10 @@ candidate encoder exactly once (e.g. 1395 subspaces for k=3, n=6 instead of
 2^18 matrices).  Decodability of a virtual (want d, side info S) is the rank
 test: e_d must lie in rowspace(E) + span{e_i : i in S}.
 
-The MAIS bound (maximum acyclic induced subgraph over virtuals with
-pairwise-distinct wants) lower-bounds every code, linear or not, and is used
-both to certify oracle outputs and to skip provably infeasible rates.
+The MAIS bound (maximum acyclic induced subgraph of the side-information
+digraph over virtuals with pairwise-distinct wants) lower-bounds every code,
+linear or not.  The rate search starts from it, skipping rates it proves
+infeasible; no step checks the oracle's answer against it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ValidationError
+from .graph import _bits, closure, side_information_arcs
 from .instance import UnicastInstance
 
 DEFAULT_ORACLE_N_CAP = 10
@@ -94,9 +96,12 @@ def iter_rref_rowspaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
     """Distinct (want, has_mask) pairs; duplicates cannot change feasibility."""
+    n = u.num_messages
     pairs = []
     seen = set()
     for v in u.virtuals:
+        if not 1 <= v.want <= n:
+            raise ValidationError(f"virtual {v.origin}: want {v.want} out of range [1, {n}]")
         mask = 0
         for i in v.has:
             mask |= 1 << (i - 1)
@@ -118,9 +123,11 @@ def min_linear_rate_gf2(
     Searches rates upward starting from a lower bound (lower rates are
     provably infeasible), enumerating all row spaces of each dimension.  The
     bound is ``lower_bound`` when given (a caller that has the MAIS bound
-    passes it, or 0 for none), else the MAIS bound at its default cap.  With
-    ``with_witness=True`` returns (rate, Gf2Matrix) instead, the witness
-    being the first feasible basis in enumeration order.
+    passes it, or 0 for none), else the MAIS bound at its default cap.
+    Returns the rate, an int from 0 to n, or with ``with_witness=True``
+    (rate, Gf2Matrix), the first feasible basis in enumeration order.
+    Raises ``CapExceeded`` for n above ``n_cap``, and ``ValidationError``
+    for a want outside [1, n] or a bound above n (else n unit vectors work).
     """
     n = u.num_messages
     if n > n_cap:
@@ -136,71 +143,40 @@ def min_linear_rate_gf2(
     for beta in range(max(1, lower_bound), n + 1):
         for rows in iter_rref_rowspaces(n, beta):
             if all(can_decode(rows, want, mask) for want, mask in receivers):
-                if with_witness:
-                    return beta, Gf2Matrix(rows, n)
-                return beta
-    return None
+                return (beta, Gf2Matrix(rows, n)) if with_witness else beta
+    # the n unit vectors decode every virtual, so only a bound above n gets here
+    raise ValidationError(f"lower bound {lower_bound} exceeds the {n} messages")
 
 
 def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
     """Largest acyclic set of virtuals with pairwise-distinct wants.
 
-    Arcs go p -> q when q's want sits in p's side information; an acyclic
-    witness of size t forces any code to spend t transmissions.  The search
-    walks want-groups (pick at most one virtual per want, never two: equal
-    wants can't both witness), pruning branches that close a directed cycle
-    or cannot beat the current best.
+    Acyclic means in the side-information digraph of ``graph.py``; such a
+    set of size t forces any code to spend t transmissions.  The search takes at
+    most one virtual per want-group (equal wants can't both witness) on an
+    explicit stack of (group, chosen mask) pairs, so no recursion limit
+    applies.  A new cycle must pass through candidate p, so p is admitted
+    unless the closure of its arcs into the chosen set reaches a holder of
+    its want.  Branches that cannot beat the best are cut.
     """
     k = len(u.virtuals)
     if k > cap:
         raise CapExceeded(f"MAIS cap exceeded ({k} virtuals > {cap})")
-    groups: dict[int, list[int]] = {}
-    for idx, v in enumerate(u.virtuals):
-        groups.setdefault(v.want, []).append(idx)
-    group_list = [groups[w] for w in sorted(groups)]
-    virtuals = u.virtuals
-
-    def arc(p: int, q: int) -> bool:
-        return virtuals[q].want in virtuals[p].has
-
-    def creates_cycle(chosen: list[int], new: int) -> bool:
-        # chosen is acyclic; a new cycle must pass through `new`
-        stack = [q for q in chosen if arc(new, q)]
-        seen = set(stack)
-        while stack:
-            v = stack.pop()
-            if arc(v, new):
-                return True
-            for q in chosen:
-                if q not in seen and arc(v, q):
-                    seen.add(q)
-                    stack.append(q)
-        return False
-
+    wanted_by, held_by, out_of = side_information_arcs(u)
+    out = [out_of[v.has] for v in u.virtuals]
+    groups = sorted(wanted_by.items())
     best = 0
-    chosen: list[int] = []
-
-    def search(group_idx: int) -> Iterator[int]:
-        nonlocal best
-        best = max(best, len(chosen))
-        if group_idx == len(group_list):
-            return
-        if len(chosen) + (len(group_list) - group_idx) <= best:
-            return
-        for cand in group_list[group_idx]:
-            if not creates_cycle(chosen, cand):
-                chosen.append(cand)
-                yield group_idx + 1
-                chosen.pop()
-        yield group_idx + 1
-
-    # an explicit stack of frames, one per distinct want: no recursion limit
-    stack = [search(0)]
+    stack = [(0, 0)]
     while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(search(child))
+        group, chosen = stack.pop()
+        size = chosen.bit_count()
+        best = max(best, size)
+        if size + len(groups) - group <= best:
+            continue
+        stack.append((group + 1, chosen))
+        want, members = groups[group]
+        into = held_by.get(want, 0)
+        for p in _bits(members):
+            if not closure(out, out[p] & chosen, chosen) & into:
+                stack.append((group + 1, chosen | 1 << p))
     return best
-

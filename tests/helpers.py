@@ -1,6 +1,7 @@
 """Builders and references the tests share: graphs by hand or at random, a
 split instance from (want, has) pairs, the graph-side clique-cover check that
-``scheme_from_cover``'s own check is tested against, and a naive GF(2) rate."""
+``scheme_from_cover``'s own check is tested against, a naive GF(2) rate, and
+a MAIS bound by subset enumeration."""
 
 import itertools
 import random
@@ -74,3 +75,31 @@ def naive_min_rate(n, pairs):
             if all(can_decode(rows, w, h) for w, h in pairs):
                 return beta
     raise AssertionError("identity rows must have succeeded")
+
+
+def mais_reference(u: UnicastInstance) -> int:
+    """Independent MAIS bound: the largest set of virtuals with pairwise-distinct
+    wants that is acyclic under p -> q when q's want is in p's side
+    information.  Tries every choice of one virtual for each of ``size`` wants,
+    largest size first, and tests it by peeling sinks."""
+    groups: dict[int, list[VirtualReceiver]] = {}
+    for v in u.virtuals:
+        groups.setdefault(v.want, []).append(v)
+    for size in range(len(groups), 0, -1):
+        for wants in itertools.combinations(groups.values(), size):
+            if any(_acyclic(chosen) for chosen in itertools.product(*wants)):
+                return size
+    return 0
+
+
+def _acyclic(chosen) -> bool:
+    """Remove the sinks (no remaining want in their side information) until
+    nothing is left, or nothing more is a sink: then a cycle remains."""
+    left = list(chosen)
+    while left:
+        wants = {v.want for v in left}
+        rest = [v for v in left if v.has & wants]
+        if len(rest) == len(left):
+            return False
+        left = rest
+    return True

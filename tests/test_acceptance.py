@@ -15,6 +15,7 @@ from indexcoding import (
     exact_min_cover,
     gap_report,
     greedy_cover,
+    mais_lower_bound,
     min_linear_rate_gf2,
     scheme_from_cover,
     split_groupcast,
@@ -25,7 +26,7 @@ from indexcoding.pipeline import SolveConfig, solve_instance
 from indexcoding.generate import random_instance
 from indexcoding.scheme import assign_transmissions
 
-from helpers import naive_min_rate, random_graph
+from helpers import mais_reference, naive_min_rate, random_graph, unicast_of
 from test_cover import brute_min_cover_size
 
 
@@ -143,6 +144,29 @@ def test_c6_oracle_matches_naive_matrix_enumeration():
                 assert min_linear_rate_gf2(u) == naive_min_rate(n, pairs), sides
                 checked += 1
         assert checked == 1 + 4 + 64
+
+
+def test_c8_mais_matches_subset_enumeration():
+    with criterion("C8 MAIS vs subset enumeration (n = 3 exhaustive, audit-gap sweep)", 60.0):
+        # every (want, has) of 3 messages; MAIS never reads n, so 3 covers 1 and 2
+        kinds = [
+            (w, has)
+            for w in (1, 2, 3)
+            for r in range(3)
+            for has in itertools.combinations([i for i in (1, 2, 3) if i != w], r)
+        ]
+        checked = 0
+        for k in range(1, 5):
+            for pairs in itertools.combinations_with_replacement(kinds, k):
+                u = unicast_of(3, pairs)
+                assert mais_lower_bound(u) == mais_reference(u), pairs
+                checked += 1
+        assert checked == 1819
+        # the audit-gap shape: 7 messages, at most 20 virtuals, dedup on and off
+        for seed in range(200):
+            u_full = split_groupcast(random_instance(7, 10, 0.4, (1, 2), seed=seed))
+            for u in (u_full, dedup(u_full)):
+                assert mais_lower_bound(u) == mais_reference(u), seed
 
 
 def test_c7_performance_budgets():

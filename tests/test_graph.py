@@ -19,6 +19,7 @@ from indexcoding import (
     verify_scheme_symbolic,
 )
 from indexcoding import graph as graph_module
+from indexcoding.graph import closure
 from indexcoding.instance import UnicastInstance
 from indexcoding.generate import random_instance
 
@@ -197,6 +198,20 @@ class TestBuild:
                     for v in part:
                         rest = wants - {u.virtuals[v].want}
                         assert rest <= u.virtuals[v].has
+
+
+class TestClosure:
+    def test_includes_frontier_and_respects_within(self):
+        # the directed path 0 -> 1 -> 2 -> 3, plus 3 -> 1
+        rows = [0b0010, 0b0100, 0b1000, 0b0010]
+        assert closure(rows, 0b0001, 0b1111) == 0b1111
+        assert closure(rows, 0b1000, 0b1111) == 0b1110
+        # a vertex without arcs out reaches only itself
+        assert closure([0, 0], 0b10, 0b11) == 0b10
+        # the walk never enters, nor passes through, a vertex outside within
+        assert closure(rows, 0b0001, 0b1011) == 0b0011
+        assert closure(rows, 0b0001, 0b0001) == 0b0001
+        assert closure(rows, 0, 0b1111) == 0
 
 
 class TestComponents:

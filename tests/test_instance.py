@@ -72,6 +72,12 @@ class TestParseValidate:
         with pytest.raises(ValidationError, match="duplicate"):
             parse_instance(text)
 
+    def test_huge_duplicate_id_rejected(self):
+        data = {"num_messages": 3, "receivers": [{"wants": [10**5000, 10**5000]}]}
+        with pytest.raises(ValidationError) as info:
+            instance_from_jsonable(data)
+        assert str(info.value) == "receiver 1: 'wants' contains duplicate id <int of 16610 bits>"
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):
             parse_instance('{"num_messages": 2, "receivers": [], "extra": 1}')
@@ -298,6 +304,10 @@ class TestParseEquivalence:
         ]
 
 
+class HugeInt(int):
+    """An int subclass, so an id of this type is listed by its ``repr``."""
+
+
 class TestValidateOnce:
     def test_parsed_instance_is_not_validated_again(self, monkeypatch):
         calls = []
@@ -347,6 +357,18 @@ class TestValidateOnce:
         (lambda: Instance(2, [Receiver.of({1}, {2})]), ["receivers must be a tuple, not list"]),
         (lambda: Instance(2, None), ["receivers must be a tuple, not NoneType"]),
         (lambda: Instance(2, (("a", "b"),)), ["receiver 1: must be a Receiver, not tuple"]),
+        # ints with more digits than Python prints are named by their bit length
+        (lambda: Instance.of(3, [({10**5000}, ())]),
+         ["receiver 1: wants id <int of 16610 bits> out of range [1, 3]"]),
+        (lambda: Instance.of(3, [({HugeInt(10**5000), "a"}, ())]),
+         ["receiver 1: wants contains non-integer id <HugeInt of 16610 bits>",
+          "receiver 1: wants contains non-integer id 'a'"]),
+        (lambda: Instance.of(10**5000, [({0}, ())]),
+         ["receiver 1: wants id 0 out of range [1, <int of 16610 bits>]"]),
+        (lambda: Instance.of(3, [({10**5000}, {10**5000})]),
+         ["receiver 1: wants id <int of 16610 bits> out of range [1, 3]",
+          "receiver 1: has id <int of 16610 bits> out of range [1, 3]",
+          "receiver 1: wants/has overlap on [<int of 16610 bits>]"]),
     ])
     def test_hand_built_instance_raises_every_violation(self, build, violations):
         with pytest.raises(ValidationError) as info:

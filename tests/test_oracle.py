@@ -2,6 +2,7 @@ import pytest
 
 from indexcoding import (
     CapExceeded,
+    ValidationError,
     build_cross_neighbor_graph,
     dedup,
     exact_min_cover,
@@ -14,6 +15,7 @@ from indexcoding import (
 from indexcoding import oracle as oracle_module
 from indexcoding import pipeline as pipeline_module
 from indexcoding.generate import random_instance
+from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.oracle import can_decode, gf2_basis, iter_rref_rowspaces
 from indexcoding.pipeline import SolveConfig
 
@@ -90,6 +92,16 @@ class TestMinLinearRate:
         u = dedup(split_groupcast(cycle3))
         assert [min_linear_rate_gf2(u, lower_bound=b) for b in (0, 1, 2)] == [2, 2, 2]
 
+    def test_undecodable_input_raises(self, cycle3):
+        # a want above n, held as side information: no rate decodes it
+        u = UnicastInstance(3, (VirtualReceiver(5, frozenset({5}), (1, 1)),))
+        with pytest.raises(ValidationError, match=r"virtual \(1, 1\): want 5 out of range \[1, 3\]"):
+            min_linear_rate_gf2(u)
+        # the n unit vectors decode every valid input, so no bound exceeds n
+        with pytest.raises(ValidationError, match="lower bound 4 exceeds the 3 messages"):
+            min_linear_rate_gf2(dedup(split_groupcast(cycle3)), lower_bound=4)
+        assert min_linear_rate_gf2(dedup(split_groupcast(cycle3)), lower_bound=3) == 3
+
     def test_witness_decodes_every_virtual(self):
         for seed in range(20):
             inst = random_instance(5, 5, 0.5, (1, 2), seed=seed)
@@ -137,6 +149,11 @@ class TestMais:
     def test_duplicate_wants_never_count_twice(self):
         u = unicast_of(2, [(1, ()), (1, ()), (2, ())])
         assert mais_lower_bound(u) == 2
+
+    def test_self_loop_is_not_a_cycle(self):
+        # no Instance splits into this; the search never meets p -> p
+        u = UnicastInstance(3, (VirtualReceiver(5, frozenset({5}), (1, 1)),))
+        assert mais_lower_bound(u) == 1
 
     def test_cap(self):
         u = unicast_of(3, [(1, ())] * 21)
