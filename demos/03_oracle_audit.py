@@ -38,8 +38,8 @@ cycle3 = parse_instance((INSTANCES / "cycle3.json").read_text())
 u = dedup(split_groupcast(cycle3))
 rate, witness = min_linear_rate_gf2(u, with_witness=True)
 print(f"\ncycle3 optimal rate {rate}, witness rows (bit i = message i+1):")
-for row in witness.rows:
-    terms = [f"w{i + 1}" for i in range(witness.num_cols) if (row >> i) & 1]
+for row in witness:
+    terms = [f"w{i + 1}" for i in range(u.num_messages) if (row >> i) & 1]
     print("  " + " + ".join(terms))
 
 # (3) A random batch: gaps are rare but the sandwich always holds.

@@ -26,7 +26,7 @@ from .instance import (
     serialize_instance,
     split_groupcast,
 )
-from .oracle import Gf2Matrix, mais_lower_bound, min_linear_rate_gf2
+from .oracle import mais_lower_bound, min_linear_rate_gf2
 from .pipeline import RateReport, gap_report
 from .scheme import (
     CodingScheme,
@@ -46,7 +46,6 @@ __all__ = [
     "CliqueCover",
     "CodingScheme",
     "DerivedGraph",
-    "Gf2Matrix",
     "IndexCodingError",
     "Instance",
     "RateReport",

@@ -72,15 +72,23 @@ def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCove
             f"exact cover cap exceeded (component of {largest} vertices > {cap}); "
             "use greedy_cover"
         )
-    parts: list[tuple[int, ...]] = []
+    adj, parts = g.adjacency, []
     for comp in components:
+        # relabel the component 0..len(comp)-1 in ascending order; it is closed
+        # under adjacency, so every neighbor has a label
+        local = {v: i for i, v in enumerate(comp)}
         full = (1 << len(comp)) - 1
-        rows = g.induced_subgraph(comp).adjacency
-        complement = [full & ~row & ~(1 << v) for v, row in enumerate(rows)]
+        complement = []
+        for i, v in enumerate(comp):
+            row = 0
+            for u in _bits(adj[v]):
+                row |= 1 << local[u]
+            complement.append(full & ~row & ~(1 << i))
+        # color classes fill in ascending vertex order, so each part is sorted
         classes: dict[int, list[int]] = {}
-        for local, color in enumerate(_exact_coloring(len(comp), complement)):
-            classes.setdefault(color, []).append(comp[local])
-        parts.extend(tuple(sorted(part)) for part in classes.values())
+        for v, color in zip(comp, _exact_coloring(len(comp), complement)):
+            classes.setdefault(color, []).append(v)
+        parts.extend(map(tuple, classes.values()))
     return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
 
 

@@ -45,18 +45,6 @@ class DerivedGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(p, q) for p in range(self.vertex_count) for q in _bits(self.adjacency[p]) if p < q]
 
-    def induced_subgraph(self, vertices: Sequence[int]) -> "DerivedGraph":
-        """Subgraph on the given vertices, relabelled 0..k-1 in the given order."""
-        index = {v: i for i, v in enumerate(vertices)}
-        rows = []
-        for v in vertices:
-            row = 0
-            for u in _bits(self.adjacency[v]):
-                if u in index:
-                    row |= 1 << index[u]
-            rows.append(row)
-        return DerivedGraph(len(vertices), tuple(rows))
-
 
 def _bits(mask: int) -> Iterator[int]:
     while mask:

@@ -15,24 +15,15 @@ infeasible; no step checks the oracle's answer against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, ValidationError
 from .graph import _bits, closure, side_information_arcs
-from .instance import UnicastInstance
+from .instance import UnicastInstance, _id_text
 
 DEFAULT_ORACLE_N_CAP = 10
 DEFAULT_MAIS_CAP = 20
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Rows are n-column GF(2) bit vectors packed into ints (bit i = column i)."""
-
-    rows: tuple[int, ...]
-    num_cols: int
 
 
 def gf2_reduce(vec: int, basis: dict[int, int]) -> int:
@@ -95,15 +86,23 @@ def iter_rref_rowspaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
-    """Distinct (want, has_mask) pairs; duplicates cannot change feasibility."""
+    """Distinct (want, has_mask) pairs; duplicates cannot change feasibility.
+    Raises ``ValidationError`` naming the virtual for a want or a
+    side-information id that is not an int in [1, n]."""
     n = u.num_messages
     pairs = []
     seen = set()
     for v in u.virtuals:
-        if not 1 <= v.want <= n:
-            raise ValidationError(f"virtual {v.origin}: want {v.want} out of range [1, {n}]")
+        if type(v.want) is not int or not 1 <= v.want <= n:
+            raise ValidationError(
+                f"virtual {v.origin}: want {_id_text(v.want)} out of range [1, {n}]"
+            )
         mask = 0
         for i in v.has:
+            if type(i) is not int or not 1 <= i <= n:
+                raise ValidationError(
+                    f"virtual {v.origin}: has id {_id_text(i)} out of range [1, {n}]"
+                )
             mask |= 1 << (i - 1)
         key = (v.want, mask)
         if key not in seen:
@@ -125,16 +124,17 @@ def min_linear_rate_gf2(
     bound is ``lower_bound`` when given (a caller that has the MAIS bound
     passes it, or 0 for none), else the MAIS bound at its default cap.
     Returns the rate, an int from 0 to n, or with ``with_witness=True``
-    (rate, Gf2Matrix), the first feasible basis in enumeration order.
+    (rate, rows): the first feasible basis in enumeration order, a tuple of
+    n-bit ints (bit i = message i + 1), empty when nothing is wanted.
     Raises ``CapExceeded`` for n above ``n_cap``, and ``ValidationError``
-    for a want outside [1, n] or a bound above n (else n unit vectors work).
+    for an id outside [1, n] or a bound above n (else n unit vectors work).
     """
     n = u.num_messages
     if n > n_cap:
         raise CapExceeded(f"oracle cap exceeded ({n} messages > {n_cap})")
     receivers = _virtual_masks(u)
     if not receivers:
-        return (0, Gf2Matrix((), n)) if with_witness else 0
+        return (0, ()) if with_witness else 0
     if lower_bound is None:
         try:
             lower_bound = mais_lower_bound(u)
@@ -143,7 +143,7 @@ def min_linear_rate_gf2(
     for beta in range(max(1, lower_bound), n + 1):
         for rows in iter_rref_rowspaces(n, beta):
             if all(can_decode(rows, want, mask) for want, mask in receivers):
-                return (beta, Gf2Matrix(rows, n)) if with_witness else beta
+                return (beta, rows) if with_witness else beta
     # the n unit vectors decode every virtual, so only a bound above n gets here
     raise ValidationError(f"lower bound {lower_bound} exceeds the {n} messages")
 

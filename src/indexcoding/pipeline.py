@@ -1,7 +1,9 @@
 """The solver pipeline: split, dedup, cross-neighbor graph, clique cover, scheme.
 
-The only module that chains the stages: every command builds its graph once
-through :func:`prepare` and picks its cover through :func:`pick_cover`.
+It chains the stages for ``solve``, ``gap`` and ``export-dot``: each builds
+its graph once through :func:`prepare` and picks its cover through
+:func:`pick_cover`.  ``verify`` needs no graph or cover, so the CLI splits,
+assigns and runs the random trials itself.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Builders and references the tests share: graphs by hand or at random, a
-split instance from (want, has) pairs, the graph-side clique-cover check that
-``scheme_from_cover``'s own check is tested against, a naive GF(2) rate, and
-a MAIS bound by subset enumeration."""
+"""Builders and references the tests share: graphs by hand, at random or
+induced on a vertex subset, a split instance from (want, has) pairs, the
+graph-side clique-cover check that ``scheme_from_cover``'s own check is
+tested against, a naive GF(2) rate, and a MAIS bound by subset enumeration."""
 
 import itertools
 import random
@@ -18,6 +18,19 @@ def graph_from_edges(vertex_count: int, edges) -> DerivedGraph:
         rows[p] |= 1 << q
         rows[q] |= 1 << p
     return DerivedGraph(vertex_count, tuple(rows))
+
+
+def induced_subgraph(g: DerivedGraph, vertices) -> DerivedGraph:
+    """Subgraph on the given vertices, relabelled 0..k-1 in the given order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = []
+    for v in vertices:
+        row = 0
+        for u in range(g.vertex_count):
+            if (g.adjacency[v] >> u) & 1 and u in index:
+                row |= 1 << index[u]
+        rows.append(row)
+    return DerivedGraph(len(vertices), tuple(rows))
 
 
 def random_graph(num_vertices: int, edge_density: float, seed: int = 0) -> DerivedGraph:

@@ -603,14 +603,34 @@ verify_argv = st.tuples(
     st.integers(-1, 70).map(lambda w: ["--word-width", str(w)]),
     st.integers(-1, 3).map(lambda s: ["--seed", str(s)]),
 )
+small_cap = st.integers(-1, 8).map(str)
 gap_argv = st.tuples(
     st.just("gap"), st.sampled_from([[], ["--no-dedup"], ["--strict-cross-neighbor"]]),
     cap.map(lambda c: ["--exact-cap", c]),
+    small_cap.map(lambda c: ["--oracle-cap", c]),
+    small_cap.map(lambda c: ["--mais-cap", c]),
+)
+export_dot_argv = st.tuples(
+    st.just("export-dot"), st.sampled_from([["--variant", v] for v in ("bipartite", "derived")]),
+    st.sampled_from([[], ["--overlay-cover"]]),
+    st.sampled_from([["--solver", s] for s in ("exact", "greedy", "auto")]),
+    cap.map(lambda c: ["--exact-cap", c]),
+)
+# hostile sizes stay fast: any draw count over the cap is refused before drawing
+gen_size = st.sampled_from(["1", "2", "6"]) | st.sampled_from(["-1", "0", str(10**12)])
+gen_argv = st.tuples(
+    st.just("gen"), gen_size.map(lambda n: ["-n", n]), gen_size.map(lambda m: ["-m", m]),
+    (st.sampled_from(["0", "0.5", "1"]) | st.sampled_from(["-0.5", "1.5", "nan", "inf"]))
+    .map(lambda p: ["-p", p]),
+    st.just([]) | gen_size.map(lambda d: ["--demand-min", d]),
+    st.just([]) | gen_size.map(lambda d: ["--demand-max", d]),
+    st.sampled_from(["-1", "0", "3"]).map(lambda s: ["--seed", s]),
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.one_of(solve_argv, verify_argv, gap_argv), instance_bytes, scheme_bytes)
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(solve_argv, verify_argv, gap_argv, export_dot_argv, gen_argv),
+       instance_bytes, scheme_bytes)
 def test_any_input_ends_in_an_exit_code(command, instance, scheme):
     name, *flags = command
     with tempfile.TemporaryDirectory() as tmp:
@@ -618,7 +638,7 @@ def test_any_input_ends_in_an_exit_code(command, instance, scheme):
         for path, data in zip(paths, (instance, scheme)):
             with open(path, "wb") as fh:
                 fh.write(data)
-        files = paths if name == "verify" else paths[:1]
+        files = {"verify": paths, "gen": []}.get(name, paths[:1])
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main([name, *files, *(arg for flag in flags for arg in flag)])

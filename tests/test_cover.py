@@ -19,7 +19,7 @@ from indexcoding import (
 from indexcoding.cover import _exact_coloring
 from indexcoding.generate import random_instance
 
-from helpers import graph_from_edges, random_graph, verify_cover
+from helpers import graph_from_edges, induced_subgraph, random_graph, verify_cover
 
 
 def set_partitions(items):
@@ -54,6 +54,19 @@ def disjoint_union(graphs):
         edges += [(p + offset, q + offset) for p, q in g.edges()]
         offset += g.vertex_count
     return graph_from_edges(offset, edges)
+
+
+def per_component_parts(g: DerivedGraph, cap: int):
+    """Reference exact parts: each component covered as its own induced
+    subgraph, mapped back to g's vertices and sorted by smallest member."""
+    return tuple(sorted(
+        (
+            tuple(comp[v] for v in part)
+            for comp in connected_components(g)
+            for part in exact_min_cover(induced_subgraph(g, comp), cap=cap).parts
+        ),
+        key=lambda part: part[0],
+    ))
 
 
 def first_fit_scan_parts(g: DerivedGraph):
@@ -131,18 +144,9 @@ class TestExact:
                 random_graph(1 + (seed + i) % 6, 0.6, seed=400 + 10 * seed + i)
                 for i in range(10)
             )
-            comps = connected_components(g)
-            largest = max(map(len, comps))
+            largest = max(map(len, connected_components(g)))
             assert g.vertex_count > largest
-            expected = sorted(
-                (
-                    tuple(comp[v] for v in part)
-                    for comp in comps
-                    for part in exact_min_cover(g.induced_subgraph(comp), cap=largest).parts
-                ),
-                key=lambda part: part[0],
-            )
-            assert exact_min_cover(g, cap=largest).parts == tuple(expected)
+            assert exact_min_cover(g, cap=largest).parts == per_component_parts(g, largest)
 
     def test_component_over_cap_raises(self):
         g = disjoint_union([random_graph(2, 1.0), random_graph(5, 0.9, seed=1),
@@ -163,10 +167,22 @@ class TestExact:
             g = random_graph(10, 0.3, seed=200 + seed)
             total = exact_min_cover(g).size
             by_component = sum(
-                exact_min_cover(g.induced_subgraph(comp)).size
+                exact_min_cover(induced_subgraph(g, comp)).size
                 for comp in connected_components(g)
             )
             assert total == by_component
+
+    def test_builds_no_graph_per_component(self, monkeypatch):
+        g = disjoint_union([random_graph(4, 0.3, seed=1), random_graph(5, 0.5, seed=2),
+                            random_graph(3, 1.0)])
+        assert len(connected_components(g)) > 1
+        calls = []
+        check = DerivedGraph.__post_init__
+        monkeypatch.setattr(DerivedGraph, "__post_init__",
+                            lambda graph: calls.append(graph) or check(graph))
+        cover = exact_min_cover(g)
+        assert calls == []
+        assert verify_cover(g, cover) is None
 
 
 class TestGreedy:
@@ -263,3 +279,7 @@ class TestCoverOrder:
             for g in cover_order_corpus()
         ]
         assert hashlib.sha256(json.dumps(parts).encode()).hexdigest() == self.DIGEST
+
+    def test_exact_parts_match_per_component_reference(self):
+        for g in cover_order_corpus():
+            assert exact_min_cover(g, cap=64).parts == per_component_parts(g, 64)

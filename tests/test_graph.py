@@ -23,7 +23,7 @@ from indexcoding.graph import closure
 from indexcoding.instance import UnicastInstance
 from indexcoding.generate import random_instance
 
-from helpers import graph_from_edges, random_graph, unicast_of
+from helpers import graph_from_edges, induced_subgraph, random_graph, unicast_of
 
 
 def neighbour_walk_components(g):
@@ -238,7 +238,7 @@ class TestComponents:
 
     def test_induced_subgraph_relabels(self):
         g = graph_from_edges(5, [(0, 2), (2, 4), (1, 3)])
-        sub = g.induced_subgraph((0, 2, 4))
+        sub = induced_subgraph(g, (0, 2, 4))
         assert sub.vertex_count == 3
         assert set(sub.edges()) == {(0, 1), (1, 2)}
 

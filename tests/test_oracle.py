@@ -102,15 +102,30 @@ class TestMinLinearRate:
             min_linear_rate_gf2(dedup(split_groupcast(cycle3)), lower_bound=4)
         assert min_linear_rate_gf2(dedup(split_groupcast(cycle3)), lower_bound=3) == 3
 
+    @pytest.mark.parametrize("has", [0, 7, -2, True, "a", 10**5000],
+                             ids=["0", "7", "-2", "True", "str", "5000-digit"])
+    def test_side_information_id_out_of_range_raises(self, has):
+        u = UnicastInstance(3, (VirtualReceiver(1, frozenset({2}), (1, 1)),
+                                VirtualReceiver(1, frozenset({has}), (2, 1))))
+        with pytest.raises(ValidationError, match=r"virtual \(2, 1\): has id .* out of range \[1, 3\]"):
+            min_linear_rate_gf2(u)
+
+    @pytest.mark.parametrize("want", ["a", True, None], ids=["str", "True", "None"])
+    def test_want_that_is_not_an_int_raises(self, want):
+        u = UnicastInstance(3, (VirtualReceiver(want, frozenset({2}), (1, 1)),))
+        with pytest.raises(ValidationError, match=r"virtual \(1, 1\): want .* out of range \[1, 3\]"):
+            min_linear_rate_gf2(u)
+
     def test_witness_decodes_every_virtual(self):
         for seed in range(20):
             inst = random_instance(5, 5, 0.5, (1, 2), seed=seed)
             u = dedup(split_groupcast(inst))
-            result = min_linear_rate_gf2(u, with_witness=True)
-            rate, witness = result
-            assert len(witness.rows) == rate
+            rate, witness = min_linear_rate_gf2(u, with_witness=True)
+            assert type(witness) is tuple and len(witness) == rate
+            assert all(type(row) is int and 0 < row < 1 << u.num_messages for row in witness)
             for v in u.virtuals:
-                assert can_decode(witness.rows, v.want, mask(v.has))
+                assert can_decode(witness, v.want, mask(v.has))
+        assert min_linear_rate_gf2(UnicastInstance(3, ()), with_witness=True) == (0, ())
 
     def test_matches_naive_enumeration_spot_checks(self):
         for seed in range(15):
