@@ -19,7 +19,7 @@ from .errors import CapExceeded, ValidationError
 from .generate import random_instance
 from .graph import bipartite_dot, derived_dot
 from .instance import Instance, parse_instance, serialize_instance, split_groupcast
-from .jsontext import dumps
+from .jsontext import Entries, dumps
 from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
 from .pipeline import SolveConfig, gap_report, pick_cover, prepare, solve_instance
 from .scheme import (
@@ -85,10 +85,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "transmissions": [list(t) for t in outcome.scheme.transmissions],
             "solver": outcome.solver_used,
             "dedup": config.dedup,
-            "assignments": [
-                {"origin": list(origin), "want": want, "transmission": t}
-                for origin, want, t in outcome.assignments
-            ],
+            "assignments": Entries(outcome.assignments),
         }
     )
     return EXIT_OK
@@ -116,10 +113,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(report)
         return EXIT_VERIFY
     failure = _random_trials(u, scheme, assigned, args.trials, args.seed, args.word_width)
-    report["virtuals"] = [
-        {"origin": list(v.origin), "want": v.want, "transmission": assigned[i]}
-        for i, v in enumerate(u.virtuals)
-    ]
+    report["virtuals"] = Entries([(v.origin, v.want, t) for v, t in zip(u.virtuals, assigned)])
     report.update(
         {
             "random_ok": failure is None,

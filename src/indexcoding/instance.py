@@ -244,7 +244,7 @@ def split_groupcast(inst: Instance) -> UnicastInstance:
     virtuals = []
     for j, r in enumerate(inst.receivers, start=1):
         for k, want in enumerate(sorted(r.wants), start=1):
-            virtuals.append(VirtualReceiver(want=want, has=r.has, origin=(j, k)))
+            virtuals.append(VirtualReceiver(want, r.has, (j, k)))
     return UnicastInstance(inst.num_messages, tuple(virtuals))
 
 

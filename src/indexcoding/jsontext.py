@@ -2,23 +2,34 @@
 
 Given an indent, ``json.dumps`` cannot use the C encoder and formats every
 value in Python.  The bulk of the command outputs is lists of ints (id arrays
-and transmissions) and ``{"origin", "want", "transmission"}`` entries, so
-those are formatted here directly, a list of such entries from one ``%``
-template.  Any other value goes through ``json.dumps`` and is re-indented to
-its depth, which is exact because encoded JSON holds no raw newline.
+and transmissions) and lists of ``{"origin", "want", "transmission"}``
+entries, so those are formatted here directly.  The entries come as
+:class:`Entries`, the ``(origin, want, transmission)`` rows the caller already
+holds, and are written from one ``%`` template filled with their ints.  Any
+other value goes through ``json.dumps`` and is re-indented to its depth,
+which is exact because encoded JSON holds no raw newline.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Sequence
 
 from .errors import ValidationError
 
 _INT_ONLY = frozenset((int,))
 _STR_ONLY = frozenset((str,))
-_ENTRY_KEYS = ("origin", "want", "transmission")
 _LITERALS = {None: "null", True: "true", False: "false"}
+
+
+@dataclass(frozen=True, slots=True)
+class Entries:
+    """The array ``[{"origin": [a, b], "want": w, "transmission": t}, ...]``
+    held as its rows ``((a, b), w, t)``, each an exact int."""
+
+    rows: Sequence[tuple[tuple[int, int], int, int]]
 
 
 def loads(text: str):
@@ -31,7 +42,8 @@ def loads(text: str):
 
 
 def dumps(value) -> str:
-    """``json.dumps(value, indent=2)`` for an acyclic value."""
+    """``json.dumps(value, indent=2)`` for an acyclic value, in which
+    :class:`Entries` stands for the list of entry objects it holds."""
     return _dump(value, "\n")
 
 
@@ -45,13 +57,15 @@ def _dump(value, nl: str) -> str:
     if t is bool or value is None:
         return _LITERALS[value]
     inner = nl + "  "
+    if t is Entries:
+        rows = value.rows
+        if not rows:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_entry(inner)] * len(rows)) % _row_ints(rows)}{nl}]"
     if t is list and value:
         if _INT_ONLY.issuperset(map(type, value)):
             # repr of an int list is its ids joined by ", ", built in C
             return f"[{inner}{repr(value)[1:-1].replace(', ', ',' + inner)}{nl}]"
-        entries = _entry_ints(value)
-        if entries is not None:
-            return f"[{inner}{(',' + inner).join([_entry(inner)] * len(value)) % entries}{nl}]"
         return f"[{inner}{(',' + inner).join([_dump(v, inner) for v in value])}{nl}]"
     if t is dict and value and _STR_ONLY.issuperset(map(type, value)):
         items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in value.items()]
@@ -68,18 +82,17 @@ def _entry(nl: str) -> str:
             f'{inner}"want": %d,{inner}"transmission": %d{nl}}}')
 
 
-def _entry_ints(value: list) -> tuple[int, ...] | None:
-    """The origin pair, want and transmission of each item of ``value``, in
-    order, when every item is an entry ``{"origin": [a, b], "want": w,
-    "transmission": t}`` of exact ints with its keys in that order; else None."""
-    flat = []
-    for item in value:
-        if type(item) is not dict or tuple(item) != _ENTRY_KEYS:
-            return None
-        origin, want, sent = item.values()
-        if type(origin) is not list or len(origin) != 2:
-            return None
-        flat += origin
-        flat.append(want)
-        flat.append(sent)
-    return tuple(flat) if _INT_ONLY.issuperset(map(type, flat)) else None
+def _row_ints(rows: Sequence) -> tuple[int, ...]:
+    """The template's ints for ``rows``, four per row, interleaved by slice
+    assignment from the rows' columns.  Raises ``TypeError`` unless every row
+    is ``((a, b), w, t)`` of exact ints: ``%d`` would write a bool or a float
+    as an int."""
+    if {3}.issuperset(map(len, rows)):
+        origins, wants, sent = zip(*rows)
+        if {2}.issuperset(map(len, origins)):
+            firsts, seconds = zip(*origins)
+            flat = [0] * (4 * len(rows))
+            flat[0::4], flat[1::4], flat[2::4], flat[3::4] = firsts, seconds, wants, sent
+            if _INT_ONLY.issuperset(map(type, flat)):
+                return tuple(flat)
+    raise TypeError("entry rows must be ((int, int), int, int) of exact ints")

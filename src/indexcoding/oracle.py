@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, ValidationError
-from .graph import _bits, closure, side_information_arcs
-from .instance import UnicastInstance, _id_text
+from .graph import _bits, _raise_bad_id, closure, side_information_arcs
+from .instance import UnicastInstance
 
 DEFAULT_ORACLE_N_CAP = 10
 DEFAULT_MAIS_CAP = 20
@@ -94,15 +94,11 @@ def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
     seen = set()
     for v in u.virtuals:
         if type(v.want) is not int or not 1 <= v.want <= n:
-            raise ValidationError(
-                f"virtual {v.origin}: want {_id_text(v.want)} out of range [1, {n}]"
-            )
+            _raise_bad_id(u)
         mask = 0
         for i in v.has:
             if type(i) is not int or not 1 <= i <= n:
-                raise ValidationError(
-                    f"virtual {v.origin}: has id {_id_text(i)} out of range [1, {n}]"
-                )
+                _raise_bad_id(u)
             mask |= 1 << (i - 1)
         key = (v.want, mask)
         if key not in seen:

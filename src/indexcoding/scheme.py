@@ -4,16 +4,22 @@ Each transmission is the XOR of a set of messages over GF(2)^w words.  A
 virtual receiver decodes transmission T when T holds its want and it holds
 every other summand of T: XOR-ing the received word with its
 side-information words for those summands cancels them exactly.
-``_others`` is the one statement of that rule, and every check and decode
-reads it.  Message words are one mapping from 1-based message id to int
-word, shared by ``encode``, ``decode_receiver`` and the randomized check.
+``_decode_sets`` is the one statement of that rule, and every check and
+decode reads it.  It is built once per transmission, one set per summand
+that some virtual wants, so the checks over many virtuals are one
+``has.issuperset`` test each, and a long transmission costs its length per
+wanted summand, not its length squared.  Message words are one mapping from
+1-based message id to int word, shared by ``encode``, ``decode_receiver`` and
+the randomized check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain
+from operator import attrgetter, eq
+from typing import Iterable, Mapping
 
 from .cover import CliqueCover
 from .errors import ValidationError
@@ -24,6 +30,7 @@ DEFAULT_WORD_WIDTH = 64
 # trials per bit-sliced pass: at 64-bit words, 8 KiB per wide word whatever the
 # trial count
 TRIAL_BLOCK = 1024
+_want = attrgetter("want")
 
 
 @dataclass(frozen=True)
@@ -48,11 +55,16 @@ class TrialFailure:
     got: int
 
 
-def _others(t: tuple[int, ...], i: int) -> frozenset[int] | None:
+def _decode_sets(
+    t: tuple[int, ...], wants: Iterable[int] | None = None
+) -> dict[int, frozenset[int]]:
     """The decode rule: a virtual wanting ``i`` decodes transmission ``t``
-    exactly when this is not None and its ``has`` is a superset of it, the
-    summands of ``t`` other than ``i``."""
-    return frozenset(t).difference((i,)) if i in t else None
+    exactly when ``i`` is a key of this map and the virtual's ``has`` is a
+    superset of its value, the summands of ``t`` other than ``i``.  The keys
+    are the summands of ``t``, or only those in ``wants`` when it is given."""
+    summands = frozenset(t)
+    keys = t if wants is None else summands.intersection(wants)
+    return {i: summands.difference((i,)) for i in keys}
 
 
 def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
@@ -66,14 +78,16 @@ def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
     want of its part, which is XOR decodability (a non-strict graph clique).
     """
     k = len(u.virtuals)
-    if not all(c.parts) or sorted(v for part in c.parts for v in part) != list(range(k)):
+    if not all(c.parts) or sorted(chain.from_iterable(c.parts)) != list(range(k)):
         raise ValidationError(f"invalid cover: not a partition of 0..{k - 1} into nonempty parts")
+    virtuals = u.virtuals
     transmissions = []
     for t, part in enumerate(c.parts):
-        wants = tuple(sorted({u.virtuals[v].want for v in part}))
-        for v in part:
-            r = u.virtuals[v]
-            if not r.has.issuperset(_others(wants, r.want)):
+        members = list(map(virtuals.__getitem__, part))
+        wants = tuple(sorted(set(map(_want, members))))
+        decode = _decode_sets(wants)
+        for v, r in zip(part, members):
+            if not r.has.issuperset(decode[r.want]):
                 lacking = [i for i in wants if i != r.want and i not in r.has]
                 raise ValidationError(f"invalid cover: part {t}: virtual {v} lacks {lacking}")
         transmissions.append(wants)
@@ -112,7 +126,7 @@ def decode_receiver(
         raise ValidationError(f"transmission {t} out of range [0, {s.rate})")
     if len(received) < s.rate:
         raise ValidationError(f"received {len(received)} words for {s.rate} transmissions")
-    others = _others(s.transmissions[t], v.want)
+    others = _decode_sets(s.transmissions[t], (v.want,)).get(v.want)
     if others is None or not v.has.issuperset(others):
         raise ValidationError(f"virtual {v.origin} not decodable from transmission {t}")
     missing = others.difference(side_words)
@@ -126,14 +140,22 @@ def decode_receiver(
 
 def assign_transmissions(u: UnicastInstance, s: CodingScheme) -> list[int | None]:
     """First decodable transmission per virtual, None where none qualifies."""
-    # message id -> (index, other summands) of each transmission holding it, in order
+    # message id -> (index, other summands) of each transmission holding it, in
+    # order; only for wanted ids, so a long transmission costs its length per want
+    wanted = set(map(_want, u.virtuals))
     holding: dict[int, list[tuple[int, frozenset[int]]]] = {}
     for idx, t in enumerate(s.transmissions):
-        for i in t:
-            holding.setdefault(i, []).append((idx, _others(t, i)))
-    return [next((idx for idx, others in holding.get(v.want, ()) if v.has.issuperset(others)),
-                 None)
-            for v in u.virtuals]
+        for i, others in _decode_sets(t, wanted).items():
+            holding.setdefault(i, []).append((idx, others))
+    assigned: list[int | None] = []
+    for v in u.virtuals:
+        for idx, others in holding.get(v.want, ()):
+            if v.has.issuperset(others):
+                assigned.append(idx)
+                break
+        else:
+            assigned.append(None)
+    return assigned
 
 
 def verify_scheme_symbolic(u: UnicastInstance, s: CodingScheme) -> list[int]:
@@ -189,10 +211,9 @@ def _random_trials(
     None, so every virtual holds the other summands it XORs out);
     ``trials`` and ``word_width`` keep :func:`_check_trials`."""
     sent = sorted({i for t in s.transmissions for i in t})
-    # one set per (transmission, want) pair: many virtuals share a pair
-    keys = [(t, v.want) for v, t in zip(u.virtuals, assigned)]
-    others = {key: _others(s.transmissions[key[0]], key[1]) for key in set(keys)}
-    cancel = [others[key] for key in keys]
+    wanted = set(map(_want, u.virtuals))
+    decode = [_decode_sets(t, wanted) for t in s.transmissions]
+    cancel = [decode[t][v.want] for v, t in zip(u.virtuals, assigned)]
     rng = random.Random(seed)
     mask = (1 << word_width) - 1
     for start in range(0, trials, TRIAL_BLOCK):
@@ -232,7 +253,9 @@ def parse_scheme(text: str, num_messages: int) -> CodingScheme:
     raw = data["transmissions"]
     if not isinstance(raw, list):
         raise ValidationError("'transmissions' must be an array")
-    transmissions = [_transmission(entry, t_idx) for t_idx, entry in enumerate(raw)]
+    transmissions = _bulk_transmissions(raw)
+    if transmissions is None:
+        transmissions = [_transmission(entry, t_idx) for t_idx, entry in enumerate(raw)]
     if "rate" in data:
         rate = data["rate"]
         if not isinstance(rate, int) or isinstance(rate, bool):
@@ -245,6 +268,20 @@ def parse_scheme(text: str, num_messages: int) -> CodingScheme:
     if max_id > num_messages:
         raise ValidationError(f"message id {max_id} out of range [1, {num_messages}]")
     return CodingScheme(num_messages, tuple(transmissions))
+
+
+def _bulk_transmissions(raw: list) -> list[tuple[int, ...]] | None:
+    """Every transmission of ``raw`` as ascending ids when C-speed tests find
+    no defect: each is a nonempty list of distinct exact ints of at least 1.
+    Else None, and the walk of :func:`_transmission` names the first defect."""
+    if ({list}.issuperset(map(type, raw)) and all(raw)
+            and {int}.issuperset(map(type, chain.from_iterable(raw)))
+            and min(chain.from_iterable(raw), default=1) >= 1):
+        # the ids are ints, so a set is shorter than its list only for a duplicate
+        sets = list(map(frozenset, raw))
+        if all(map(eq, map(len, sets), map(len, raw))):
+            return list(map(tuple, map(sorted, sets)))
+    return None
 
 
 def _transmission(entry, t_idx: int) -> tuple[int, ...]:

@@ -350,6 +350,32 @@ class TestOutputDigest:
         assert digest == self.DIGEST
 
 
+class TestSolveVerifyDigest:
+    # SHA-256 of the stdout of solve followed by verify --trials 20 of that
+    # scheme, on solve-bulk-shaped instances (400-600 virtuals), recorded
+    # before the entry writer took rows and the decode sets were built once
+    # per transmission
+    DIGEST = "81a20b55b1101a2620accfa0b14450fa3df6e5491e368c658f0088f58adc3f66"
+    INSTANCES = [(200, 0.2, 11), (230, 0.5, 12), (250, 0.8, 13),
+                 (270, 0.2, 14), (285, 0.5, 15), (299, 0.8, 16)]
+
+    def test_outputs_match_recorded_digest(self, capsys, tmp_path):
+        digest = hashlib.sha256()
+        for m, p, seed in self.INSTANCES:
+            path = tmp_path / f"bulk{seed}.json"
+            path.write_text(serialize_instance(random_instance(100, m, p, (1, 3), seed=seed)))
+            for flags in ([], ["--no-dedup"]) if seed == 11 else ([],):
+                code, out, _ = run(capsys, "solve", str(path), *flags)
+                assert code == 0
+                scheme = tmp_path / f"bulk{seed}{''.join(flags)}.scheme.json"
+                scheme.write_text(out)
+                code, verified, err = run(capsys, "verify", str(path), str(scheme), "--trials", "20")
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+                digest.update(verified.encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestGap:
     def test_directed_cycle(self, capsys):
         code, out, _ = run(capsys, "gap", CYCLE3)

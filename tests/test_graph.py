@@ -6,6 +6,7 @@ from indexcoding import (
     CliqueCover,
     DerivedGraph,
     Instance,
+    ValidationError,
     bipartite_dot,
     build_cross_neighbor_graph,
     connected_components,
@@ -13,6 +14,8 @@ from indexcoding import (
     dedup,
     exact_min_cover,
     greedy_cover,
+    mais_lower_bound,
+    min_linear_rate_gf2,
     scheme_from_cover,
     split_groupcast,
     verify_scheme_random,
@@ -20,7 +23,7 @@ from indexcoding import (
 )
 from indexcoding import graph as graph_module
 from indexcoding.graph import closure
-from indexcoding.instance import UnicastInstance
+from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.generate import random_instance
 
 from helpers import graph_from_edges, induced_subgraph, random_graph, unicast_of
@@ -198,6 +201,45 @@ class TestBuild:
                     for v in part:
                         rest = wants - {u.virtuals[v].want}
                         assert rest <= u.virtuals[v].has
+
+
+def split_of(num_messages, virtuals):
+    """A hand-built split instance from (want, has) pairs, one receiver each."""
+    return UnicastInstance(num_messages, tuple(
+        VirtualReceiver(want, frozenset(has), (j, 1))
+        for j, (want, has) in enumerate(virtuals, start=1)))
+
+
+class TestIdsInRange:
+    """The side-information arcs reject a hand-built split instance whose
+    want or side-information id is not an int in [1, n], in the oracle's words."""
+
+    CASES = [
+        # the instance that used to give MAIS 2 and an edgeless graph
+        ([(1, {0}), (2, {7})], "virtual (1, 1): has id 0 out of range [1, 3]"),
+        ([(1, {2}), (2, {-2})], "virtual (2, 1): has id -2 out of range [1, 3]"),
+        ([(1, {2, 3}), (2, {4})], "virtual (2, 1): has id 4 out of range [1, 3]"),
+        ([(1, {2}), (5, {1})], "virtual (2, 1): want 5 out of range [1, 3]"),
+        ([(0, {2}), (1, set())], "virtual (1, 1): want 0 out of range [1, 3]"),
+        ([(1, {"a"})], "virtual (1, 1): has id 'a' out of range [1, 3]"),
+        ([(True, set())], "virtual (1, 1): want True out of range [1, 3]"),
+    ]
+
+    @pytest.mark.parametrize("virtuals, message", CASES,
+                             ids=["0", "-2", "n+1", "want above n", "want 0", "str", "True"])
+    def test_both_callers_raise(self, virtuals, message):
+        u = split_of(3, virtuals)
+        for call in (lambda: build_cross_neighbor_graph(u),
+                     lambda: build_cross_neighbor_graph(u, strict=True),
+                     lambda: mais_lower_bound(u), lambda: min_linear_rate_gf2(u)):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_ids_at_the_bounds_pass(self):
+        u = split_of(3, [(1, {3}), (3, {1}), (2, set())])
+        assert build_cross_neighbor_graph(u).edges() == [(0, 1)]
+        assert mais_lower_bound(u) == 2
 
 
 class TestClosure:

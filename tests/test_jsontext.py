@@ -1,8 +1,11 @@
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
-from indexcoding.jsontext import _entry_ints, dumps
+from indexcoding.jsontext import Entries, dumps
+
+from helpers import entry_dicts
 
 KEYS = (
     "num_messages", "rate", "transmissions", "solver", "dedup", "assignments",
@@ -45,25 +48,49 @@ def test_empty_and_nested_containers():
         assert dumps(value) == json.dumps(value, indent=2)
 
 
-# exact-int entries as solve's assignments and verify's virtuals hold them
-int_entries = st.lists(
-    st.builds(lambda a, b, w, t: {"origin": [a, b], "want": w, "transmission": t},
-              ids, ids, ids, ids),
-    min_size=1, max_size=6,
-)
+# (origin, want, transmission) rows as solve's assignments and verify's
+# virtuals hold them
+int_rows = st.lists(st.tuples(st.tuples(ids, ids), ids, ids), max_size=6)
 
 
-@given(int_entries)
-def test_entry_list_matches_json_dumps(value):
-    assert _entry_ints(value) is not None
-    for wrapped in (value, {"assignments": value}, [[value]]):
-        assert dumps(wrapped) == json.dumps(wrapped, indent=2)
+@given(int_rows)
+def test_entry_rows_match_the_dict_form(rows):
+    dicts = entry_dicts(rows)
+    for wrap in (lambda e: e, lambda e: {"assignments": e, "rate": 1}, lambda e: [[e]]):
+        assert dumps(wrap(Entries(rows))) == json.dumps(wrap(dicts), indent=2)
+
+
+ROW = ((1, 2), 3, 0)
+# rows off the ((int, int), int, int) shape: %d would misprint them, so the
+# writer raises rather than write them
+OFF_SHAPE_ROWS = [
+    [ROW, ((1, 2), True, 0)],
+    [((1, 2), 3, False)],
+    [((1, True), 3, 0)],
+    [ROW, ((1, 2), 3.0, 0)],
+    [((1.5, 2), 3, 0)],
+    [((1, 2), 3, None)],
+    [((1, 2), "3", 0)],
+    [((1,), 3, 0)],
+    [ROW, ((1, 2, 3), 3, 0)],
+    [((1, 2, 3), 3, 0)],
+    [ROW, ((1, 2), 3)],
+    [ROW, ((1, 2), 3, 0, 4)],
+    [((1, 2), 3, 0, 4)],
+    [ROW, ("ab", 3, 0)],
+]
+
+
+def test_off_shape_rows_raise():
+    for rows in OFF_SHAPE_ROWS:
+        with pytest.raises(TypeError):
+            dumps({"virtuals": Entries(rows)})
 
 
 ENTRY = {"origin": [1, 2], "want": 3, "transmission": 0}
-# lists one off the entry shape; each must take the general path and still
-# give the bytes of json.dumps
-OFF_SHAPE = [
+# entry-like dicts, some off the entry shape; each is written by the general
+# path and must still give the bytes of json.dumps
+ENTRY_DICTS = [
     [ENTRY, {**ENTRY, "want": True}],
     [{**ENTRY, "transmission": False}],
     [{**ENTRY, "origin": [1, True]}],
@@ -84,8 +111,7 @@ OFF_SHAPE = [
 ]
 
 
-def test_off_shape_lists_fall_back():
-    for value in OFF_SHAPE:
-        assert _entry_ints(value) is None, value
+def test_entry_dicts_take_the_general_path():
+    for value in ENTRY_DICTS:
         assert dumps(value) == json.dumps(value, indent=2), value
         assert dumps({"virtuals": value}) == json.dumps({"virtuals": value}, indent=2)

@@ -167,7 +167,7 @@ class TestMais:
 
     def test_self_loop_is_not_a_cycle(self):
         # no Instance splits into this; the search never meets p -> p
-        u = UnicastInstance(3, (VirtualReceiver(5, frozenset({5}), (1, 1)),))
+        u = UnicastInstance(5, (VirtualReceiver(5, frozenset({5}), (1, 1)),))
         assert mais_lower_bound(u) == 1
 
     def test_cap(self):
