@@ -5,20 +5,20 @@ virtual receiver decodes transmission T when T holds its want and it holds
 every other summand of T: XOR-ing the received word with its
 side-information words for those summands cancels them exactly.
 ``_decode_sets`` is the one statement of that rule, and every check and
-decode reads it.  It is built once per transmission, one set per summand
-that some virtual wants, so the checks over many virtuals are one
-``has.issuperset`` test each, and a long transmission costs its length per
-wanted summand, not its length squared.  Message words are one mapping from
-1-based message id to int word, shared by ``encode``, ``decode_receiver`` and
-the randomized check.
+decode reads it, only for the summands some virtual wants, so a long
+transmission costs its length per wanted summand, not its length squared.
+``scheme_from_cover`` builds it once per part, and ``assign_transmissions``
+and the randomized check each build it once per transmission (``verify``
+runs both, so twice in all); each virtual is then one ``has.issuperset``
+test.  Message words are one mapping from 1-based message id to int word,
+shared by ``encode``, ``decode_receiver`` and the randomized check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, eq
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .cover import CliqueCover
@@ -55,16 +55,13 @@ class TrialFailure:
     got: int
 
 
-def _decode_sets(
-    t: tuple[int, ...], wants: Iterable[int] | None = None
-) -> dict[int, frozenset[int]]:
+def _decode_sets(t: tuple[int, ...], wants: Iterable[int]) -> dict[int, frozenset[int]]:
     """The decode rule: a virtual wanting ``i`` decodes transmission ``t``
     exactly when ``i`` is a key of this map and the virtual's ``has`` is a
     superset of its value, the summands of ``t`` other than ``i``.  The keys
-    are the summands of ``t``, or only those in ``wants`` when it is given."""
+    are the summands of ``t`` that are in ``wants``."""
     summands = frozenset(t)
-    keys = t if wants is None else summands.intersection(wants)
-    return {i: summands.difference((i,)) for i in keys}
+    return {i: summands.difference((i,)) for i in summands.intersection(wants)}
 
 
 def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
@@ -78,15 +75,14 @@ def scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
     want of its part, which is XOR decodability (a non-strict graph clique).
     """
     k = len(u.virtuals)
-    if not all(c.parts) or sorted(chain.from_iterable(c.parts)) != list(range(k)):
+    if not all(c.parts) or sorted(v for part in c.parts for v in part) != list(range(k)):
         raise ValidationError(f"invalid cover: not a partition of 0..{k - 1} into nonempty parts")
-    virtuals = u.virtuals
     transmissions = []
     for t, part in enumerate(c.parts):
-        members = list(map(virtuals.__getitem__, part))
-        wants = tuple(sorted(set(map(_want, members))))
-        decode = _decode_sets(wants)
-        for v, r in zip(part, members):
+        wants = tuple(sorted({u.virtuals[v].want for v in part}))
+        decode = _decode_sets(wants, wants)
+        for v in part:
+            r = u.virtuals[v]
             if not r.has.issuperset(decode[r.want]):
                 lacking = [i for i in wants if i != r.want and i not in r.has]
                 raise ValidationError(f"invalid cover: part {t}: virtual {v} lacks {lacking}")
@@ -253,9 +249,7 @@ def parse_scheme(text: str, num_messages: int) -> CodingScheme:
     raw = data["transmissions"]
     if not isinstance(raw, list):
         raise ValidationError("'transmissions' must be an array")
-    transmissions = _bulk_transmissions(raw)
-    if transmissions is None:
-        transmissions = [_transmission(entry, t_idx) for t_idx, entry in enumerate(raw)]
+    transmissions = [_transmission(entry, t_idx) for t_idx, entry in enumerate(raw)]
     if "rate" in data:
         rate = data["rate"]
         if not isinstance(rate, int) or isinstance(rate, bool):
@@ -268,20 +262,6 @@ def parse_scheme(text: str, num_messages: int) -> CodingScheme:
     if max_id > num_messages:
         raise ValidationError(f"message id {max_id} out of range [1, {num_messages}]")
     return CodingScheme(num_messages, tuple(transmissions))
-
-
-def _bulk_transmissions(raw: list) -> list[tuple[int, ...]] | None:
-    """Every transmission of ``raw`` as ascending ids when C-speed tests find
-    no defect: each is a nonempty list of distinct exact ints of at least 1.
-    Else None, and the walk of :func:`_transmission` names the first defect."""
-    if ({list}.issuperset(map(type, raw)) and all(raw)
-            and {int}.issuperset(map(type, chain.from_iterable(raw)))
-            and min(chain.from_iterable(raw), default=1) >= 1):
-        # the ids are ints, so a set is shorter than its list only for a duplicate
-        sets = list(map(frozenset, raw))
-        if all(map(eq, map(len, sets), map(len, raw))):
-            return list(map(tuple, map(sorted, sets)))
-    return None
 
 
 def _transmission(entry, t_idx: int) -> tuple[int, ...]:

@@ -1,15 +1,13 @@
 """Builders and references the tests share: graphs by hand, at random or
 induced on a vertex subset, a split instance from (want, has) pairs, the
-instances of the cover-order corpus, the graph-side clique-cover check that
-``scheme_from_cover``'s own check is tested against, the per-virtual
-``scheme_from_cover`` and the dict form of the entry writer that the code
-replaced, a naive GF(2) rate, and a MAIS bound by subset enumeration."""
+graph-side clique-cover check that ``scheme_from_cover``'s own check is
+tested against, the dict form of the entry writer that the code replaced, a
+naive GF(2) rate, and a MAIS bound by subset enumeration."""
 
 import itertools
 import random
 
-from indexcoding import CliqueCover, CodingScheme, DerivedGraph, ValidationError
-from indexcoding.generate import random_instance
+from indexcoding import CliqueCover, DerivedGraph
 from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.oracle import can_decode
 
@@ -70,32 +68,6 @@ def verify_cover(g: DerivedGraph, c: CliqueCover) -> str | None:
         missing = sorted(set(range(g.vertex_count)) - seen)
         return f"not a partition: vertices {missing} uncovered"
     return None
-
-
-def cover_order_instances():
-    """The 40 seeded instances whose graphs close the cover-order corpus."""
-    return [
-        random_instance(5 + seed % 6, 3 + seed % 9, (0.2, 0.5, 0.8)[seed % 3], (1, 3), seed=seed)
-        for seed in range(40)
-    ]
-
-
-def reference_scheme_from_cover(u: UnicastInstance, c: CliqueCover) -> CodingScheme:
-    """``scheme_from_cover`` as it was before the decode sets were built once
-    per part: one set of the other summands per virtual, in a generator."""
-    k = len(u.virtuals)
-    if not all(c.parts) or sorted(v for part in c.parts for v in part) != list(range(k)):
-        raise ValidationError(f"invalid cover: not a partition of 0..{k - 1} into nonempty parts")
-    transmissions = []
-    for t, part in enumerate(c.parts):
-        wants = tuple(sorted({u.virtuals[v].want for v in part}))
-        for v in part:
-            r = u.virtuals[v]
-            if not r.has.issuperset(frozenset(wants).difference((r.want,))):
-                lacking = [i for i in wants if i != r.want and i not in r.has]
-                raise ValidationError(f"invalid cover: part {t}: virtual {v} lacks {lacking}")
-        transmissions.append(wants)
-    return CodingScheme(u.num_messages, tuple(transmissions))
 
 
 def entry_dicts(rows) -> list[dict]:

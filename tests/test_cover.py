@@ -19,13 +19,7 @@ from indexcoding import (
 from indexcoding.cover import _exact_coloring
 from indexcoding.generate import random_instance
 
-from helpers import (
-    cover_order_instances,
-    graph_from_edges,
-    induced_subgraph,
-    random_graph,
-    verify_cover,
-)
+from helpers import graph_from_edges, induced_subgraph, random_graph, verify_cover
 
 
 def set_partitions(items):
@@ -264,7 +258,10 @@ def cover_order_corpus():
         for n in (30, 35, 40, 45)
         for i, p in enumerate((0.3, 0.5, 0.7))
     ]
-    for inst in cover_order_instances():
+    for seed in range(40):
+        inst = random_instance(
+            5 + seed % 6, 3 + seed % 9, (0.2, 0.5, 0.8)[seed % 3], (1, 3), seed=seed
+        )
         u = split_groupcast(inst)
         graphs.append(build_cross_neighbor_graph(dedup(u)))
         graphs.append(build_cross_neighbor_graph(u, strict=True))
