@@ -34,7 +34,6 @@ from .scheme import (
     encode,
     parse_scheme,
     scheme_from_cover,
-    serialize_scheme,
     verify_scheme_random,
     verify_scheme_symbolic,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "random_instance",
     "scheme_from_cover",
     "serialize_instance",
-    "serialize_scheme",
     "split_groupcast",
     "verify_scheme_random",
     "verify_scheme_symbolic",

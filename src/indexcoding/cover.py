@@ -2,7 +2,13 @@
 
 A clique cover of g is a proper coloring of g's complement, so the exact
 solver runs a DSATUR-ordered branch-and-bound coloring on the complement of
-each connected component (cliques never span components).  Greedy first-fit
+each connected component (cliques never span components).  Each uncolored
+vertex holds one int key, saturation then degree then reversed index in
+fixed-width fields, so a DSATUR pick is one C-level ``max``; saturation is
+kept as one bitset per color, the OR of the rows given that color, in the
+bit-parallel style of San Segundo et al. (BBMC, Computers & OR 2012), so
+painting a vertex bumps only the keys of neighbors it newly saturates and a
+color is free for v when v's bit is clear in its mask.  Greedy first-fit
 builds each part whole, as one ascending sequential clique: O(k) big-int
 steps on k vertices.  Ties break on ascending vertex index and parts are sorted
 by smallest member, so covers are deterministic and asserted exactly in tests.
@@ -11,7 +17,6 @@ by smallest member, so covers are deterministic and asserted exactly in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import CapExceeded
 from .graph import DerivedGraph, _bits, connected_components
@@ -92,41 +97,64 @@ def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCove
     return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
 
 
-def _pick(candidates: Sequence[int], colors: list[int], sat: list[int], degrees: list[int]) -> int:
-    """DSATUR choice among the uncolored candidates: highest saturation, then
-    highest degree, then lowest index."""
-    return max(
-        (u for u in candidates if colors[u] < 0),
-        key=lambda u: (sat[u].bit_count(), degrees[u], -u),
-    )
+def _keys(adj: list[int]) -> tuple[list[int], int]:
+    """Keys at saturation 0 and their field width b: the key of v is
+    ``(saturation << 2b) | (degree << b) | (low - v)``, ``low = (1 << b) - 1``,
+    and -1 once v is colored."""
+    b = len(adj).bit_length()
+    low = (1 << b) - 1
+    return [(row.bit_count() << b) | (low - v) for v, row in enumerate(adj)], b
 
 
-def _paint(v: int, c: int, adj: list[int], colors: list[int], sat: list[int]) -> None:
-    """Color v with c and add c to its neighbors' saturation.
+def _pick(keys: list[int], low: int) -> int:
+    """The vertex of the largest key; over DSATUR keys, the uncolored vertex
+    of highest saturation, then highest degree, then lowest index."""
+    return low - (max(keys) & low)
 
-    Saturation rows are BBMC-style int bitsets (San Segundo et al.): bit c of
-    sat[u] marks a neighbor colored c.  Only uncolored rows are ever read.
+
+def _paint(v: int, c: int, free: int, adj: list[int], colors: list[int],
+           satc: list[int], keys: list[int], bump: int) -> None:
+    """Color v with c; ``free`` masks the uncolored vertices.
+
+    Saturation is kept per color as BBMC-style int bitsets (San Segundo et
+    al.): satc[c] is the OR of the rows colored c, so bit u of it marks that u
+    has a neighbor colored c.  Only v's uncolored neighbors outside satc[c]
+    gain a color, and each of their keys gains ``bump`` (one saturation step).
     """
     colors[v] = c
-    for u in _bits(adj[v]):
-        sat[u] |= 1 << c
+    keys[v] = -1
+    row = adj[v]
+    gained = row & free & ~satc[c]
+    while gained:
+        bit = gained & -gained
+        keys[bit.bit_length() - 1] += bump
+        gained ^= bit
+    satc[c] |= row
 
 
-def _dsatur_greedy(n: int, adj: list[int], degrees: list[int]) -> list[int]:
-    colors = [-1] * n
-    sat = [0] * n
+def _dsatur_greedy(adj: list[int], base: list[int], b: int) -> list[int]:
+    n, low, bump = len(adj), (1 << b) - 1, 1 << 2 * b
+    colors, keys, satc, free = [-1] * n, base[:], [0] * n, (1 << n) - 1
     for _ in range(n):
-        v = _pick(range(n), colors, sat, degrees)
-        _paint(v, (~sat[v] & (sat[v] + 1)).bit_length() - 1, adj, colors, sat)
+        v = _pick(keys, low)
+        c = 0  # the lowest color no neighbor of v has
+        while satc[c] >> v & 1:
+            c += 1
+        _paint(v, c, free, adj, colors, satc, keys, bump)
+        free ^= 1 << v
     return colors
 
 
-def _greedy_clique(n: int, adj: list[int], degrees: list[int]) -> list[int]:
-    start = max(range(n), key=lambda v: (degrees[v], -v))
+def _greedy_clique(adj: list[int], base: list[int], b: int) -> list[int]:
+    """Greedy maximal clique: the highest-degree vertex, then each time the
+    candidate with the most candidate neighbors, ties to the lowest index."""
+    low = (1 << b) - 1
+    start = _pick(base, low)
     clique = [start]
     candidates = adj[start]
     while candidates:
-        v = max(_bits(candidates), key=lambda u: ((candidates & adj[u]).bit_count(), -u))
+        v = _pick([((candidates & adj[u]).bit_count() << b) | (low - u)
+                   for u in _bits(candidates)], low)
         clique.append(v)
         candidates &= adj[v]
     return sorted(clique)
@@ -142,52 +170,52 @@ def _exact_coloring(n: int, adj: list[int]) -> list[int]:
     """
     if n == 0:
         return []
-    degrees = [row.bit_count() for row in adj]
-    greedy = _dsatur_greedy(n, adj, degrees)
-    best_k = max(greedy) + 1
-    best = list(greedy)
-    clique = _greedy_clique(n, adj, degrees)
+    base, b = _keys(adj)
+    low, bump = (1 << b) - 1, 1 << 2 * b
+    best = _dsatur_greedy(adj, base, b)
+    best_k = max(best) + 1
+    clique = _greedy_clique(adj, base, b)
     lower = len(clique)
     if lower == best_k:
         return best
 
-    colors = [-1] * n
-    sat = [0] * n
+    colors, keys, satc, free = [-1] * n, base[:], [0] * best_k, (1 << n) - 1
     for c, v in enumerate(clique):
-        _paint(v, c, adj, colors, sat)
-
-    uncolored = [v for v in range(n) if colors[v] < 0]
+        _paint(v, c, free, adj, colors, satc, keys, bump)
+        free ^= 1 << v
 
     # Depth-first search on an explicit stack, one frame per colored vertex
     # (a component can be deeper than the interpreter's recursion limit).  A
-    # frame is [v, c, limit, used, num_colored, saved]: v takes the colors
-    # below limit in turn, c is the one it was last given (-1 before the
-    # first), and saved is every saturation row before v was colored.
+    # frame is [v, c, limit, used, free, saved_satc, saved_keys]: v takes the
+    # colors below limit in turn, c is the one it was last given (-1 before
+    # the first), and free, saved_satc and saved_keys are the uncolored mask,
+    # color masks and keys before v was colored.
     stack: list[list] = []
-    num_colored, used = n - len(uncolored), len(clique)
+    used = lower
     while True:
-        if used < best_k:  # enter the node (num_colored, used)
-            if num_colored == n:
+        if used < best_k:  # enter the node (free, used)
+            if not free:
                 best_k = used
                 best = colors[:]
             else:
-                v = _pick(uncolored, colors, sat, degrees)
-                stack.append([v, -1, min(used + 1, best_k - 1), used, num_colored, sat[:]])
+                v = _pick(keys, low)
+                stack.append([v, -1, min(used + 1, best_k - 1), used, free, satc[:], keys[:]])
         while stack:  # give the deepest open vertex its next color
             frame = stack[-1]
-            v, c, limit, used, num_colored, saved = frame
+            v, c, limit, used, free, saved_satc, saved_keys = frame
             if c >= 0:  # back from coloring v with c
                 colors[v] = -1
-                sat[:] = saved
+                satc[:] = saved_satc
+                keys[:] = saved_keys
                 if best_k == lower:  # optimal: every open frame would return now
                     return best
             c += 1
-            while c < limit and (saved[v] >> c) & 1:
+            while c < limit and saved_satc[c] >> v & 1:
                 c += 1
             if c < limit:
                 frame[1] = c
-                _paint(v, c, adj, colors, sat)
-                num_colored, used = num_colored + 1, max(used, c + 1)
+                _paint(v, c, free, adj, colors, satc, keys, bump)
+                free, used = free ^ 1 << v, max(used, c + 1)
                 break
             stack.pop()
         else:

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 from .cover import CliqueCover
 from .errors import ValidationError
 from .instance import UnicastInstance, VirtualReceiver
-from .jsontext import dumps, loads
+from .jsontext import loads
 
 DEFAULT_WORD_WIDTH = 64
 # trials per bit-sliced pass: at 64-bit words, 8 KiB per wide word whatever the
@@ -231,11 +231,6 @@ def _random_trials(
             shift = trial * word_width
             return TrialFailure(start + trial, idx, expected >> shift & mask, got >> shift & mask)
     return None
-
-
-def serialize_scheme(s: CodingScheme) -> str:
-    """Canonical scheme JSON: rate plus transmissions with ascending ids."""
-    return dumps({"rate": s.rate, "transmissions": [list(t) for t in s.transmissions]})
 
 
 def parse_scheme(text: str, num_messages: int) -> CodingScheme:

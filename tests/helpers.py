@@ -2,13 +2,17 @@
 induced on a vertex subset, a split instance from (want, has) pairs, the
 graph-side clique-cover check that ``scheme_from_cover``'s own check is
 tested against, the dict form of the entry writer that the code replaced, a
-naive GF(2) rate, and a MAIS bound by subset enumeration."""
+naive GF(2) rate, a MAIS bound by subset enumeration, the canonical scheme
+JSON, and the DSATUR search with per-vertex saturation rows that the cover's
+int keys and per-color masks replaced."""
 
 import itertools
 import random
 
-from indexcoding import CliqueCover, DerivedGraph
+from indexcoding import CliqueCover, CodingScheme, DerivedGraph
+from indexcoding.graph import _bits
 from indexcoding.instance import UnicastInstance, VirtualReceiver
+from indexcoding.jsontext import dumps
 from indexcoding.oracle import can_decode
 
 
@@ -123,3 +127,95 @@ def _acyclic(chosen) -> bool:
             return False
         left = rest
     return True
+
+
+def serialize_scheme(s: CodingScheme) -> str:
+    """Canonical scheme JSON: rate plus transmissions with ascending ids."""
+    return dumps({"rate": s.rate, "transmissions": [list(t) for t in s.transmissions]})
+
+
+def reference_pick(candidates, colors, sat, degrees) -> int:
+    """DSATUR choice among the uncolored candidates: highest saturation, then
+    highest degree, then lowest index."""
+    return max(
+        (u for u in candidates if colors[u] < 0),
+        key=lambda u: (sat[u].bit_count(), degrees[u], -u),
+    )
+
+
+def reference_paint(v, c, adj, colors, sat) -> None:
+    """Color v with c and add c to its neighbors' saturation rows: bit c of
+    sat[u] marks a neighbor colored c."""
+    colors[v] = c
+    for u in _bits(adj[v]):
+        sat[u] |= 1 << c
+
+
+def reference_dsatur_greedy(n, adj, degrees) -> list[int]:
+    colors = [-1] * n
+    sat = [0] * n
+    for _ in range(n):
+        v = reference_pick(range(n), colors, sat, degrees)
+        reference_paint(v, (~sat[v] & (sat[v] + 1)).bit_length() - 1, adj, colors, sat)
+    return colors
+
+
+def reference_greedy_clique(n, adj, degrees) -> list[int]:
+    start = max(range(n), key=lambda v: (degrees[v], -v))
+    clique = [start]
+    candidates = adj[start]
+    while candidates:
+        v = max(_bits(candidates), key=lambda u: ((candidates & adj[u]).bit_count(), -u))
+        clique.append(v)
+        candidates &= adj[v]
+    return sorted(clique)
+
+
+def reference_exact_coloring(n, adj) -> list[int]:
+    """The cover's DSATUR branch and bound as it was before the int keys: each
+    node picks by a key function over the uncolored vertices and paints
+    saturation rows neighbor by neighbor; a frame saves every row."""
+    if n == 0:
+        return []
+    degrees = [row.bit_count() for row in adj]
+    best = reference_dsatur_greedy(n, adj, degrees)
+    best_k = max(best) + 1
+    clique = reference_greedy_clique(n, adj, degrees)
+    lower = len(clique)
+    if lower == best_k:
+        return best
+    colors = [-1] * n
+    sat = [0] * n
+    for c, v in enumerate(clique):
+        reference_paint(v, c, adj, colors, sat)
+    uncolored = [v for v in range(n) if colors[v] < 0]
+    # frame: [v, c, limit, used, num_colored, saturation rows before v]
+    stack = []
+    num_colored, used = n - len(uncolored), len(clique)
+    while True:
+        if used < best_k:
+            if num_colored == n:
+                best_k = used
+                best = colors[:]
+            else:
+                v = reference_pick(uncolored, colors, sat, degrees)
+                stack.append([v, -1, min(used + 1, best_k - 1), used, num_colored, sat[:]])
+        while stack:
+            frame = stack[-1]
+            v, c, limit, used, num_colored, saved = frame
+            if c >= 0:
+                colors[v] = -1
+                sat[:] = saved
+                if best_k == lower:
+                    return best
+            c += 1
+            while c < limit and (saved[v] >> c) & 1:
+                c += 1
+            if c < limit:
+                frame[1] = c
+                reference_paint(v, c, adj, colors, sat)
+                num_colored, used = num_colored + 1, max(used, c + 1)
+                break
+            stack.pop()
+        else:
+            return best

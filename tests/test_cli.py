@@ -21,7 +21,6 @@ from indexcoding import (
     parse_instance,
     scheme_from_cover,
     serialize_instance,
-    serialize_scheme,
     split_groupcast,
 )
 from indexcoding import cli as cli_module
@@ -30,6 +29,7 @@ from indexcoding.cli import main
 from indexcoding.generate import random_instance
 
 from conftest import INSTANCE_DIR
+from helpers import serialize_scheme
 
 EXAMPLE6 = str(INSTANCE_DIR / "example6.json")
 GROUPCAST3 = str(INSTANCE_DIR / "groupcast3.json")

@@ -16,10 +16,18 @@ from indexcoding import (
     greedy_cover,
     split_groupcast,
 )
-from indexcoding.cover import _exact_coloring
+from indexcoding.cover import _dsatur_greedy, _exact_coloring, _greedy_clique, _keys
 from indexcoding.generate import random_instance
 
-from helpers import graph_from_edges, induced_subgraph, random_graph, verify_cover
+from helpers import (
+    graph_from_edges,
+    induced_subgraph,
+    random_graph,
+    reference_dsatur_greedy,
+    reference_exact_coloring,
+    reference_greedy_clique,
+    verify_cover,
+)
 
 
 def set_partitions(items):
@@ -93,6 +101,27 @@ def symmetric_graphs(draw):
     upper = [draw(st.integers(0, (1 << (n - p - 1)) - 1)) for p in range(n)]
     edges = [(p, p + 1 + i) for p in range(n) for i in range(n - p - 1) if (upper[p] >> i) & 1]
     return graph_from_edges(n, edges)
+
+
+def component_complements(g: DerivedGraph):
+    """The rows exact_min_cover colors: the complement of each component of g,
+    relabelled in ascending order."""
+    for comp in connected_components(g):
+        sub = induced_subgraph(g, comp)
+        full = (1 << len(comp)) - 1
+        yield [full & ~row & ~(1 << v) for v, row in enumerate(sub.adjacency)]
+
+
+def assert_search_matches_reference(rows):
+    """Every helper of the keyed search returns the reference's list, not just
+    a coloring of the same size."""
+    n = len(rows)
+    assert _exact_coloring(n, rows) == reference_exact_coloring(n, rows)
+    if n:
+        degrees = [row.bit_count() for row in rows]
+        base, b = _keys(rows)
+        assert _dsatur_greedy(rows, base, b) == reference_dsatur_greedy(n, rows, degrees)
+        assert _greedy_clique(rows, base, b) == reference_greedy_clique(n, rows, degrees)
 
 
 @pytest.fixture
@@ -183,6 +212,30 @@ class TestExact:
         cover = exact_min_cover(g)
         assert calls == []
         assert verify_cover(g, cover) is None
+
+
+class TestKeyedSearchMatchesReference:
+    """The int-key pick and per-color saturation masks make every choice the
+    per-vertex saturation rows made."""
+
+    @given(symmetric_graphs())
+    def test_arbitrary_graphs(self, g):
+        assert_search_matches_reference(list(g.adjacency))
+
+    @pytest.mark.parametrize(
+        "params, first_seed",
+        [((25, 30, 0.8, (1, 2)), 9000), ((7, 10, 0.4, (1, 2)), 9500)],
+        ids=["solve-exact-shaped", "audit-gap-shaped"],
+    )
+    def test_component_complements(self, params, first_seed):
+        searched = 0
+        for seed in range(first_seed, first_seed + 300):
+            g = build_cross_neighbor_graph(dedup(split_groupcast(
+                random_instance(*params, seed=seed))))
+            for rows in component_complements(g):
+                assert_search_matches_reference(rows)
+                searched += 1
+        assert searched >= 300
 
 
 class TestGreedy:

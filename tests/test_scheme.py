@@ -19,7 +19,6 @@ from indexcoding import (
     greedy_cover,
     parse_scheme,
     scheme_from_cover,
-    serialize_scheme,
     split_groupcast,
     verify_scheme_random,
     verify_scheme_symbolic,
@@ -29,7 +28,7 @@ from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.scheme import TRIAL_BLOCK, assign_transmissions
 from indexcoding.generate import random_instance
 
-from helpers import verify_cover
+from helpers import serialize_scheme, verify_cover
 
 
 def solve(inst, solver=exact_min_cover):
