@@ -3,7 +3,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from indexcoding import (
     CapExceeded,
@@ -218,6 +218,8 @@ class TestKeyedSearchMatchesReference:
     """The int-key pick and per-color saturation masks make every choice the
     per-vertex saturation rows made."""
 
+    # a dense 48-vertex draw can take the reference search most of a second
+    @settings(deadline=None)
     @given(symmetric_graphs())
     def test_arbitrary_graphs(self, g):
         assert_search_matches_reference(list(g.adjacency))
