@@ -162,7 +162,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         sys.stdout.write(bipartite_dot(inst))
         return EXIT_OK
     config = _config_from_args(args)
-    _, u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
     cover = pick_cover(g, config)[0].parts if args.overlay_cover else None
     sys.stdout.write(derived_dot(u, g, cover))
     return EXIT_OK

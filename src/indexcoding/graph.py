@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import ValidationError
-from .instance import Instance, UnicastInstance, _id_text
+from .instance import Instance, UnicastInstance
 
 # characters per strip of the symmetry test (one per adjacency bit)
 _STRIP_CHARS = 1 << 22
@@ -86,13 +85,7 @@ def _raise_first_defect(rows: tuple[int, ...], k: int) -> None:
 def side_information_arcs(u: UnicastInstance) -> tuple[dict, dict, dict]:
     """``(W, H, out)``: message -> virtuals wanting it, message -> virtuals
     holding it (no entry when none does), and side information -> the heads
-    of the arcs leaving each virtual that has it.
-
-    Raises ``ValidationError`` as :func:`_raise_bad_id` does when a want or
-    side-information id is not an int in [1, n].  The test reads the keys of
-    W and H, so an id equal to an int key (``True``, ``1.0``) is read as that
-    int.
-    """
+    of the arcs leaving each virtual that has it."""
     wanted_by: dict[int, int] = {}
     group: dict[frozenset[int], int] = {}  # has -> virtuals sharing it
     for p, v in enumerate(u.virtuals):
@@ -106,25 +99,7 @@ def side_information_arcs(u: UnicastInstance) -> tuple[dict, dict, dict]:
             held_by[i] = held_by.get(i, 0) | members
             reach |= wanted_by.get(i, 0)
         out[has] = reach
-    ids = wanted_by.keys() | held_by.keys()
-    if not ({int}.issuperset(map(type, ids))
-            and 1 <= min(ids, default=1) and max(ids, default=1) <= u.num_messages):
-        _raise_bad_id(u)
     return wanted_by, held_by, out
-
-
-def _raise_bad_id(u: UnicastInstance) -> None:
-    """Raise ``ValidationError`` naming the first virtual, in order, whose
-    want or one of whose side-information ids is not an int in [1, n]; the
-    want is tested first."""
-    n = u.num_messages
-    for v in u.virtuals:
-        for label, ids in (("want", (v.want,)), ("has id", v.has)):
-            for i in ids:
-                if type(i) is not int or not 1 <= i <= n:
-                    raise ValidationError(
-                        f"virtual {v.origin}: {label} {_id_text(i)} out of range [1, {n}]"
-                    )
 
 
 def closure(rows: Sequence[int], frontier: int, within: int) -> int:

@@ -11,17 +11,19 @@ later stage checks it again.  ``parse_instance`` hands receivers that pass
 C-speed shape and duplicate tests to that constructor; otherwise it walks
 them id by id for the first structural defect.
 
-The groupcast-to-unicast reduction lives here as well: ``split_groupcast``
-breaks every receiver into one virtual receiver per demanded message, and
-``dedup`` drops virtual receivers that are exact duplicates of an earlier one.
+The groupcast-to-unicast reduction lives here as well: a
+:class:`UnicastInstance` is made only from an ``Instance``, so its split is
+valid by construction too.  It breaks every receiver into one virtual
+receiver per demanded message and, with ``dedup``, drops virtual receivers
+that are exact duplicates of an earlier one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import and_
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ValidationError
 from .jsontext import dumps, loads
@@ -86,16 +88,56 @@ class VirtualReceiver:
 
 @dataclass(frozen=True)
 class UnicastInstance:
-    """The split form: every virtual receiver demands exactly one message.
+    """The split form of ``instance``: every virtual receiver demands exactly
+    one message.
 
-    ``dedup_map`` is None until :func:`dedup` has run; afterwards it maps each
-    removed position to the position of its retained duplicate, both 0-based
-    positions in the pre-dedup virtual list.
+    ``demands`` holds one virtual per demand, ordered by (receiver index, want
+    ascending), so it has exactly sum(len(r.wants)) entries and downstream
+    output is deterministic.  Without ``dedup``, ``virtuals`` is ``demands``
+    and ``dedup_map`` is None.  With it, ``virtuals`` drops each virtual whose
+    (want, has) repeats an earlier one (identical virtuals are satisfied by
+    identical transmissions, so the achievable rate never changes), and
+    ``dedup_map`` maps each removed position to the position of its retained
+    duplicate, both 0-based positions in ``demands``.
+
+    The ``Instance`` is valid by construction, so nothing is checked again
+    here beyond the types of the two arguments.
     """
 
-    num_messages: int
-    virtuals: tuple[VirtualReceiver, ...]
-    dedup_map: Mapping[int, int] | None = None
+    instance: Instance
+    dedup: bool = False
+    # derived from the two fields above, once, in __post_init__
+    num_messages: int = field(init=False, compare=False)
+    demands: tuple[VirtualReceiver, ...] = field(init=False, compare=False)
+    virtuals: tuple[VirtualReceiver, ...] = field(init=False, compare=False)
+    dedup_map: dict[int, int] | None = field(init=False, compare=False)
+
+    def __post_init__(self):
+        inst = self.instance
+        if type(inst) is not Instance or type(self.dedup) is not bool:
+            raise ValidationError(
+                "a split form takes an Instance and a bool dedup flag, not "
+                f"{type(inst).__name__} and {type(self.dedup).__name__}"
+            )
+        demands = tuple(
+            VirtualReceiver(want, r.has, (j, k))
+            for j, r in enumerate(inst.receivers, start=1)
+            for k, want in enumerate(sorted(r.wants), start=1)
+        )
+        virtuals, dedup_map = demands, None
+        if self.dedup:
+            first_seen: dict[tuple[int, frozenset[int]], int] = {}
+            kept, dedup_map = [], {}
+            for idx, v in enumerate(demands):
+                rep = first_seen.setdefault((v.want, v.has), idx)
+                if rep == idx:
+                    kept.append(v)
+                else:
+                    dedup_map[idx] = rep
+            virtuals = tuple(kept)
+        for name, value in (("num_messages", inst.num_messages), ("demands", demands),
+                            ("virtuals", virtuals), ("dedup_map", dedup_map)):
+            object.__setattr__(self, name, value)
 
 
 def _violations(n, receivers) -> list[str]:
@@ -235,34 +277,12 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def split_groupcast(inst: Instance) -> UnicastInstance:
-    """Break each receiver into one virtual receiver per demanded message.
-
-    Virtuals are ordered by (receiver index, want ascending), so the result
-    has exactly sum(len(r.wants)) entries and downstream output is
-    deterministic.  Duplicates are kept; apply :func:`dedup` to drop them.
-    """
-    virtuals = []
-    for j, r in enumerate(inst.receivers, start=1):
-        for k, want in enumerate(sorted(r.wants), start=1):
-            virtuals.append(VirtualReceiver(want, r.has, (j, k)))
-    return UnicastInstance(inst.num_messages, tuple(virtuals))
+    """Break each receiver into one virtual receiver per demanded message,
+    keeping duplicates; apply :func:`dedup` to drop them."""
+    return UnicastInstance(inst)
 
 
 def dedup(u: UnicastInstance) -> UnicastInstance:
-    """Drop virtual receivers whose (want, has) repeats an earlier one.
-
-    Identical virtual receivers are satisfied by identical transmissions, so
-    removing them never changes the achievable rate.  The returned instance
-    always carries a dedup_map (possibly empty).
-    """
-    first_seen: dict[tuple[int, frozenset[int]], int] = {}
-    retained = []
-    removed: dict[int, int] = {}
-    for idx, v in enumerate(u.virtuals):
-        key = (v.want, v.has)
-        if key in first_seen:
-            removed[idx] = first_seen[key]
-        else:
-            first_seen[key] = idx
-            retained.append(v)
-    return UnicastInstance(u.num_messages, tuple(retained), dedup_map=removed)
+    """The split of ``u``'s instance without virtuals whose (want, has)
+    repeats an earlier one; it always carries a dedup_map (possibly empty)."""
+    return UnicastInstance(u.instance, dedup=True)

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, ValidationError
-from .graph import _bits, _raise_bad_id, closure, side_information_arcs
+from .graph import _bits, closure, side_information_arcs
 from .instance import UnicastInstance
 
 DEFAULT_ORACLE_N_CAP = 10
@@ -86,19 +86,12 @@ def iter_rref_rowspaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
-    """Distinct (want, has_mask) pairs; duplicates cannot change feasibility.
-    Raises ``ValidationError`` naming the virtual for a want or a
-    side-information id that is not an int in [1, n]."""
-    n = u.num_messages
+    """Distinct (want, has_mask) pairs; duplicates cannot change feasibility."""
     pairs = []
     seen = set()
     for v in u.virtuals:
-        if type(v.want) is not int or not 1 <= v.want <= n:
-            _raise_bad_id(u)
         mask = 0
         for i in v.has:
-            if type(i) is not int or not 1 <= i <= n:
-                _raise_bad_id(u)
             mask |= 1 << (i - 1)
         key = (v.want, mask)
         if key not in seen:
@@ -123,7 +116,7 @@ def min_linear_rate_gf2(
     (rate, rows): the first feasible basis in enumeration order, a tuple of
     n-bit ints (bit i = message i + 1), empty when nothing is wanted.
     Raises ``CapExceeded`` for n above ``n_cap``, and ``ValidationError``
-    for an id outside [1, n] or a bound above n (else n unit vectors work).
+    for a bound above n (else n unit vectors work).
     """
     n = u.num_messages
     if n > n_cap:

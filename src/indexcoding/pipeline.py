@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from .cover import DEFAULT_EXACT_CAP, CliqueCover, exact_min_cover, greedy_cover
 from .errors import CapExceeded, ValidationError
 from .graph import DerivedGraph, build_cross_neighbor_graph
-from .instance import Instance, UnicastInstance, split_groupcast
-from .instance import dedup as dedup_virtuals
+from .instance import Instance, UnicastInstance
 from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
 from .oracle import mais_lower_bound, min_linear_rate_gf2
 from .scheme import CodingScheme, scheme_from_cover
@@ -80,15 +79,14 @@ class RateReport:
 
 def prepare(
     inst: Instance, dedup: bool = True, strict: bool = False
-) -> tuple[UnicastInstance, UnicastInstance, DerivedGraph]:
+) -> tuple[UnicastInstance, DerivedGraph]:
     """Split, optionally dedup, and build the cross-neighbor graph.
 
-    Returns the full split (one virtual per demand), the instance the graph
-    was built on (the same object when ``dedup`` is off), and the graph.
+    Returns the split (its ``demands`` hold one virtual per demand, its
+    ``virtuals`` the graph's vertices) and the graph.
     """
-    u_full = split_groupcast(inst)
-    u = dedup_virtuals(u_full) if dedup else u_full
-    return u_full, u, build_cross_neighbor_graph(u, strict=strict)
+    u = UnicastInstance(inst, dedup)
+    return u, build_cross_neighbor_graph(u, strict=strict)
 
 
 def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, str | None]:
@@ -110,18 +108,18 @@ def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, 
 
 def solve_instance(inst: Instance, config: SolveConfig = SolveConfig()) -> SolveOutcome:
     """Run the whole pipeline: split, dedup, graph, cover, scheme."""
-    u_full, u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
     cover, solver_used, fallback = pick_cover(g, config)
     scheme = scheme_from_cover(u, cover)
     part_of = cover.assignment(g.vertex_count)
 
-    # expand assignments back to every pre-dedup virtual
+    # expand assignments back to every demand
     removed = u.dedup_map or {}
-    kept = [i for i in range(len(u_full.virtuals)) if i not in removed]
+    kept = [i for i in range(len(u.demands)) if i not in removed]
     new_pos = {orig: pos for pos, orig in enumerate(kept)}
     assignments = [
         (v.origin, v.want, part_of[new_pos[removed.get(i, i)]])
-        for i, v in enumerate(u_full.virtuals)
+        for i, v in enumerate(u.demands)
     ]
     return SolveOutcome(scheme, solver_used, assignments, fallback)
 
@@ -141,7 +139,7 @@ def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateRepor
     greedy cover always computes (``config.solver`` is not read).  gap =
     cover_exact - oracle when both exist.
     """
-    _, u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
     greedy = greedy_cover(g).size
     exact = _capped(lambda: exact_min_cover(g, cap=config.exact_cap).size)
     mais = _capped(lambda: mais_lower_bound(u, cap=config.mais_cap))

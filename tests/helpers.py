@@ -9,7 +9,7 @@ int keys and per-color masks replaced."""
 import itertools
 import random
 
-from indexcoding import CliqueCover, CodingScheme, DerivedGraph
+from indexcoding import CliqueCover, CodingScheme, DerivedGraph, Instance, split_groupcast
 from indexcoding.graph import _bits
 from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.jsontext import dumps
@@ -81,12 +81,9 @@ def entry_dicts(rows) -> list[dict]:
 
 
 def unicast_of(num_messages, pairs) -> UnicastInstance:
-    """A split instance with one virtual per (want, has) pair."""
-    virtuals = tuple(
-        VirtualReceiver(want=w, has=frozenset(h), origin=(i + 1, 1))
-        for i, (w, h) in enumerate(pairs)
-    )
-    return UnicastInstance(num_messages, virtuals)
+    """The split of an instance with one receiver per (want, has) pair, so
+    virtual j has origin (j, 1)."""
+    return split_groupcast(Instance.of(num_messages, [({w}, h) for w, h in pairs]))
 
 
 def naive_min_rate(n, pairs):

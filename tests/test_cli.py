@@ -114,6 +114,11 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path), "--no-dedup")
         assert code == 0
         assert len(json.loads(out)["assignments"]) == 4
+        # strict mode joins no two of the four virtuals, so each kept duplicate costs one
+        _, out, _ = run(capsys, "solve", str(path), "--no-dedup", "--strict-cross-neighbor")
+        assert json.loads(out)["rate"] == 4
+        _, out, _ = run(capsys, "solve", str(path), "--strict-cross-neighbor")
+        assert json.loads(out)["rate"] == 2
 
     def test_strict_mode_separates_equal_wants(self, capsys, tmp_path):
         path = tmp_path / "same_want.json"

@@ -15,7 +15,9 @@ from indexcoding import (
 )
 from indexcoding.generate import random_instance
 from indexcoding.graph import bipartite_dot
-from indexcoding.instance import _violations, instance_from_jsonable
+from indexcoding.instance import (
+    UnicastInstance, VirtualReceiver, _violations, instance_from_jsonable,
+)
 
 
 @st.composite
@@ -377,6 +379,20 @@ class TestValidateOnce:
          ["receiver 1: wants id <int of 16610 bits> out of range [1, 3]",
           "receiver 1: has id <int of 16610 bits> out of range [1, 3]",
           "receiver 1: wants/has overlap on [<int of 16610 bits>]"]),
+        # bad ids, also after a valid receiver: no split form can be made from them
+        (lambda: Instance.of(3, [({1}, {0}), ({2}, {7})]), ["receiver 1: has id 0 out of range [1, 3]",
+                                                          "receiver 2: has id 7 out of range [1, 3]"]),
+        (lambda: Instance.of(3, [({1}, {2}), ({2}, {-2})]), ["receiver 2: has id -2 out of range [1, 3]"]),
+        (lambda: Instance.of(3, [({1}, {2, 3}), ({2}, {4})]), ["receiver 2: has id 4 out of range [1, 3]"]),
+        (lambda: Instance.of(3, [({1}, {2}), ({5}, {1})]), ["receiver 2: wants id 5 out of range [1, 3]"]),
+        (lambda: Instance.of(3, [({0}, {2}), ({1}, ())]), ["receiver 1: wants id 0 out of range [1, 3]"]),
+        (lambda: Instance.of(3, [({1}, {"a"})]), ["receiver 1: has contains non-integer id 'a'"]),
+        (lambda: Instance.of(3, [({True}, ())]), ["receiver 1: wants contains non-integer id True"]),
+        (lambda: Instance.of(3, [({None}, {2})]), ["receiver 1: wants contains non-integer id None"]),
+        # a want above n held as its own side information: no rate decodes it
+        (lambda: Instance.of(3, [({5}, {5})]), ["receiver 1: wants id 5 out of range [1, 3]",
+                                                "receiver 1: has id 5 out of range [1, 3]",
+                                                "receiver 1: wants/has overlap on [5]"]),
     ])
     def test_hand_built_instance_raises_every_violation(self, build, violations):
         with pytest.raises(ValidationError) as info:
@@ -461,6 +477,16 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split_groupcast(Instance.of(2, [({1}, {1})]))
 
+    def test_split_form_is_made_only_from_an_instance(self, example6):
+        # the old call, which took virtuals built by hand
+        with pytest.raises(ValidationError) as info:
+            UnicastInstance(3, (VirtualReceiver(1, frozenset({2}), (1, 1)),))
+        assert str(info.value) == ("a split form takes an Instance and a bool dedup flag,"
+                                   " not int and tuple")
+        for flag in (1, 0, None, "yes"):
+            with pytest.raises(ValidationError):
+                UnicastInstance(example6, flag)
+
     @given(instances())
     def test_split_count_and_faithfulness(self, inst):
         u = split_groupcast(inst)
@@ -505,3 +531,6 @@ class TestDedup:
                 pre.virtuals[rep].has,
             )
         assert len(post.virtuals) + len(post.dedup_map) == len(pre.virtuals)
+        assert post.demands == pre.virtuals
+        assert post.virtuals == tuple(
+            v for i, v in enumerate(post.demands) if i not in post.dedup_map)

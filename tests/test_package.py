@@ -1,5 +1,8 @@
 import ast
+import contextlib
 import importlib
+import io
+import re
 import sys
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import indexcoding
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "indexcoding"
 BENCHMARK_DIR = PACKAGE_DIR.parent.parent / "perfbench"
+README = PACKAGE_DIR.parent.parent / "README.md"
 
 
 def absolute_imports(path: Path) -> list[tuple[int, str]]:
@@ -47,3 +51,14 @@ def test_every_name_the_benchmark_imports_resolves():
 
 def test_every_public_name_resolves():
     assert [name for name in indexcoding.__all__ if not hasattr(indexcoding, name)] == []
+
+
+def test_readme_library_example_runs():
+    library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", library, re.M | re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert out.getvalue() == ("{'mais': 2, 'oracle': 2, 'cover_exact': 2, 'cover_greedy': 2,"
+                              " 'gap': 0, 'counterexample': False}\n")

@@ -24,11 +24,10 @@ from indexcoding import (
     verify_scheme_symbolic,
 )
 from indexcoding import scheme as scheme_module
-from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.scheme import TRIAL_BLOCK, assign_transmissions
 from indexcoding.generate import random_instance
 
-from helpers import serialize_scheme, verify_cover
+from helpers import serialize_scheme, unicast_of, verify_cover
 
 
 def solve(inst, solver=exact_min_cover):
@@ -405,12 +404,11 @@ class TestVerification:
         # virtuals once built 2000 sets of 1999 ids (about 130 MB)
         n = 2000
         s = CodingScheme(n, (tuple(range(1, n + 1)),))
-        u = UnicastInstance(n, (VirtualReceiver(1, frozenset(range(2, n + 1)), (1, 1)),
-                                VirtualReceiver(2, frozenset(), (2, 1))))
+        u = unicast_of(n, [(1, range(2, n + 1)), (2, ())])
+        ok = unicast_of(n, [(1, range(2, n + 1))])
         tracemalloc.start()
         try:
             assert assign_transmissions(u, s) == [0, None]
-            ok = UnicastInstance(n, u.virtuals[:1])
             assert verify_scheme_random(ok, s, trials=3) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -549,20 +547,6 @@ class TestAssignMatchesReference:
                     outcomes[None not in got] += 1
                 assert_decode_matches_reference(u, s, random.Random(seed))
         assert min(outcomes.values()) > 300, outcomes
-
-    def test_want_inside_has(self):
-        # a directly built virtual may hold its own want; neither rule reads it
-        u = UnicastInstance(4, (
-            VirtualReceiver(want=2, has=frozenset({1, 2, 3}), origin=(1, 1)),
-            VirtualReceiver(want=2, has=frozenset({2}), origin=(2, 1)),
-            VirtualReceiver(want=4, has=frozenset({1, 2, 3, 4}), origin=(3, 1)),
-        ))
-        for transmissions in (((1, 2, 3),), ((2,), (1, 2, 3)), ((1, 2), (2, 4)), ((4,), (2,))):
-            s = CodingScheme(4, transmissions)
-            assert assign_transmissions(u, s) == reference_assign_transmissions(u, s)
-        assert assign_transmissions(u, CodingScheme(4, ((1, 2, 3), (4,)))) == [0, None, 1]
-        for transmissions in (((1, 2, 3),), ((2,), (1, 2, 3)), ((1, 2), (2, 4)), ((4,), (2,))):
-            assert_decode_matches_reference(u, CodingScheme(4, transmissions), random.Random(1))
 
 
 def reference_parse_scheme(data, num_messages):
