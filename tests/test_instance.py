@@ -18,6 +18,7 @@ from indexcoding.graph import bipartite_dot
 from indexcoding.instance import (
     UnicastInstance, VirtualReceiver, _violations, instance_from_jsonable,
 )
+from indexcoding.pipeline import SolveConfig, prepare, solve_instance
 
 
 @st.composite
@@ -477,15 +478,31 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split_groupcast(Instance.of(2, [({1}, {1})]))
 
-    def test_split_form_is_made_only_from_an_instance(self, example6):
+    @pytest.mark.parametrize("args, types", [
         # the old call, which took virtuals built by hand
+        (lambda inst: (3, (VirtualReceiver(1, frozenset({2}), (1, 1)),)), "int and tuple"),
+        (lambda inst: (split_groupcast(inst),), "UnicastInstance and bool"),
+        (lambda inst: (json.loads(serialize_instance(inst)),), "dict and bool"),
+        (lambda inst: (inst, 1), "Instance and int"),
+        (lambda inst: (inst, 0), "Instance and int"),
+        (lambda inst: (inst, None), "Instance and NoneType"),
+        (lambda inst: (inst, "yes"), "Instance and str"),
+    ], ids=["old call", "split form", "json", "dedup 1", "dedup 0", "dedup None", "dedup str"])
+    def test_split_form_is_made_only_from_an_instance(self, example6, args, types):
         with pytest.raises(ValidationError) as info:
-            UnicastInstance(3, (VirtualReceiver(1, frozenset({2}), (1, 1)),))
-        assert str(info.value) == ("a split form takes an Instance and a bool dedup flag,"
-                                   " not int and tuple")
-        for flag in (1, 0, None, "yes"):
-            with pytest.raises(ValidationError):
-                UnicastInstance(example6, flag)
+            UnicastInstance(*args(example6))
+        assert str(info.value) == f"a split form takes an Instance and a bool dedup flag, not {types}"
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["split", "dedup"])
+    @given(inst=instances())
+    def test_split_ids_are_in_range(self, flag, inst):
+        # the graph and the oracle read these ids without checking them
+        u = UnicastInstance(inst, flag)
+        n = u.num_messages
+        for v in u.virtuals:
+            assert type(v.want) is int and 1 <= v.want <= n
+            assert all(type(i) is int and 1 <= i <= n for i in v.has)
+            assert v.want not in v.has
 
     @given(instances())
     def test_split_count_and_faithfulness(self, inst):
@@ -534,3 +551,21 @@ class TestDedup:
         assert post.demands == pre.virtuals
         assert post.virtuals == tuple(
             v for i, v in enumerate(post.demands) if i not in post.dedup_map)
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("flag", [False, True], ids=["no dedup", "dedup"])
+    def test_one_split_feeds_the_graph_and_the_assignments(self, flag):
+        inst = Instance.of(3, [({1, 2}, {3}), ({1, 2}, {3}), ({3}, {1})])
+        u, g = prepare(inst, dedup=flag)
+        assert u == UnicastInstance(inst, flag) and u.dedup is flag
+        assert u.demands == split_groupcast(inst).virtuals
+        assert len(u.virtuals) == (3 if flag else 5)
+        assert g.vertex_count == len(u.virtuals)
+        outcome = solve_instance(inst, SolveConfig(dedup=flag))
+        assert [(origin, want) for origin, want, _ in outcome.assignments] == [
+            (v.origin, v.want) for v in u.demands]
+        if flag:
+            # a removed duplicate is sent by the transmission of the one it repeats
+            parts = [part for _, _, part in outcome.assignments]
+            assert parts[2:4] == parts[0:2]
