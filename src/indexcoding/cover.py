@@ -2,7 +2,9 @@
 
 A clique cover of g is a proper coloring of g's complement, so the exact
 solver runs a DSATUR-ordered branch-and-bound coloring on the complement of
-each connected component (cliques never span components).  Each uncolored
+each connected component (cliques never span components).  A component
+already labelled 0..s-1 (a connected graph is one) is colored on the complement
+of the graph's own rows; any other is relabelled 0..s-1 first.  Each uncolored
 vertex holds one int key, saturation then degree then reversed index in
 fixed-width fields, so a DSATUR pick is one C-level ``max``; saturation is
 kept as one bitset per color, the OR of the rows given that color, in the
@@ -68,7 +70,10 @@ def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCove
 
     Cliques never span connected components, so each is solved on its own and
     ``cap`` bounds the largest one: a component over ``cap`` vertices raises
-    CapExceeded before any is solved; use :func:`greedy_cover` then.
+    CapExceeded before any is solved; use :func:`greedy_cover` then.  A
+    component whose largest vertex is ``s - 1`` for its ``s`` vertices is
+    exactly 0..s-1, so its complement is taken from ``g.adjacency`` as it
+    stands; any other is relabelled bit by bit.
     """
     components = connected_components(g)
     largest = max(map(len, components), default=0)
@@ -79,16 +84,19 @@ def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCove
         )
     adj, parts = g.adjacency, []
     for comp in components:
-        # relabel the component 0..len(comp)-1 in ascending order; it is closed
-        # under adjacency, so every neighbor has a label
-        local = {v: i for i, v in enumerate(comp)}
         full = (1 << len(comp)) - 1
-        complement = []
-        for i, v in enumerate(comp):
-            row = 0
-            for u in _bits(adj[v]):
-                row |= 1 << local[u]
-            complement.append(full & ~row & ~(1 << i))
+        if comp[-1] == len(comp) - 1:  # already labelled 0..len(comp)-1
+            complement = [full & ~adj[v] & ~(1 << v) for v in comp]
+        else:
+            # relabel the component 0..len(comp)-1 in ascending order; it is
+            # closed under adjacency, so every neighbor has a label
+            local = {v: i for i, v in enumerate(comp)}
+            complement = []
+            for i, v in enumerate(comp):
+                row = 0
+                for u in _bits(adj[v]):
+                    row |= 1 << local[u]
+                complement.append(full & ~row & ~(1 << i))
         # color classes fill in ascending vertex order, so each part is sorted
         classes: dict[int, list[int]] = {}
         for v, color in zip(comp, _exact_coloring(len(comp), complement)):

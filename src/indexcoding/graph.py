@@ -12,35 +12,53 @@ The arcs are bitmasks over virtual indices, built per message, not by pairs:
 and ``out[has]``, the OR of ``W[i]`` over i in ``has``, is taken once per
 distinct side information.  Virtual p's cross-neighbor row is
 ``out[has_p] & H[want_p]``, OR-ed with ``W[want_p]`` unless strict, minus p.
+Both rules are symmetric in p and q, so a ``DerivedGraph``, which is made only
+from a split form and builds these rows itself, is valid by construction and
+no symmetry test runs on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from .errors import ValidationError
 from .instance import Instance, UnicastInstance
-
-# characters per strip of the symmetry test (one per adjacency bit)
-_STRIP_CHARS = 1 << 22
 
 
 @dataclass(frozen=True)
 class DerivedGraph:
-    """Undirected graph over virtual-receiver indices, dense bitmask rows."""
+    """The cross-neighbor graph of the split form ``unicast``: an undirected
+    graph over its virtual indices, as dense bitmask rows.
 
-    vertex_count: int
-    adjacency: tuple[int, ...]
+    It is made only from a ``UnicastInstance`` and builds its rows once, so it
+    is valid by construction: symmetric, with no self-loop and no bit at or
+    above ``vertex_count``.  Nothing is checked here beyond the types of the
+    two arguments.
+    """
+
+    unicast: UnicastInstance
+    strict: bool = False
+    # derived from the two fields above, once, in __post_init__
+    vertex_count: int = field(init=False, compare=False)
+    adjacency: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        k = self.vertex_count
-        rows = self.adjacency
-        if len(rows) != k:
-            raise ValueError("adjacency length must equal vertex_count")
-        # a bulk test first; the row walk runs only to name the first defect
-        well_formed = not any(row >> k or (row >> p) & 1 for p, row in enumerate(rows))
-        if not (well_formed and _symmetric(rows, k)):
-            _raise_first_defect(rows, k)
+        u, strict = self.unicast, self.strict
+        if type(u) is not UnicastInstance or type(strict) is not bool:
+            raise ValidationError(
+                "a cross-neighbor graph takes a UnicastInstance and a bool strict flag, "
+                f"not {type(u).__name__} and {type(strict).__name__}"
+            )
+        wanted_by, held_by, out = side_information_arcs(u)
+        rows = []
+        for p, v in enumerate(u.virtuals):
+            row = out[v.has] & held_by.get(v.want, 0)
+            if not strict:
+                row |= wanted_by[v.want]
+            rows.append(row & ~(1 << p))
+        object.__setattr__(self, "vertex_count", len(rows))
+        object.__setattr__(self, "adjacency", tuple(rows))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(p, q) for p in range(self.vertex_count) for q in _bits(self.adjacency[p]) if p < q]
@@ -51,35 +69,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _symmetric(rows: tuple[int, ...], k: int) -> bool:
-    """Exact symmetry test in C, column strip by column strip: each strip of
-    the bit matrix is one string, row p's bits low bit first, and its column
-    slices must equal the matching rows.  A strip holds at most
-    ``_STRIP_CHARS`` characters, so the test's memory does not grow as k^2."""
-    width = max(1, min(k, _STRIP_CHARS // max(k, 1)))
-    for c in range(0, k, width):
-        w = min(width, k - c)
-        low = (1 << w) - 1
-        strip = "".join([format(row >> c & low, f"0{w}b")[::-1] for row in rows])
-        for q in range(c, c + w):
-            # with one strip, row q is a slice of it; otherwise it is formatted
-            row_q = strip[q * k:(q + 1) * k] if w == k else format(rows[q], f"0{k}b")[::-1]
-            if strip[q - c::w] != row_q:
-                return False
-    return True
-
-
-def _raise_first_defect(rows: tuple[int, ...], k: int) -> None:
-    for p, row in enumerate(rows):
-        if row >> k:
-            raise ValueError(f"vertex {p}: neighbor bit out of range")
-        if (row >> p) & 1:
-            raise ValueError(f"vertex {p}: self-loop")
-        for q in _bits(row):
-            if not (rows[q] >> p) & 1:
-                raise ValueError(f"adjacency not symmetric on ({p}, {q})")
 
 
 def side_information_arcs(u: UnicastInstance) -> tuple[dict, dict, dict]:
@@ -116,20 +105,13 @@ def closure(rows: Sequence[int], frontier: int, within: int) -> int:
 
 
 def build_cross_neighbor_graph(u: UnicastInstance, strict: bool = False) -> DerivedGraph:
-    """Edge {p, q} iff the pair can share one XOR transmission.
+    """Edge {p, q} iff the pair can share one XOR transmission: ``DerivedGraph(u, strict)``.
 
     Default rule: equal wants, or mutual containment (each want in the other's
     side info).  With ``strict=True`` only mutual containment counts, which
     makes two virtuals wanting the same message non-adjacent.
     """
-    wanted_by, held_by, out = side_information_arcs(u)
-    rows = []
-    for p, v in enumerate(u.virtuals):
-        row = out[v.has] & held_by.get(v.want, 0)
-        if not strict:
-            row |= wanted_by[v.want]
-        rows.append(row & ~(1 << p))
-    return DerivedGraph(len(u.virtuals), tuple(rows))
+    return DerivedGraph(u, strict)
 
 
 def connected_components(g: DerivedGraph) -> list[tuple[int, ...]]:

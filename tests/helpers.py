@@ -1,19 +1,41 @@
-"""Builders and references the tests share: graphs by hand, at random or
-induced on a vertex subset, a split instance from (want, has) pairs, the
-graph-side clique-cover check that ``scheme_from_cover``'s own check is
-tested against, the dict form of the entry writer that the code replaced, a
-naive GF(2) rate, a MAIS bound by subset enumeration, the canonical scheme
-JSON, and the DSATUR search with per-vertex saturation rows that the cover's
-int keys and per-color masks replaced."""
+"""Builders and references the tests share: graphs built through an
+instance from rows, from edges, at random or induced on a vertex subset, a
+split instance from (want, has) pairs, the symmetry test and defect walk that
+graphs once ran on their rows, the exact cover that relabelled every
+component, the graph-side clique-cover check that ``scheme_from_cover``'s own
+check is tested against, the dict form of the entry writer that the code
+replaced, a naive GF(2) rate, a MAIS bound by subset enumeration, the
+canonical scheme JSON, and the DSATUR search with per-vertex saturation rows
+that the cover's int keys and per-color masks replaced."""
 
 import itertools
 import random
 
-from indexcoding import CliqueCover, CodingScheme, DerivedGraph, Instance, split_groupcast
+from indexcoding import (
+    CliqueCover, CodingScheme, DerivedGraph, Instance, build_cross_neighbor_graph,
+    connected_components, split_groupcast,
+)
+from indexcoding.cover import _exact_coloring
 from indexcoding.graph import _bits
 from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.jsontext import dumps
 from indexcoding.oracle import can_decode
+
+
+def graph_of_rows(rows) -> DerivedGraph:
+    """The graph whose row p is ``rows[p]``, for symmetric rows without
+    self-loops, built through an instance: receiver p wants {p + 1} and holds
+    the ids of its neighbours plus one.  With distinct wants the edges are
+    exactly the mutual-containment pairs, so vertex p stays p.  One int object
+    stands for each id in every receiver that holds it."""
+    k = len(rows)
+    ids = list(range(1, k + 1))
+    # the ids that row p's bits pick, low bit first: one C-level pass per row
+    held = [itertools.compress(ids, map(int, format(row, f"0{k}b")[::-1])) for row in rows]
+    inst = Instance.of(max(k, 1), [((ids[p],), has) for p, has in enumerate(held)])
+    g = build_cross_neighbor_graph(split_groupcast(inst))
+    assert g.adjacency == tuple(rows), "rows must be symmetric and loop-free"
+    return g
 
 
 def graph_from_edges(vertex_count: int, edges) -> DerivedGraph:
@@ -22,7 +44,7 @@ def graph_from_edges(vertex_count: int, edges) -> DerivedGraph:
     for p, q in edges:
         rows[p] |= 1 << q
         rows[q] |= 1 << p
-    return DerivedGraph(vertex_count, tuple(rows))
+    return graph_of_rows(rows)
 
 
 def induced_subgraph(g: DerivedGraph, vertices) -> DerivedGraph:
@@ -35,7 +57,7 @@ def induced_subgraph(g: DerivedGraph, vertices) -> DerivedGraph:
             if (g.adjacency[v] >> u) & 1 and u in index:
                 row |= 1 << index[u]
         rows.append(row)
-    return DerivedGraph(len(vertices), tuple(rows))
+    return graph_of_rows(rows)
 
 
 def random_graph(num_vertices: int, edge_density: float, seed: int = 0) -> DerivedGraph:
@@ -49,6 +71,62 @@ def random_graph(num_vertices: int, edge_density: float, seed: int = 0) -> Deriv
         if rng.random() < edge_density
     ]
     return graph_from_edges(num_vertices, edges)
+
+
+# characters per strip of the symmetry test (one per adjacency bit)
+_STRIP_CHARS = 1 << 22
+
+
+def _symmetric(rows: tuple[int, ...], k: int) -> bool:
+    """Exact symmetry test in C, column strip by column strip: each strip of
+    the bit matrix is one string, row p's bits low bit first, and its column
+    slices must equal the matching rows.  A strip holds at most
+    ``_STRIP_CHARS`` characters, so the test's memory does not grow as k^2."""
+    width = max(1, min(k, _STRIP_CHARS // max(k, 1)))
+    for c in range(0, k, width):
+        w = min(width, k - c)
+        low = (1 << w) - 1
+        strip = "".join([format(row >> c & low, f"0{w}b")[::-1] for row in rows])
+        for q in range(c, c + w):
+            # with one strip, row q is a slice of it; otherwise it is formatted
+            row_q = strip[q * k:(q + 1) * k] if w == k else format(rows[q], f"0{k}b")[::-1]
+            if strip[q - c::w] != row_q:
+                return False
+    return True
+
+
+def _raise_first_defect(rows: tuple[int, ...], k: int) -> None:
+    """Raise ValueError naming the first defect of k bitmask rows, in row
+    order: a bit at or above k, a self-loop, or a bit its partner lacks."""
+    for p, row in enumerate(rows):
+        if row >> k:
+            raise ValueError(f"vertex {p}: neighbor bit out of range")
+        if (row >> p) & 1:
+            raise ValueError(f"vertex {p}: self-loop")
+        for q in _bits(row):
+            if not (rows[q] >> p) & 1:
+                raise ValueError(f"adjacency not symmetric on ({p}, {q})")
+
+
+def reference_exact_min_cover(g: DerivedGraph) -> CliqueCover:
+    """``exact_min_cover`` with no cap, as it was before a component labelled
+    0..s-1 was colored on the graph's own rows: every component is relabelled
+    bit by bit."""
+    adj, parts = g.adjacency, []
+    for comp in connected_components(g):
+        local = {v: i for i, v in enumerate(comp)}
+        full = (1 << len(comp)) - 1
+        complement = []
+        for i, v in enumerate(comp):
+            row = 0
+            for u in _bits(adj[v]):
+                row |= 1 << local[u]
+            complement.append(full & ~row & ~(1 << i))
+        classes: dict[int, list[int]] = {}
+        for v, color in zip(comp, _exact_coloring(len(comp), complement)):
+            classes.setdefault(color, []).append(v)
+        parts.extend(map(tuple, classes.values()))
+    return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
 
 
 def verify_cover(g: DerivedGraph, c: CliqueCover) -> str | None:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,15 +17,18 @@ from indexcoding import (
     greedy_cover,
     split_groupcast,
 )
+from indexcoding import cover as cover_module
 from indexcoding.cover import _dsatur_greedy, _exact_coloring, _greedy_clique, _keys
 from indexcoding.generate import random_instance
 
 from helpers import (
     graph_from_edges,
+    graph_of_rows,
     induced_subgraph,
     random_graph,
     reference_dsatur_greedy,
     reference_exact_coloring,
+    reference_exact_min_cover,
     reference_greedy_clique,
     verify_cover,
 )
@@ -124,6 +128,40 @@ def assert_search_matches_reference(rows):
         assert _greedy_clique(rows, base, b) == reference_greedy_clique(n, rows, degrees)
 
 
+def connected_graph(n: int, p: float, rng: random.Random):
+    """A connected graph on n vertices: each vertex after 0 joins a random
+    earlier one, and every other pair is an edge with probability p."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+    return graph_from_edges(n, edges)
+
+
+def labelled_graph(kind: str, rng: random.Random):
+    """A graph of the given kind, by where its components sit: one component;
+    a component labelled 0..s-1 followed by others; no component labelled
+    0..s-1 (vertex 0 shares a component with a vertex above the next
+    component's); edgeless; no vertices."""
+    if kind == "one component":
+        return connected_graph(rng.randint(1, 30), rng.random(), rng)
+    if kind == "edgeless":
+        return graph_from_edges(rng.randint(1, 12), [])
+    if kind == "no vertices":
+        return graph_from_edges(0, [])
+    rest = [connected_graph(rng.randint(1, 6), rng.random(), rng) for _ in range(rng.randint(0, 4))]
+    first = connected_graph(rng.randint(2, 12), rng.random(), rng)
+    if kind == "0..s-1 first":
+        return disjoint_union([first] + rest)
+    # "none labelled 0..s-1": the first graph's vertex 0 keeps label 0, the
+    # second graph takes the labels after it, then the first graph's others
+    second = connected_graph(rng.randint(1, 8), rng.random(), rng)
+    a, b = first.vertex_count, second.vertex_count
+    label = [0] + list(range(b + 1, a + b))
+    g = disjoint_union([first, second] + rest)
+    order = label + list(range(1, b + 1)) + list(range(a + b, g.vertex_count))
+    relabelled = [(order[p], order[q]) for p, q in g.edges()]
+    return graph_from_edges(g.vertex_count, relabelled)
+
+
 @pytest.fixture
 def worked_graph(example6):
     return build_cross_neighbor_graph(split_groupcast(example6))
@@ -158,7 +196,7 @@ class TestExact:
         assert max(colors) == 2
         assert all(colors[v] != colors[(v + 1) % n] for v in range(n))
         full = (1 << n) - 1
-        g = DerivedGraph(n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(cycle)))
+        g = graph_of_rows([full & ~row & ~(1 << v) for v, row in enumerate(cycle)])
         cover = exact_min_cover(g, cap=2000)
         assert cover.size == 3 and verify_cover(g, cover) is None
 
@@ -212,6 +250,42 @@ class TestExact:
         cover = exact_min_cover(g)
         assert calls == []
         assert verify_cover(g, cover) is None
+
+
+class TestLabelledComponents:
+    """A component labelled 0..s-1 is colored on the graph's own rows; the
+    parts equal those of the cover that relabelled every component."""
+
+    KINDS = ["one component", "0..s-1 first", "none labelled 0..s-1", "edgeless", "no vertices"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parts_match_the_relabelling_reference(self, monkeypatch, kind):
+        # wrong rows can hold a self-loop, on which the greedy clique never
+        # ends, so each component's rows are checked before they are colored
+        expected = iter(())
+
+        def checked_coloring(n, rows):
+            assert rows == next(expected)
+            return _exact_coloring(n, rows)
+
+        monkeypatch.setattr(cover_module, "_exact_coloring", checked_coloring)
+        rng = random.Random(f"labelled {kind}")
+        for _ in range(60):
+            g = labelled_graph(kind, rng)
+            components = connected_components(g)
+            in_place = [comp[-1] == len(comp) - 1 for comp in components]
+            assert in_place == {
+                "one component": [True],
+                "0..s-1 first": [True] + [False] * (len(components) - 1),
+                "none labelled 0..s-1": [False] * len(components),
+                "edgeless": [True] + [False] * (g.vertex_count - 1),
+                "no vertices": [],
+            }[kind]
+            expected = component_complements(g)
+            cover = exact_min_cover(g, cap=64)
+            assert next(expected, None) is None
+            assert cover.parts == reference_exact_min_cover(g).parts
+            assert verify_cover(g, cover) is None
 
 
 class TestKeyedSearchMatchesReference:

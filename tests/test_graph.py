@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from indexcoding import (
     CliqueCover,
@@ -19,11 +20,20 @@ from indexcoding import (
     verify_scheme_random,
     verify_scheme_symbolic,
 )
-from indexcoding import graph as graph_module
+from indexcoding.errors import ValidationError
 from indexcoding.graph import closure
 from indexcoding.generate import random_instance
+from indexcoding.instance import UnicastInstance
 
-from helpers import graph_from_edges, induced_subgraph, random_graph, unicast_of
+import helpers
+from helpers import (
+    _raise_first_defect,
+    _symmetric,
+    graph_from_edges,
+    induced_subgraph,
+    random_graph,
+    unicast_of,
+)
 
 
 def neighbour_walk_components(g):
@@ -86,11 +96,26 @@ class TestBuild:
         assert build_cross_neighbor_graph(u).edges() == [(0, 1)]
         assert build_cross_neighbor_graph(u, strict=True).edges() == []
 
-    def test_adjacency_validated(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            DerivedGraph(2, (0b10, 0b00))
-        with pytest.raises(ValueError, match="self-loop"):
-            DerivedGraph(2, (0b00, 0b10))
+    @pytest.mark.parametrize(
+        "make, named",
+        [
+            (lambda u: DerivedGraph(2, (0b10, 0b01)), "int and tuple"),  # hand-made rows
+            (lambda u: DerivedGraph(u.instance), "Instance and bool"),
+            (lambda u: DerivedGraph(u.virtuals), "tuple and bool"),
+            (lambda u: DerivedGraph(u, 1), "UnicastInstance and int"),
+            (lambda u: DerivedGraph(u, None), "UnicastInstance and NoneType"),
+        ],
+        ids=["rows", "instance", "virtuals", "strict 1", "strict None"],
+    )
+    def test_graph_is_made_only_from_a_split_form(self, make, named):
+        u = unicast_of(2, [(1, {2}), (2, {1})])
+        with pytest.raises(ValidationError) as exc:
+            make(u)
+        assert str(exc.value) == (
+            f"a cross-neighbor graph takes a UnicastInstance and a bool strict flag, not {named}")
+        g = DerivedGraph(u)
+        assert (g.vertex_count, g.adjacency) == (2, (0b10, 0b01))
+        assert g == build_cross_neighbor_graph(u) != DerivedGraph(u, strict=True)
 
     @pytest.mark.parametrize(
         "missing, named",
@@ -105,17 +130,17 @@ class TestBuild:
         p, q = missing
         rows[p] &= ~(1 << q)
         with pytest.raises(ValueError, match=rf"^adjacency not symmetric on \({named[0]}, {named[1]}\)$"):
-            DerivedGraph(6, tuple(rows))
+            _raise_first_defect(tuple(rows), 6)
 
     @pytest.mark.parametrize("strip_chars", [None, 1, 50])
     def test_one_flipped_bit_is_always_rejected(self, monkeypatch, strip_chars):
         if strip_chars is not None:  # many column strips per matrix
-            monkeypatch.setattr(graph_module, "_STRIP_CHARS", strip_chars)
+            monkeypatch.setattr(helpers, "_STRIP_CHARS", strip_chars)
         rng = random.Random(8)
         for seed in range(200):
             g = random_graph(1 + seed % 40, (0.05, 0.3, 0.9)[seed % 3], seed=seed)
             k = g.vertex_count
-            assert graph_module._symmetric(g.adjacency, k)  # the fast test, not the walk
+            assert _symmetric(g.adjacency, k)
             p, q = rng.randrange(k), rng.randrange(k)
             rows = list(g.adjacency)
             rows[p] ^= 1 << q
@@ -125,10 +150,27 @@ class TestBuild:
                 expected = f"adjacency not symmetric on ({p}, {q})"
             else:  # a removed bit: row q is the one that holds its partner
                 expected = f"adjacency not symmetric on ({q}, {p})"
-            assert graph_module._symmetric(rows, k) == (p == q)
+            assert _symmetric(rows, k) == (p == q)
             with pytest.raises(ValueError) as exc:
-                DerivedGraph(k, tuple(rows))
+                _raise_first_defect(tuple(rows), k)
             assert str(exc.value) == expected, (seed, p, q)
+
+    # a graph is valid by construction: the symmetry test it no longer runs holds
+    @settings(max_examples=150)
+    @example(n=3, m=0, density=0.5, hi=1, seed=0)  # 0 virtuals
+    @given(st.integers(1, 12), st.integers(0, 14), st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_every_built_graph_is_symmetric_and_loop_free(self, n, m, density, hi, seed):
+        inst = random_instance(n, m, density, (1, min(hi, n)), seed=seed)
+        for flag in (False, True):
+            u = UnicastInstance(inst, flag)
+            for strict in (False, True):
+                g = DerivedGraph(u, strict)
+                k = g.vertex_count
+                assert k == len(u.virtuals) == len(g.adjacency)
+                assert not any(row >> k for row in g.adjacency)
+                assert not any(row >> p & 1 for p, row in enumerate(g.adjacency))
+                assert _symmetric(g.adjacency, k)
 
     def test_mask_rows_match_pairwise_reference(self):
         rng = random.Random(31)
@@ -235,7 +277,7 @@ class TestComponents:
         assert connected_components(g) == [(0, 1, 2)]
 
     def test_matches_neighbour_walk(self):
-        graphs = [DerivedGraph(0, ())]
+        graphs = [graph_from_edges(0, [])]
         for seed in range(150):
             n = seed % 50
             p = (0.0, 0.02, 0.05, 0.1, 0.3, 1.0)[seed % 6]
