@@ -40,12 +40,12 @@ print("broadcast:", [hex(w) for w in received])
 
 # (5) Every virtual receiver recovers its want by cancelling side words.
 assigned = assign_transmissions(u, scheme)
-for idx, v in enumerate(u.virtuals):
+for v, (t, _) in zip(u.virtuals, assigned):
     side_words = {i: words[i] for i in v.has}
-    decoded = decode_receiver(scheme, v, received, side_words, assigned[idx])
+    decoded = decode_receiver(scheme, v, received, side_words, t)
     assert decoded == words[v.want]
     print(
         f"  r{v.origin[0]}_{v.origin[1]} decodes w{v.want} = {hex(decoded)} "
-        f"from transmission {assigned[idx]}"
+        f"from transmission {t}"
     )
 print("receiver 2 got both of its demands from two different transmissions")

@@ -99,7 +99,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scheme = parse_scheme(_read_file(args.scheme), num_messages=inst.num_messages)
     u = split_groupcast(inst)  # verification checks every demand, no dedup
     assigned = assign_transmissions(u, scheme)
-    unsatisfied = [i for i, t in enumerate(assigned) if t is None]
+    unsatisfied = [i for i, pair in enumerate(assigned) if pair is None]
     report: dict = {
         "rate": scheme.rate,
         "symbolic_ok": not unsatisfied,
@@ -113,7 +113,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(report)
         return EXIT_VERIFY
     failure = _random_trials(u, scheme, assigned, args.trials, args.seed, args.word_width)
-    report["virtuals"] = Entries([(v.origin, v.want, t) for v, t in zip(u.virtuals, assigned)])
+    report["virtuals"] = Entries([(v.origin, v.want, a[0]) for v, a in zip(u.virtuals, assigned)])
     report.update(
         {
             "random_ok": failure is None,
@@ -162,9 +162,9 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         sys.stdout.write(bipartite_dot(inst))
         return EXIT_OK
     config = _config_from_args(args)
-    u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    g = prepare(inst, config.dedup, config.strict_cross_neighbor)
     cover = pick_cover(g, config)[0].parts if args.overlay_cover else None
-    sys.stdout.write(derived_dot(u, g, cover))
+    sys.stdout.write(derived_dot(g, cover))
     return EXIT_OK
 
 

@@ -7,11 +7,10 @@ between virtuals that want the same message, dropped when ``strict``; the
 MAIS bound (``oracle.mais_lower_bound``) is its largest acyclic set of
 virtuals with distinct wants.
 
-The arcs are bitmasks over virtual indices, built per message, not by pairs:
+The arcs are the split form's ``UnicastInstance.arcs``, built once per split:
 ``W[i]`` and ``H[i]`` hold the virtuals that want and that hold message i,
-and ``out[has]``, the OR of ``W[i]`` over i in ``has``, is taken once per
-distinct side information.  Virtual p's cross-neighbor row is
-``out[has_p] & H[want_p]``, OR-ed with ``W[want_p]`` unless strict, minus p.
+and ``out[p]`` the heads of virtual p's arcs.  Virtual p's cross-neighbor row
+is ``out[p] & H[want_p]``, OR-ed with ``W[want_p]`` unless strict, minus p.
 Both rules are symmetric in p and q, so a ``DerivedGraph``, which is made only
 from a split form and builds these rows itself, is valid by construction and
 no symmetry test runs on it.
@@ -50,10 +49,10 @@ class DerivedGraph:
                 "a cross-neighbor graph takes a UnicastInstance and a bool strict flag, "
                 f"not {type(u).__name__} and {type(strict).__name__}"
             )
-        wanted_by, held_by, out = side_information_arcs(u)
+        wanted_by, held_by, out = u.arcs
         rows = []
         for p, v in enumerate(u.virtuals):
-            row = out[v.has] & held_by.get(v.want, 0)
+            row = out[p] & held_by.get(v.want, 0)
             if not strict:
                 row |= wanted_by[v.want]
             rows.append(row & ~(1 << p))
@@ -69,26 +68,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def side_information_arcs(u: UnicastInstance) -> tuple[dict, dict, dict]:
-    """``(W, H, out)``: message -> virtuals wanting it, message -> virtuals
-    holding it (no entry when none does), and side information -> the heads
-    of the arcs leaving each virtual that has it."""
-    wanted_by: dict[int, int] = {}
-    group: dict[frozenset[int], int] = {}  # has -> virtuals sharing it
-    for p, v in enumerate(u.virtuals):
-        wanted_by[v.want] = wanted_by.get(v.want, 0) | 1 << p
-        group[v.has] = group.get(v.has, 0) | 1 << p
-    held_by: dict[int, int] = {}
-    out: dict[frozenset[int], int] = {}
-    for has, members in group.items():
-        reach = 0
-        for i in has:
-            held_by[i] = held_by.get(i, 0) | members
-            reach |= wanted_by.get(i, 0)
-        out[has] = reach
-    return wanted_by, held_by, out
 
 
 def closure(rows: Sequence[int], frontier: int, within: int) -> int:
@@ -165,18 +144,12 @@ def bipartite_dot(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def derived_dot(
-    u: UnicastInstance,
-    g: DerivedGraph,
-    cover: Sequence[Sequence[int]] | None = None,
-) -> str:
+def derived_dot(g: DerivedGraph, cover: Sequence[Sequence[int]] | None = None) -> str:
     """DOT text for the cross-neighbor graph.
 
-    Nodes are named r<j>_<k> after each virtual's origin.  When a cover is
-    supplied its parts are shown by fill color, one color per part.
+    Nodes are named r<j>_<k> after each virtual's origin in ``g.unicast``.
+    When a cover is supplied its parts are shown by fill color, one per part.
     """
-    if g.vertex_count != len(u.virtuals):
-        raise ValueError("graph does not match the unicast instance")
     part_of = {}
     if cover is not None:
         for t, part in enumerate(cover):
@@ -184,7 +157,7 @@ def derived_dot(
                 part_of[v] = t
     lines = ["graph cross_neighbors {"]
     names = []
-    for idx, v in enumerate(u.virtuals):
+    for idx, v in enumerate(g.unicast.virtuals):
         j, k = v.origin
         name = f"r{j}_{k}"
         names.append(name)

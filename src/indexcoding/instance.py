@@ -15,12 +15,14 @@ The groupcast-to-unicast reduction lives here as well: a
 :class:`UnicastInstance` is made only from an ``Instance``, so its split is
 valid by construction too.  It breaks every receiver into one virtual
 receiver per demanded message and, with ``dedup``, drops virtual receivers
-that are exact duplicates of an earlier one.
+that are exact duplicates of an earlier one.  Its side-information arcs,
+which the graph and the MAIS bound read, are built on first use, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import and_
 from typing import Iterable
@@ -138,6 +140,33 @@ class UnicastInstance:
         for name, value in (("num_messages", inst.num_messages), ("demands", demands),
                             ("virtuals", virtuals), ("dedup_map", dedup_map)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def arcs(self) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
+        """``(W, H, out)``: the side-information digraph (arc p -> q when q's
+        want is in p's ``has``) as bitmasks over ``virtuals``, message -> its
+        wanters, message -> its holders (no entry when none), and each
+        virtual's out-row.  Built on first use, once; shared, so read-only."""
+        return _side_information_arcs(self.virtuals)
+
+
+def _side_information_arcs(virtuals: tuple[VirtualReceiver, ...]) -> tuple[dict, dict, tuple]:
+    """:attr:`UnicastInstance.arcs`, built per message, not by pairs: the OR
+    of ``W[i]`` over i in ``has`` is taken once per distinct ``has``."""
+    wanted_by: dict[int, int] = {}
+    group: dict[frozenset[int], int] = {}  # has -> virtuals sharing it
+    for p, v in enumerate(virtuals):
+        wanted_by[v.want] = wanted_by.get(v.want, 0) | 1 << p
+        group[v.has] = group.get(v.has, 0) | 1 << p
+    held_by: dict[int, int] = {}
+    reach_of: dict[frozenset[int], int] = {}
+    for has, members in group.items():
+        reach = 0
+        for i in has:
+            held_by[i] = held_by.get(i, 0) | members
+            reach |= wanted_by.get(i, 0)
+        reach_of[has] = reach
+    return wanted_by, held_by, tuple(reach_of[v.has] for v in virtuals)
 
 
 def _violations(n, receivers) -> list[str]:

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, ValidationError
-from .graph import _bits, closure, side_information_arcs
+from .graph import _bits, closure
 from .instance import UnicastInstance
 
 DEFAULT_ORACLE_N_CAP = 10
@@ -140,7 +140,7 @@ def min_linear_rate_gf2(
 def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
     """Largest acyclic set of virtuals with pairwise-distinct wants.
 
-    Acyclic means in the side-information digraph of ``graph.py``; such a
+    Acyclic means in the side-information digraph ``u.arcs``; such a
     set of size t forces any code to spend t transmissions.  The search takes at
     most one virtual per want-group (equal wants can't both witness) on an
     explicit stack of (group, chosen mask) pairs, so no recursion limit
@@ -151,8 +151,7 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
     k = len(u.virtuals)
     if k > cap:
         raise CapExceeded(f"MAIS cap exceeded ({k} virtuals > {cap})")
-    wanted_by, held_by, out_of = side_information_arcs(u)
-    out = [out_of[v.has] for v in u.virtuals]
+    wanted_by, held_by, out = u.arcs
     groups = sorted(wanted_by.items())
     best = 0
     stack = [(0, 0)]

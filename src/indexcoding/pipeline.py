@@ -1,9 +1,9 @@
 """The solver pipeline: split, dedup, cross-neighbor graph, clique cover, scheme.
 
 It chains the stages for ``solve``, ``gap`` and ``export-dot``: each builds
-its graph once through :func:`prepare` and picks its cover through
-:func:`pick_cover`.  ``verify`` needs no graph or cover, so the CLI splits,
-assigns and runs the random trials itself.
+its graph once through :func:`prepare`, whose ``unicast`` is the split, and
+picks its cover through :func:`pick_cover`.  ``verify`` needs no graph or
+cover, so the CLI splits, assigns and runs the random trials itself.
 """
 
 from __future__ import annotations
@@ -77,16 +77,13 @@ class RateReport:
         }
 
 
-def prepare(
-    inst: Instance, dedup: bool = True, strict: bool = False
-) -> tuple[UnicastInstance, DerivedGraph]:
+def prepare(inst: Instance, dedup: bool = True, strict: bool = False) -> DerivedGraph:
     """Split, optionally dedup, and build the cross-neighbor graph.
 
-    Returns the split (its ``demands`` hold one virtual per demand, its
-    ``virtuals`` the graph's vertices) and the graph.
+    The split is the graph's ``unicast``: its ``demands`` hold one virtual
+    per demand, its ``virtuals`` the graph's vertices.
     """
-    u = UnicastInstance(inst, dedup)
-    return u, build_cross_neighbor_graph(u, strict=strict)
+    return build_cross_neighbor_graph(UnicastInstance(inst, dedup), strict=strict)
 
 
 def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, str | None]:
@@ -108,7 +105,8 @@ def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, 
 
 def solve_instance(inst: Instance, config: SolveConfig = SolveConfig()) -> SolveOutcome:
     """Run the whole pipeline: split, dedup, graph, cover, scheme."""
-    u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    u = g.unicast
     cover, solver_used, fallback = pick_cover(g, config)
     scheme = scheme_from_cover(u, cover)
     part_of = cover.assignment(g.vertex_count)
@@ -139,13 +137,13 @@ def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateRepor
     greedy cover always computes (``config.solver`` is not read).  gap =
     cover_exact - oracle when both exist.
     """
-    u, g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    g = prepare(inst, config.dedup, config.strict_cross_neighbor)
     greedy = greedy_cover(g).size
     exact = _capped(lambda: exact_min_cover(g, cap=config.exact_cap).size)
-    mais = _capped(lambda: mais_lower_bound(u, cap=config.mais_cap))
+    mais = _capped(lambda: mais_lower_bound(g.unicast, cap=config.mais_cap))
     # the oracle starts from this MAIS (0 when capped): MAIS runs once, under mais_cap
     oracle = _capped(lambda: min_linear_rate_gf2(
-        u, n_cap=config.oracle_n_cap, lower_bound=mais or 0))
+        g.unicast, n_cap=config.oracle_n_cap, lower_bound=mais or 0))
     gap = exact - oracle if exact is not None and oracle is not None else None
     return RateReport(
         mais_bound=mais,

@@ -7,11 +7,11 @@ side-information words for those summands cancels them exactly.
 ``_decode_sets`` is the one statement of that rule, and every check and
 decode reads it, only for the summands some virtual wants, so a long
 transmission costs its length per wanted summand, not its length squared.
-``scheme_from_cover`` builds it once per part, and ``assign_transmissions``
-and the randomized check each build it once per transmission (``verify``
-runs both, so twice in all); each virtual is then one ``has.issuperset``
-test.  Message words are one mapping from 1-based message id to int word,
-shared by ``encode``, ``decode_receiver`` and the randomized check.
+``scheme_from_cover`` builds it once per part and ``assign_transmissions``
+once per transmission; each virtual is then one ``has.issuperset`` test, and
+the randomized check XORs out the set that passed it.  Message words are one
+mapping from 1-based message id to int word, shared by ``encode``,
+``decode_receiver`` and the randomized check.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ DEFAULT_WORD_WIDTH = 64
 # trial count
 TRIAL_BLOCK = 1024
 _want = attrgetter("want")
+Assignment = tuple[int, frozenset[int]]  # (transmission index, other summands)
 
 
 @dataclass(frozen=True)
@@ -134,20 +135,22 @@ def decode_receiver(
     return word
 
 
-def assign_transmissions(u: UnicastInstance, s: CodingScheme) -> list[int | None]:
-    """First decodable transmission per virtual, None where none qualifies."""
+def assign_transmissions(u: UnicastInstance, s: CodingScheme) -> list[Assignment | None]:
+    """Per virtual, ``(t, others)``: the first transmission ``t`` it decodes and
+    the other summands of ``t``, all in its ``has``, that it cancels there;
+    None where no transmission qualifies."""
     # message id -> (index, other summands) of each transmission holding it, in
     # order; only for wanted ids, so a long transmission costs its length per want
     wanted = set(map(_want, u.virtuals))
-    holding: dict[int, list[tuple[int, frozenset[int]]]] = {}
+    holding: dict[int, list[Assignment]] = {}
     for idx, t in enumerate(s.transmissions):
         for i, others in _decode_sets(t, wanted).items():
             holding.setdefault(i, []).append((idx, others))
-    assigned: list[int | None] = []
+    assigned: list[Assignment | None] = []
     for v in u.virtuals:
-        for idx, others in holding.get(v.want, ()):
-            if v.has.issuperset(others):
-                assigned.append(idx)
+        for pair in holding.get(v.want, ()):
+            if v.has.issuperset(pair[1]):
+                assigned.append(pair)
                 break
         else:
             assigned.append(None)
@@ -160,7 +163,7 @@ def verify_scheme_symbolic(u: UnicastInstance, s: CodingScheme) -> list[int]:
     A transmission satisfies a virtual when the virtual can decode it.
     """
     assigned = assign_transmissions(u, s)
-    return [idx for idx, t in enumerate(assigned) if t is None]
+    return [idx for idx, pair in enumerate(assigned) if pair is None]
 
 
 def verify_scheme_random(
@@ -183,7 +186,7 @@ def verify_scheme_random(
     """
     _check_trials(trials, word_width)
     assigned = assign_transmissions(u, s)
-    if any(t is None for t in assigned):
+    if None in assigned:
         raise ValidationError(
             "symbolic verification failed; randomized check requires it to pass"
         )
@@ -199,17 +202,14 @@ def _check_trials(trials: int, word_width: int) -> None:
 
 
 def _random_trials(
-    u: UnicastInstance, s: CodingScheme, assigned: list[int], trials: int, seed: int,
+    u: UnicastInstance, s: CodingScheme, assigned: list[Assignment], trials: int, seed: int,
     word_width: int,
 ) -> TrialFailure | None:
     """The trials of :func:`verify_scheme_random`, decoding each virtual from
-    its transmission in ``assigned`` (``assign_transmissions(u, s)``, with no
-    None, so every virtual holds the other summands it XORs out);
-    ``trials`` and ``word_width`` keep :func:`_check_trials`."""
+    its pair in ``assigned`` (``assign_transmissions(u, s)``, with no None):
+    the received word of its transmission XOR the words of its other
+    summands.  ``trials`` and ``word_width`` keep :func:`_check_trials`."""
     sent = sorted({i for t in s.transmissions for i in t})
-    wanted = set(map(_want, u.virtuals))
-    decode = [_decode_sets(t, wanted) for t in s.transmissions]
-    cancel = [decode[t][v.want] for v, t in zip(u.virtuals, assigned)]
     rng = random.Random(seed)
     mask = (1 << word_width) - 1
     for start in range(0, trials, TRIAL_BLOCK):
@@ -217,9 +217,9 @@ def _random_trials(
         words = {i: rng.getrandbits(width) for i in sent}
         received = encode(s, words)
         first = None  # (trial in block, virtual, expected, got)
-        for idx, v in enumerate(u.virtuals):
-            got = received[assigned[idx]]
-            for i in cancel[idx]:
+        for idx, (v, (t, others)) in enumerate(zip(u.virtuals, assigned)):
+            got = received[t]
+            for i in others:
                 got ^= words[i]
             wrong = got ^ words[v.want]
             if wrong:

@@ -24,6 +24,7 @@ from indexcoding import (
     split_groupcast,
 )
 from indexcoding import cli as cli_module
+from indexcoding import instance as instance_module
 from indexcoding import scheme as scheme_module
 from indexcoding.cli import main
 from indexcoding.generate import random_instance
@@ -463,6 +464,33 @@ class TestGen:
             assert err == f"error: messages * receivers must be at most 1000000, got {n} * {m}\n"
 
 
+class TestArcsPerRequest:
+    def test_gap_builds_the_arcs_once_and_verify_none(self, capsys, tmp_path, monkeypatch):
+        # the graph and MAIS share the split's arcs; verify builds no graph
+        calls = []
+        real = instance_module._side_information_arcs
+
+        def counting(virtuals):
+            calls.append(len(virtuals))
+            return real(virtuals)
+
+        monkeypatch.setattr(instance_module, "_side_information_arcs", counting)
+        code, out, _ = run(capsys, "solve", EXAMPLE6)
+        assert code == 0 and calls == [6]
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(out)
+        for argv, builds in [
+            (("gap", EXAMPLE6), [6]),
+            (("gap", EXAMPLE6, "--mais-cap", "5"), [6]),
+            (("gap", GROUPCAST3, "--no-dedup"), [3]),
+            (("export-dot", EXAMPLE6, "--overlay-cover"), [6]),
+            (("verify", EXAMPLE6, str(scheme), "--trials", "20"), []),
+        ]:
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert calls == builds, argv
+
+
 class TestExportDot:
     def test_bipartite(self, capsys):
         code, out, _ = run(capsys, "export-dot", GROUPCAST3, "--variant", "bipartite")
@@ -523,7 +551,7 @@ class TestExportDot:
         u = dedup(split_groupcast(parse_instance(path.read_text())))
         g = build_cross_neighbor_graph(u)
         assert greedy_cover(g).size == 3
-        assert out == derived_dot(u, g, greedy_cover(g).parts)
+        assert out == derived_dot(g, greedy_cover(g).parts)
         assert out != default
 
 

@@ -308,7 +308,7 @@ class TestDot:
     def test_derived_nodes_and_edges(self, example6):
         u = split_groupcast(example6)
         g = build_cross_neighbor_graph(u)
-        dot = derived_dot(u, g)
+        dot = derived_dot(g)
         for j in range(1, 7):
             assert f"r{j}_1 [" in dot
         assert sum("--" in l for l in dot.splitlines()) == 4
@@ -318,14 +318,14 @@ class TestDot:
         inst = Instance.of(3, [])
         u = split_groupcast(inst)
         g = build_cross_neighbor_graph(u)
-        dot = derived_dot(u, g)
+        dot = derived_dot(g)
         assert dot == "graph cross_neighbors {\n}\n"
 
     def test_cover_overlay_colors(self, example6):
         u = split_groupcast(example6)
         g = build_cross_neighbor_graph(u)
         cover = exact_min_cover(g)
-        dot = derived_dot(u, g, cover.parts)
+        dot = derived_dot(g, cover.parts)
         assert dot.count("style=filled") == 6
         # members of one part share a fill color
         fills = {
@@ -338,5 +338,5 @@ class TestDot:
     def test_groupcast_node_names_use_ordinals(self, groupcast3):
         u = split_groupcast(groupcast3)
         g = build_cross_neighbor_graph(u)
-        dot = derived_dot(u, g)
+        dot = derived_dot(g)
         assert "r2_1 [" in dot and "r2_2 [" in dot

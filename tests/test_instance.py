@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from indexcoding import (
     Instance,
@@ -557,7 +557,8 @@ class TestPrepare:
     @pytest.mark.parametrize("flag", [False, True], ids=["no dedup", "dedup"])
     def test_one_split_feeds_the_graph_and_the_assignments(self, flag):
         inst = Instance.of(3, [({1, 2}, {3}), ({1, 2}, {3}), ({3}, {1})])
-        u, g = prepare(inst, dedup=flag)
+        g = prepare(inst, dedup=flag)
+        u = g.unicast
         assert u == UnicastInstance(inst, flag) and u.dedup is flag
         assert u.demands == split_groupcast(inst).virtuals
         assert len(u.virtuals) == (3 if flag else 5)
@@ -569,3 +570,32 @@ class TestPrepare:
             # a removed duplicate is sent by the transmission of the one it repeats
             parts = [part for _, _, part in outcome.assignments]
             assert parts[2:4] == parts[0:2]
+
+
+def pairwise_arcs(virtuals):
+    """Reference side-information digraph: arc p -> q iff q's want is in p's
+    ``has``, one test per ordered pair; W and H one pass per message."""
+    ids = {v.want for v in virtuals}.union(*(v.has for v in virtuals))
+    wanted_by, held_by = {}, {}
+    for i in ids:
+        wanting = sum(1 << p for p, v in enumerate(virtuals) if v.want == i)
+        holding = sum(1 << p for p, v in enumerate(virtuals) if i in v.has)
+        if wanting:
+            wanted_by[i] = wanting
+        if holding:
+            held_by[i] = holding
+    out = tuple(sum(1 << q for q, vq in enumerate(virtuals) if vq.want in vp.has)
+                for vp in virtuals)
+    return wanted_by, held_by, out
+
+
+class TestArcs:
+    @settings(max_examples=150)
+    @example(n=3, m=0, density=0.5, hi=1, seed=0)  # 0 virtuals
+    @given(st.integers(1, 12), st.integers(0, 14), st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_arcs_match_the_pairwise_reference(self, n, m, density, hi, seed):
+        inst = random_instance(n, m, density, (1, min(hi, n)), seed=seed)
+        for flag in (False, True):
+            u = UnicastInstance(inst, flag)
+            assert u.arcs == pairwise_arcs(u.virtuals)

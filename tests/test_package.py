@@ -49,6 +49,17 @@ def test_every_name_the_benchmark_imports_resolves():
     assert missing == []
 
 
+def test_every_module_parses_as_python_3_10():
+    # grammar only: the CI matrix runs 3.10, and ast's feature_version checks
+    # no library call that 3.10 lacks
+    root = PACKAGE_DIR.parent.parent
+    modules = [path for folder in ("src", "perfbench", "tests", "demos")
+               for path in sorted((root / folder).rglob("*.py"))]
+    assert len(modules) >= 30, modules
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_every_public_name_resolves():
     assert [name for name in indexcoding.__all__ if not hasattr(indexcoding, name)] == []
 

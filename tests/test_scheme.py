@@ -267,7 +267,7 @@ class TestEncodeDecode:
                 received = encode(s, words)
                 for idx, v in enumerate(u.virtuals):
                     side_words = {i: words[i] for i in v.has}
-                    got = decode_receiver(s, v, received, side_words, assigned[idx])
+                    got = decode_receiver(s, v, received, side_words, assigned[idx][0])
                     assert got == words[v.want]
 
 
@@ -329,7 +329,7 @@ class TestVerification:
     def test_random_reports_a_faulty_encode(self, example6, monkeypatch):
         real_encode = scheme_module.encode
         u, s = solve(example6)
-        first = scheme_module.assign_transmissions(u, s).index(0)
+        first = [t for t, _ in scheme_module.assign_transmissions(u, s)].index(0)
         # (trials, the one trial whose word is wrong, the bit flipped in it)
         for trials, bad_trial, bit in [(5, 0, 0), (5, 3, 17), (TRIAL_BLOCK + 5, TRIAL_BLOCK + 2, 63)]:
             calls = []
@@ -351,7 +351,7 @@ class TestVerification:
         # the failure a trial-by-trial loop would meet first, whatever the flips
         real_encode = scheme_module.encode
         u, s = solve(example6)
-        assigned = scheme_module.assign_transmissions(u, s)
+        assigned = [t for t, _ in scheme_module.assign_transmissions(u, s)]
         rng = random.Random(5)
         width = 8
         for _ in range(60):
@@ -408,7 +408,7 @@ class TestVerification:
         ok = unicast_of(n, [(1, range(2, n + 1))])
         tracemalloc.start()
         try:
-            assert assign_transmissions(u, s) == [0, None]
+            assert assign_transmissions(u, s) == [(0, frozenset(range(2, n + 1))), None]
             assert verify_scheme_random(ok, s, trials=3) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -543,7 +543,13 @@ class TestAssignMatchesReference:
             for s in schemes:
                 for v_set in (u, split_groupcast(inst)):
                     got = assign_transmissions(v_set, s)
-                    assert got == reference_assign_transmissions(v_set, s), (seed, s)
+                    assert [None if pair is None else pair[0] for pair in got] == \
+                        reference_assign_transmissions(v_set, s), (seed, s)
+                    for v, pair in zip(v_set.virtuals, got):
+                        if pair is not None:
+                            t, others = pair
+                            assert others == frozenset(s.transmissions[t]) - {v.want}
+                            assert v.has.issuperset(others)
                     outcomes[None not in got] += 1
                 assert_decode_matches_reference(u, s, random.Random(seed))
         assert min(outcomes.values()) > 300, outcomes
