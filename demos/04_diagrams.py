@@ -32,7 +32,7 @@ for name in ("example6", "groupcast3", "cycle3"):
     u = dedup(split_groupcast(inst))
     g = build_cross_neighbor_graph(u)
     cover = exact_min_cover(g)
-    (OUT / f"{name}_derived.dot").write_text(derived_dot(g, cover.parts))
+    (OUT / f"{name}_derived.dot").write_text(derived_dot(g, cover))
     print(f"{name}: {g.vertex_count} vertices, {len(g.edges())} edges, "
           f"{cover.size} cover parts")
 

@@ -34,6 +34,7 @@ from .scheme import (
     encode,
     parse_scheme,
     scheme_from_cover,
+    verify_scheme,
     verify_scheme_random,
     verify_scheme_symbolic,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "scheme_from_cover",
     "serialize_instance",
     "split_groupcast",
+    "verify_scheme",
     "verify_scheme_random",
     "verify_scheme_symbolic",
 ]

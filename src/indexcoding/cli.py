@@ -10,25 +10,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import os
 import sys
 
-from .cover import DEFAULT_EXACT_CAP
 from .errors import CapExceeded, ValidationError
 from .generate import random_instance
 from .graph import bipartite_dot, derived_dot
-from .instance import Instance, parse_instance, serialize_instance, split_groupcast
+from .instance import Instance, UnicastInstance, parse_instance, serialize_instance
 from .jsontext import Entries, dumps
-from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
 from .pipeline import SolveConfig, gap_report, pick_cover, prepare, solve_instance
-from .scheme import (
-    DEFAULT_WORD_WIDTH,
-    _check_trials,
-    _random_trials,
-    assign_transmissions,
-    parse_scheme,
-)
+from .scheme import DEFAULT_WORD_WIDTH, _check_trials, parse_scheme, verify_scheme
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -43,6 +36,8 @@ DOT_MAX_MESSAGES = 10**6
 # verify's work bound: at 6-7 us a trial on 500 virtuals (CPython 3.11, 2-vCPU VM),
 # 10^6 trials take seconds where 10^12 would take days
 VERIFY_MAX_TRIALS = 10**6
+# each pipeline flag sets the SolveConfig field it names only when given: no CLI default
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SolveConfig))
 
 
 def _emit(data: dict) -> None:
@@ -62,22 +57,19 @@ def _load_instance(path: str) -> Instance:
 
 
 def _config_from_args(args: argparse.Namespace) -> SolveConfig:
-    return SolveConfig(
-        solver=getattr(args, "solver", "auto"),
-        dedup=not args.no_dedup,
-        strict_cross_neighbor=args.strict_cross_neighbor,
-        exact_cap=args.exact_cap,
-        oracle_n_cap=getattr(args, "oracle_cap", DEFAULT_ORACLE_N_CAP),
-        mais_cap=getattr(args, "mais_cap", DEFAULT_MAIS_CAP),
-    )
+    return SolveConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
+
+
+def _warn_fallback(reason: str | None) -> None:
+    if reason:
+        print(f"warning: {reason}; falling back to greedy", file=sys.stderr)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     config = _config_from_args(args)
     outcome = solve_instance(inst, config)
-    if outcome.fallback:
-        print(f"warning: {outcome.fallback}; falling back to greedy", file=sys.stderr)
+    _warn_fallback(outcome.fallback)
     _emit(
         {
             "num_messages": inst.num_messages,
@@ -97,8 +89,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError(f"trials must be at most {VERIFY_MAX_TRIALS}, got {args.trials}")
     inst = _load_instance(args.instance)
     scheme = parse_scheme(_read_file(args.scheme), num_messages=inst.num_messages)
-    u = split_groupcast(inst)  # verification checks every demand, no dedup
-    assigned = assign_transmissions(u, scheme)
+    u = UnicastInstance(inst)  # verification checks every demand, no dedup
+    assigned, failure = verify_scheme(u, scheme, args.trials, args.seed, args.word_width)
     unsatisfied = [i for i, pair in enumerate(assigned) if pair is None]
     report: dict = {
         "rate": scheme.rate,
@@ -112,7 +104,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report.update({"random_ok": None, "trials": args.trials, "seed": args.seed})
         _emit(report)
         return EXIT_VERIFY
-    failure = _random_trials(u, scheme, assigned, args.trials, args.seed, args.word_width)
     report["virtuals"] = Entries([(v.origin, v.want, a[0]) for v, a in zip(u.virtuals, assigned)])
     report.update(
         {
@@ -163,7 +154,10 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         return EXIT_OK
     config = _config_from_args(args)
     g = prepare(inst, config.dedup, config.strict_cross_neighbor)
-    cover = pick_cover(g, config)[0].parts if args.overlay_cover else None
+    cover = None
+    if args.overlay_cover:
+        cover, _, fallback = pick_cover(g, config)
+        _warn_fallback(fallback)
     sys.stdout.write(derived_dot(g, cover))
     return EXIT_OK
 
@@ -172,17 +166,17 @@ def _add_solver_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--solver",
         choices=("exact", "greedy", "auto"),
-        default="auto",
+        default=argparse.SUPPRESS,
         help="cover solver; auto falls back to greedy when a component exceeds the cap",
     )
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
+    p.add_argument("--exact-cap", type=int, default=argparse.SUPPRESS,
                    help="max vertices per connected component for the exact cover solver")
-    p.add_argument("--no-dedup", action="store_true",
+    p.add_argument("--no-dedup", dest="dedup", action="store_false", default=argparse.SUPPRESS,
                    help="keep duplicate virtual receivers in the pipeline")
-    p.add_argument("--strict-cross-neighbor", action="store_true",
+    p.add_argument("--strict-cross-neighbor", action="store_true", default=argparse.SUPPRESS,
                    help="drop the equal-demand edge rule (mutual containment only)")
 
 
@@ -216,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="bound sandwich: MAIS, oracle, covers")
     p.add_argument("instance", help="instance JSON file")
     _add_pipeline_flags(p)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_N_CAP,
-                   help="max messages for the GF(2) oracle")
-    p.add_argument("--mais-cap", type=int, default=DEFAULT_MAIS_CAP,
+    p.add_argument("--oracle-cap", dest="oracle_n_cap", metavar="ORACLE_CAP", type=int,
+                   default=argparse.SUPPRESS, help="max messages for the GF(2) oracle")
+    p.add_argument("--mais-cap", type=int, default=argparse.SUPPRESS,
                    help="max virtuals for the MAIS bound")
     p.set_defaults(func=cmd_gap)
 

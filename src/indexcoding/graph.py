@@ -13,16 +13,19 @@ and ``out[p]`` the heads of virtual p's arcs.  Virtual p's cross-neighbor row
 is ``out[p] & H[want_p]``, OR-ed with ``W[want_p]`` unless strict, minus p.
 Both rules are symmetric in p and q, so a ``DerivedGraph``, which is made only
 from a split form and builds these rows itself, is valid by construction and
-no symmetry test runs on it.
+no symmetry test runs on it.  ``derived_dot`` colours by ``CliqueCover.assignment``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ValidationError
 from .instance import Instance, UnicastInstance
+
+if TYPE_CHECKING:  # cover imports this module
+    from .cover import CliqueCover
 
 
 @dataclass(frozen=True)
@@ -144,17 +147,13 @@ def bipartite_dot(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def derived_dot(g: DerivedGraph, cover: Sequence[Sequence[int]] | None = None) -> str:
+def derived_dot(g: DerivedGraph, cover: CliqueCover | None = None) -> str:
     """DOT text for the cross-neighbor graph.
 
     Nodes are named r<j>_<k> after each virtual's origin in ``g.unicast``.
-    When a cover is supplied its parts are shown by fill color, one per part.
+    When a cover of ``g`` is supplied its parts are shown by fill color, one per part.
     """
-    part_of = {}
-    if cover is not None:
-        for t, part in enumerate(cover):
-            for v in part:
-                part_of[v] = t
+    part_of = None if cover is None else cover.assignment(g.vertex_count)
     lines = ["graph cross_neighbors {"]
     names = []
     for idx, v in enumerate(g.unicast.virtuals):
@@ -163,7 +162,7 @@ def derived_dot(g: DerivedGraph, cover: Sequence[Sequence[int]] | None = None) -
         names.append(name)
         label = f"{name} wants w{v.want}"
         attrs = [f'label="{label}"']
-        if idx in part_of:
+        if part_of is not None:
             color = _PART_COLORS[part_of[idx] % len(_PART_COLORS)]
             attrs.append("style=filled")
             attrs.append(f"fillcolor={color}")

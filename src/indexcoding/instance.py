@@ -8,8 +8,8 @@ holding another, disjoint set (``has``) as side information.  Message ids are
 An ``Instance`` is valid by construction: its constructor tests every rule
 at C speed and raises ``ValidationError`` listing every violation, so no
 later stage checks it again.  ``parse_instance`` hands receivers that pass
-C-speed shape and duplicate tests to that constructor; otherwise it walks
-them id by id for the first structural defect.
+C-speed shape and duplicate tests to that constructor, once; on a failure it
+walks them id by id for the first structural defect, else re-raises.
 
 The groupcast-to-unicast reduction lives here as well: a
 :class:`UnicastInstance` is made only from an ``Instance``, so its split is
@@ -216,7 +216,7 @@ def _id_text(i) -> str:
         return f"<{type(i).__name__} of {i.bit_length()} bits>"
 
 
-def _check_id_array(value, where: str) -> list[int]:
+def _check_id_array(value, where: str) -> None:
     if not isinstance(value, list):
         raise ValidationError(f"{where} must be an array of message ids")
     seen = set()
@@ -226,7 +226,6 @@ def _check_id_array(value, where: str) -> list[int]:
         if x in seen:
             raise ValidationError(f"{where} contains duplicate id {_id_text(x)}")
         seen.add(x)
-    return list(value)
 
 
 _INSTANCE_KEYS = frozenset(("num_messages", "receivers"))
@@ -248,8 +247,8 @@ def _receiver(entry) -> Receiver:
     raise TypeError("receiver fails the C-speed tests")
 
 
-def _walked_receiver(entry, j: int) -> Receiver:
-    """Receiver ``j`` walked key by key and id by id, raising on its first
+def _walked_receiver(entry, j: int) -> None:
+    """Walk receiver ``j`` key by key and id by id, raising on its first
     structural defect in document order."""
     if not isinstance(entry, dict):
         raise ValidationError(f"receiver {j}: must be a JSON object")
@@ -258,9 +257,8 @@ def _walked_receiver(entry, j: int) -> Receiver:
         raise ValidationError(f"receiver {j}: unknown keys {sorted(unknown)}")
     if "wants" not in entry:
         raise ValidationError(f"receiver {j}: missing 'wants'")
-    wants = _check_id_array(entry["wants"], f"receiver {j}: 'wants'")
-    has = _check_id_array(entry.get("has", []), f"receiver {j}: 'has'")
-    return Receiver.of(wants, has)
+    _check_id_array(entry["wants"], f"receiver {j}: 'wants'")
+    _check_id_array(entry.get("has", []), f"receiver {j}: 'has'")
 
 
 def instance_from_jsonable(data) -> Instance:
@@ -284,12 +282,13 @@ def instance_from_jsonable(data) -> Instance:
         raise ValidationError("'receivers' must be an array")
     try:
         return Instance(n, tuple(map(_receiver, raw_receivers)))
-    except (TypeError, ValidationError):
-        # a receiver failed its C-speed tests, or the instance a rule.  The walk
-        # of every receiver names a structural defect before any violation
-        pass
-    receivers = [_walked_receiver(entry, j) for j, entry in enumerate(raw_receivers, start=1)]
-    return Instance(n, tuple(receivers))
+    except (TypeError, ValidationError) as exc:
+        # a receiver failed its C-speed tests (on a defect the walk names), or the
+        # instance a rule; the walk names any structural defect before a violation
+        failure = exc
+    for j, entry in enumerate(raw_receivers, start=1):
+        _walked_receiver(entry, j)
+    raise failure
 
 
 def parse_instance(text: str) -> Instance:

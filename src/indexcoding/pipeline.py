@@ -3,7 +3,7 @@
 It chains the stages for ``solve``, ``gap`` and ``export-dot``: each builds
 its graph once through :func:`prepare`, whose ``unicast`` is the split, and
 picks its cover through :func:`pick_cover`.  ``verify`` needs no graph or
-cover, so the CLI splits, assigns and runs the random trials itself.
+cover: the CLI splits and makes one ``scheme.verify_scheme`` call.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .cover import DEFAULT_EXACT_CAP, CliqueCover, exact_min_cover, greedy_cover
 from .errors import CapExceeded, ValidationError
-from .graph import DerivedGraph, build_cross_neighbor_graph
+from .graph import DerivedGraph
 from .instance import Instance, UnicastInstance
 from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
 from .oracle import mais_lower_bound, min_linear_rate_gf2
@@ -83,7 +83,7 @@ def prepare(inst: Instance, dedup: bool = True, strict: bool = False) -> Derived
     The split is the graph's ``unicast``: its ``demands`` hold one virtual
     per demand, its ``virtuals`` the graph's vertices.
     """
-    return build_cross_neighbor_graph(UnicastInstance(inst, dedup), strict=strict)
+    return DerivedGraph(UnicastInstance(inst, dedup), strict)
 
 
 def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, str | None]:

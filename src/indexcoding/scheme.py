@@ -9,9 +9,9 @@ decode reads it, only for the summands some virtual wants, so a long
 transmission costs its length per wanted summand, not its length squared.
 ``scheme_from_cover`` builds it once per part and ``assign_transmissions``
 once per transmission; each virtual is then one ``has.issuperset`` test, and
-the randomized check XORs out the set that passed it.  Message words are one
-mapping from 1-based message id to int word, shared by ``encode``,
-``decode_receiver`` and the randomized check.
+``verify_scheme``, the one verify, assigns and XORs out the set that passed it.
+Message words are one mapping from 1-based message id to int word, shared by
+``encode``, ``decode_receiver`` and the randomized check.
 """
 
 from __future__ import annotations
@@ -173,24 +173,14 @@ def verify_scheme_random(
     seed: int = 0,
     word_width: int = DEFAULT_WORD_WIDTH,
 ) -> TrialFailure | None:
-    """Bit-level confirmation of the symbolic check on random message words.
-
-    The trials are bit-sliced: trial t's word for a message is bits
-    ``[t*w, (t+1)*w)`` of one wide integer, so one ``encode`` and one decode
-    per virtual check every trial at once.  The wide integers come from a
-    generator seeded with ``seed`` (deterministic), one per message the
-    scheme sends, in ascending id order, for each block of up to
-    ``TRIAL_BLOCK`` trials.  Returns None when every decoded word matches, or
-    the failure with the least (trial, virtual), with that trial's words.
-    Raises on trials below 1, a word width outside [1, 64] or a failed symbolic check.
-    """
-    _check_trials(trials, word_width)
-    assigned = assign_transmissions(u, s)
+    """The failure :func:`verify_scheme` reports, or None.  Raises where it
+    does, and when some virtual decodes no transmission."""
+    assigned, failure = verify_scheme(u, s, trials, seed, word_width)
     if None in assigned:
         raise ValidationError(
             "symbolic verification failed; randomized check requires it to pass"
         )
-    return _random_trials(u, s, assigned, trials, seed, word_width)
+    return failure
 
 
 def _check_trials(trials: int, word_width: int) -> None:
@@ -201,14 +191,26 @@ def _check_trials(trials: int, word_width: int) -> None:
         raise ValidationError(f"word_width must be in [1, 64], got {word_width}")
 
 
-def _random_trials(
-    u: UnicastInstance, s: CodingScheme, assigned: list[Assignment], trials: int, seed: int,
-    word_width: int,
-) -> TrialFailure | None:
-    """The trials of :func:`verify_scheme_random`, decoding each virtual from
-    its pair in ``assigned`` (``assign_transmissions(u, s)``, with no None):
-    the received word of its transmission XOR the words of its other
-    summands.  ``trials`` and ``word_width`` keep :func:`_check_trials`."""
+def verify_scheme(
+    u: UnicastInstance, s: CodingScheme, trials: int = 100, seed: int = 0,
+    word_width: int = DEFAULT_WORD_WIDTH,
+) -> tuple[list[Assignment | None], TrialFailure | None]:
+    """``(assign_transmissions(u, s), failure)``, the trials run only when
+    every virtual is assigned.  Raises first on trials below 1 or a word width
+    outside [1, 64].
+
+    The trials are bit-sliced: trial t's word for a message is bits
+    ``[t*w, (t+1)*w)`` of one wide integer, so one ``encode`` and one decode
+    per virtual (its transmission's word XOR its other summands' words) check
+    every trial at once.  The wide integers come from a generator seeded with
+    ``seed``, one per message the scheme sends, in ascending id order, for
+    each block of up to ``TRIAL_BLOCK`` trials.  ``failure`` is the wrong
+    decode with the least (trial, virtual), with that trial's words, or None.
+    """
+    _check_trials(trials, word_width)
+    assigned = assign_transmissions(u, s)
+    if None in assigned:
+        return assigned, None
     sent = sorted({i for t in s.transmissions for i in t})
     rng = random.Random(seed)
     mask = (1 << word_width) - 1
@@ -229,8 +231,10 @@ def _random_trials(
         if first is not None:
             trial, idx, expected, got = first
             shift = trial * word_width
-            return TrialFailure(start + trial, idx, expected >> shift & mask, got >> shift & mask)
-    return None
+            return assigned, TrialFailure(
+                start + trial, idx, expected >> shift & mask, got >> shift & mask
+            )
+    return assigned, None
 
 
 def parse_scheme(text: str, num_messages: int) -> CodingScheme:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import io
@@ -28,6 +29,7 @@ from indexcoding import instance as instance_module
 from indexcoding import scheme as scheme_module
 from indexcoding.cli import main
 from indexcoding.generate import random_instance
+from indexcoding.pipeline import SolveConfig
 
 from conftest import INSTANCE_DIR
 from helpers import serialize_scheme
@@ -150,6 +152,16 @@ class TestCachedParser:
         _, out, _ = run(capsys, "verify", EXAMPLE6, str(scheme_path))
         assert (json.loads(out)["trials"], json.loads(out)["seed"]) == (100, 0)
 
+    def test_two_parses_in_a_row_share_no_value(self):
+        parser = cli_module.build_parser()
+        first = parser.parse_args(["gap", EXAMPLE6, "--no-dedup", "--strict-cross-neighbor",
+                                   "--exact-cap", "3", "--oracle-cap", "6", "--mais-cap", "5"])
+        second = parser.parse_args(["gap", EXAMPLE6])
+        assert cli_module._config_from_args(first) == SolveConfig(
+            dedup=False, strict_cross_neighbor=True, exact_cap=3, oracle_n_cap=6, mais_cap=5)
+        assert cli_module._config_from_args(second) == SolveConfig()
+        assert vars(second) == {"command": "gap", "instance": EXAMPLE6, "func": cli_module.cmd_gap}
+
     def test_usage_errors_still_exit_1(self, capsys):
         for argv in (["solve"], ["solve", EXAMPLE6, "--bogus"], ["gap"], [], ["nope"]):
             code, out, err = run(capsys, *argv)
@@ -158,6 +170,42 @@ class TestCachedParser:
         assert code == 0 and json.loads(out)["rate"] == 3
         code, out, _ = run(capsys, "--help")
         assert code == 0 and out.startswith("usage: indexcoding")
+
+
+# (command line flags, the SolveConfig field they set, its value)
+PIPELINE_FLAGS = [
+    (["--solver", "greedy"], "solver", "greedy"),
+    (["--exact-cap", "7"], "exact_cap", 7),
+    (["--no-dedup"], "dedup", False),
+    (["--strict-cross-neighbor"], "strict_cross_neighbor", True),
+    (["--oracle-cap", "6"], "oracle_n_cap", 6),
+    (["--mais-cap", "5"], "mais_cap", 5),
+]
+PIPELINE_COMMANDS = {
+    "solve": {"solver", "exact_cap", "dedup", "strict_cross_neighbor"},
+    "gap": {"exact_cap", "dedup", "strict_cross_neighbor", "oracle_n_cap", "mais_cap"},
+    "export-dot": {"solver", "exact_cap", "dedup", "strict_cross_neighbor"},
+}
+
+
+class TestConfigFromArgs:
+    """SolveConfig alone holds the pipeline's defaults; a flag sets its own field."""
+
+    def config(self, *argv):
+        return cli_module._config_from_args(cli_module.build_parser().parse_args(list(argv)))
+
+    @pytest.mark.parametrize("command", sorted(PIPELINE_COMMANDS))
+    def test_instance_path_alone_gives_the_default_config(self, command):
+        assert self.config(command, EXAMPLE6) == SolveConfig()
+
+    @pytest.mark.parametrize("command", sorted(PIPELINE_COMMANDS))
+    def test_each_flag_sets_exactly_its_own_field(self, command, capsys):
+        for flags, name, value in PIPELINE_FLAGS:
+            if name in PIPELINE_COMMANDS[command]:
+                assert self.config(command, EXAMPLE6, *flags) == \
+                    dataclasses.replace(SolveConfig(), **{name: value})
+            else:
+                assert run(capsys, command, EXAMPLE6, *flags)[0] == 1
 
 
 class TestVerify:
@@ -535,6 +583,17 @@ class TestExportDot:
         assert out == ""
         assert "cap" in err
 
+    def test_overlay_says_when_it_falls_back(self, capsys):
+        # the triangle component is over an exact cap of 2, as in solve's fallback test
+        code, out, err = run(capsys, "export-dot", EXAMPLE6, "--overlay-cover", "--exact-cap", "2")
+        assert code == 0
+        assert out == run(capsys, "export-dot", EXAMPLE6, "--overlay-cover",
+                          "--solver", "greedy")[1]
+        assert err == run(capsys, "solve", EXAMPLE6, "--exact-cap", "2")[2]
+        assert err.startswith("warning: ") and "(component of 3 vertices > 2)" in err
+        assert err.endswith("; falling back to greedy\n")
+        assert run(capsys, "export-dot", EXAMPLE6, "--exact-cap", "2")[2] == ""
+
     def test_overlay_honours_greedy_solver(self, capsys, tmp_path):
         # a path 2-0-1-3 in the derived graph: first-fit pairs 0 with 1 and
         # leaves 2 and 3 alone, the exact cover pairs {0, 2} and {1, 3}
@@ -551,7 +610,7 @@ class TestExportDot:
         u = dedup(split_groupcast(parse_instance(path.read_text())))
         g = build_cross_neighbor_graph(u)
         assert greedy_cover(g).size == 3
-        assert out == derived_dot(g, greedy_cover(g).parts)
+        assert out == derived_dot(g, greedy_cover(g))
         assert out != default
 
 

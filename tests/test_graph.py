@@ -325,7 +325,7 @@ class TestDot:
         u = split_groupcast(example6)
         g = build_cross_neighbor_graph(u)
         cover = exact_min_cover(g)
-        dot = derived_dot(g, cover.parts)
+        dot = derived_dot(g, cover)
         assert dot.count("style=filled") == 6
         # members of one part share a fill color
         fills = {

@@ -13,6 +13,7 @@ from indexcoding import (
     serialize_instance,
     split_groupcast,
 )
+from indexcoding import instance as instance_module
 from indexcoding.generate import random_instance
 from indexcoding.graph import bipartite_dot
 from indexcoding.instance import (
@@ -331,6 +332,19 @@ class TestValidateOnce:
         assert calls == [inst]
         split_groupcast(dataclasses.replace(inst))
         assert len(calls) == 2
+        # a failing parse builds one Instance and lists its violations once
+        walks = []
+        monkeypatch.setattr(instance_module, "_violations",
+                            lambda *fields: walks.append(fields) or _violations(*fields))
+        calls.clear()
+        with pytest.raises(ValidationError) as info:
+            parse_instance('{"num_messages": 2, "receivers": [{"wants": [1], "has": [3]}]}')
+        assert info.value.violations == ["receiver 1: has id 3 out of range [1, 2]"]
+        assert (len(calls), len(walks)) == (1, 1)
+        # a structural defect fails the C-speed tests: no Instance, no violations
+        with pytest.raises(ValidationError, match=r"non-integer entry \[3\]"):
+            parse_instance('{"num_messages": 2, "receivers": [{"wants": [1], "has": [[3], 2.5]}]}')
+        assert (len(calls), len(walks)) == (1, 1)
 
     def test_replace_of_a_parsed_instance_is_validated_again(self):
         inst = parse_instance('{"num_messages": 3, "receivers": [{"wants": [1], "has": [2, 3]}]}')

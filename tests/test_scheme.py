@@ -20,6 +20,7 @@ from indexcoding import (
     parse_scheme,
     scheme_from_cover,
     split_groupcast,
+    verify_scheme,
     verify_scheme_random,
     verify_scheme_symbolic,
 )
@@ -525,34 +526,79 @@ def assert_decode_matches_reference(u, s, rng):
             assert decode_receiver(s, v, received, side_words, t) == expected == words[v.want]
 
 
+def valid_and_invalid_schemes():
+    """``(seed, inst, u, s)`` over 200 random instances: per instance its
+    greedy scheme ``s`` on the deduped split ``u``, that scheme less its last
+    transmission, and four random schemes."""
+    rng = random.Random(77)
+    for seed in range(200):
+        n = rng.randint(1, 8)
+        inst = random_instance(n, rng.randint(1, 6), (0.2, 0.5, 0.8, 1.0)[seed % 4],
+                               (1, min(3, n)), seed=seed)
+        u, solved = solve(inst, greedy_cover)
+        schemes = [solved, CodingScheme(n, solved.transmissions[:-1])]
+        for _ in range(4):
+            schemes.append(CodingScheme(n, tuple(
+                tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+                for _ in range(rng.randint(0, 4))
+            )))
+        for s in schemes:
+            yield seed, inst, u, s
+
+
 class TestAssignMatchesReference:
     def test_random_valid_and_invalid_schemes(self):
-        rng = random.Random(77)
         outcomes = {True: 0, False: 0}
-        for seed in range(200):
-            n = rng.randint(1, 8)
-            inst = random_instance(n, rng.randint(1, 6), (0.2, 0.5, 0.8, 1.0)[seed % 4],
-                                   (1, min(3, n)), seed=seed)
-            u, solved = solve(inst, greedy_cover)
-            schemes = [solved, CodingScheme(n, solved.transmissions[:-1])]
-            for _ in range(4):
-                schemes.append(CodingScheme(n, tuple(
-                    tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
-                    for _ in range(rng.randint(0, 4))
-                )))
-            for s in schemes:
-                for v_set in (u, split_groupcast(inst)):
-                    got = assign_transmissions(v_set, s)
-                    assert [None if pair is None else pair[0] for pair in got] == \
-                        reference_assign_transmissions(v_set, s), (seed, s)
-                    for v, pair in zip(v_set.virtuals, got):
-                        if pair is not None:
-                            t, others = pair
-                            assert others == frozenset(s.transmissions[t]) - {v.want}
-                            assert v.has.issuperset(others)
-                    outcomes[None not in got] += 1
-                assert_decode_matches_reference(u, s, random.Random(seed))
+        for seed, inst, u, s in valid_and_invalid_schemes():
+            for v_set in (u, split_groupcast(inst)):
+                got = assign_transmissions(v_set, s)
+                assert [None if pair is None else pair[0] for pair in got] == \
+                    reference_assign_transmissions(v_set, s), (seed, s)
+                for v, pair in zip(v_set.virtuals, got):
+                    if pair is not None:
+                        t, others = pair
+                        assert others == frozenset(s.transmissions[t]) - {v.want}
+                        assert v.has.issuperset(others)
+                outcomes[None not in got] += 1
+            assert_decode_matches_reference(u, s, random.Random(seed))
         assert min(outcomes.values()) > 300, outcomes
+
+    def test_verify_scheme_assigns_then_runs_trials_only_when_all_assigned(self, monkeypatch):
+        real_encode = scheme_module.encode
+
+        def no_trial(s, words):
+            raise AssertionError("a trial ran with an unassigned virtual")
+
+        for seed, inst, u, s in valid_and_invalid_schemes():
+            for v_set in (u, split_groupcast(inst)):
+                assigned = assign_transmissions(v_set, s)
+                complete = None not in assigned
+                monkeypatch.setattr(scheme_module, "encode", real_encode if complete else no_trial)
+                got = verify_scheme(v_set, s, trials=3, seed=seed, word_width=8)
+                # a correct encode decodes every assigned virtual on every trial
+                assert got == (assigned, None), (seed, s)
+                assert verify_scheme_symbolic(v_set, s) == \
+                    [idx for idx, pair in enumerate(assigned) if pair is None]
+                if complete:
+                    assert verify_scheme_random(v_set, s, trials=3, seed=seed, word_width=8) is None
+                else:
+                    with pytest.raises(ValidationError, match="symbolic"):
+                        verify_scheme_random(v_set, s, trials=3, seed=seed, word_width=8)
+
+    def test_verify_scheme_reports_what_the_random_check_does(self, example6, monkeypatch):
+        real_encode = scheme_module.encode
+        u, s = solve(example6)
+        monkeypatch.setattr(scheme_module, "encode",
+                            lambda s, words: (real_encode(s, words)[0] ^ 1 << 70,)
+                            + real_encode(s, words)[1:])
+        assigned, failure = verify_scheme(u, s, trials=4, seed=2)
+        assert assigned == assign_transmissions(u, s)
+        assert failure == verify_scheme_random(u, s, trials=4, seed=2)
+        assert (failure.trial, failure.got ^ failure.expected) == (1, 1 << 6)
+        assert failure.virtual == [t for t, _ in assigned].index(0)
+        # the parameters are checked before anything is assigned
+        with pytest.raises(ValidationError, match="trials must be at least 1"):
+            verify_scheme(u, CodingScheme(6, ()), trials=0)
 
 
 def reference_parse_scheme(data, num_messages):
