@@ -11,6 +11,16 @@ The MAIS bound (maximum acyclic induced subgraph of the side-information
 digraph over virtuals with pairwise-distinct wants) lower-bounds every code,
 linear or not.  The rate search starts from it, skipping rates it proves
 infeasible; no step checks the oracle's answer against it.
+
+Both searches read only the has-minimal virtuals (:func:`has_minimal`): those
+with no same-want virtual whose ``has`` is a strict subset of theirs.  Take
+p and q with one want and has_q < has_p.  (1) Any code q decodes from, p
+decodes from too: more side information only frees more columns.  (2) Put q
+for p in an acyclic set: the arcs into it (from holders of the want) stay,
+its arcs out are a subset of p's, so no cycle appears.  So the least rate and
+the largest acyclic set are the same over the has-minimal virtuals.  Equal
+duplicates (under ``--no-dedup``) both stay, and the caps still count every
+virtual.
 """
 
 from __future__ import annotations
@@ -85,11 +95,28 @@ def iter_rref_rowspaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield tuple(rows)
 
 
+def has_minimal(u: UnicastInstance) -> int:
+    """Bitmask over ``u.virtuals`` of the has-minimal ones: those with no
+    virtual of the same want whose ``has`` is a strict subset of theirs.
+    Every want group keeps at least one member."""
+    virtuals = u.virtuals
+    minimal = 0
+    for members in u.arcs[0].values():
+        group = [(p, virtuals[p].has) for p in _bits(members)]
+        for p, has in group:
+            if not any(other < has for _, other in group):
+                minimal |= 1 << p
+    return minimal
+
+
 def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
-    """Distinct (want, has_mask) pairs; duplicates cannot change feasibility."""
+    """Distinct (want, has_mask) pairs of the has-minimal virtuals, in virtual
+    order; dominated virtuals and duplicates cannot change feasibility."""
     pairs = []
     seen = set()
-    for v in u.virtuals:
+    virtuals = u.virtuals
+    for p in _bits(has_minimal(u)):
+        v = virtuals[p]
         mask = 0
         for i in v.has:
             mask |= 1 << (i - 1)
@@ -144,7 +171,8 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
     set of size t forces any code to spend t transmissions.  The search takes at
     most one virtual per want-group (equal wants can't both witness) on an
     explicit stack of (group, chosen mask) pairs, so no recursion limit
-    applies.  A new cycle must pass through candidate p, so p is admitted
+    applies, and branches only on has-minimal members; the cap counts every
+    virtual.  A new cycle must pass through candidate p, so p is admitted
     unless the closure of its arcs into the chosen set reaches a holder of
     its want.  Branches that cannot beat the best are cut.
     """
@@ -153,6 +181,7 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
         raise CapExceeded(f"MAIS cap exceeded ({k} virtuals > {cap})")
     wanted_by, held_by, out = u.arcs
     groups = sorted(wanted_by.items())
+    minimal = has_minimal(u)
     best = 0
     stack = [(0, 0)]
     while stack:
@@ -164,7 +193,7 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
         stack.append((group + 1, chosen))
         want, members = groups[group]
         into = held_by.get(want, 0)
-        for p in _bits(members):
+        for p in _bits(members & minimal):
             if not closure(out, out[p] & chosen, chosen) & into:
                 stack.append((group + 1, chosen | 1 << p))
     return best

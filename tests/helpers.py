@@ -4,7 +4,9 @@ split instance from (want, has) pairs, the symmetry test and defect walk that
 graphs once ran on their rows, the exact cover that relabelled every
 component, the graph-side clique-cover check that ``scheme_from_cover``'s own
 check is tested against, the dict form of the entry writer that the code
-replaced, a naive GF(2) rate, a MAIS bound by subset enumeration, the
+replaced, a naive GF(2) rate, the RREF oracle over every distinct (want, has)
+pair and the has-minimal rule by its definition, which the pruned searches
+are checked against, a MAIS bound by subset enumeration, the
 canonical scheme JSON, and the DSATUR search with per-vertex saturation rows
 that the cover's int keys and per-color masks replaced."""
 
@@ -19,7 +21,7 @@ from indexcoding.cover import _exact_coloring
 from indexcoding.graph import _bits
 from indexcoding.instance import UnicastInstance, VirtualReceiver
 from indexcoding.jsontext import dumps
-from indexcoding.oracle import can_decode
+from indexcoding.oracle import can_decode, iter_rref_rowspaces
 
 
 def graph_of_rows(rows) -> DerivedGraph:
@@ -174,6 +176,37 @@ def naive_min_rate(n, pairs):
             if all(can_decode(rows, w, h) for w, h in pairs):
                 return beta
     raise AssertionError("identity rows must have succeeded")
+
+
+def reference_min_linear_rate_gf2(u: UnicastInstance, lower_bound: int):
+    """``min_linear_rate_gf2(u, with_witness=True)`` as it was before the
+    has-minimal rule: it tests every distinct (want, has) pair, dominated or
+    not, on each row space from ``lower_bound`` up, and returns (rate, rows)."""
+    pairs = list(dict.fromkeys((v.want, _mask(v.has)) for v in u.virtuals))
+    if not pairs:
+        return 0, ()
+    n = u.num_messages
+    for beta in range(max(1, lower_bound), n + 1):
+        for rows in iter_rref_rowspaces(n, beta):
+            if all(can_decode(rows, want, has) for want, has in pairs):
+                return beta, rows
+    raise AssertionError("identity rows must have succeeded")
+
+
+def has_minimal_reference(u: UnicastInstance) -> set[int]:
+    """The indices of the virtuals that no other virtual dominates, by the
+    definition: q dominates p when they want the same message and q's side
+    information is a proper subset of p's, tested on bitmasks."""
+    masks = [(v.want, _mask(v.has)) for v in u.virtuals]
+    return {
+        p
+        for p, (want, has) in enumerate(masks)
+        if not any(w == want and h & has == h != has for w, h in masks)
+    }
+
+
+def _mask(ids) -> int:
+    return sum(1 << (i - 1) for i in ids)
 
 
 def mais_reference(u: UnicastInstance) -> int:

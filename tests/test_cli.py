@@ -29,6 +29,7 @@ from indexcoding import instance as instance_module
 from indexcoding import scheme as scheme_module
 from indexcoding.cli import main
 from indexcoding.generate import random_instance
+from indexcoding.oracle import has_minimal
 from indexcoding.pipeline import SolveConfig
 
 from conftest import INSTANCE_DIR
@@ -459,6 +460,30 @@ class TestGap:
         code, out, _ = run(capsys, "gap", EXAMPLE6, "--exact-cap", "3")
         assert code == 0
         assert json.loads(out)["cover_exact"] == 3
+
+    def test_mais_cap_counts_every_virtual(self, capsys, tmp_path):
+        # MAIS branches only on has-minimal virtuals, but its cap counts them all
+        _, text, _ = run(capsys, "gen", "-n", "7", "-m", "10", "-p", "0.4",
+                         "--demand-max", "2", "--seed", "6")
+        u = dedup(split_groupcast(parse_instance(text)))
+        assert (len(u.virtuals), has_minimal(u).bit_count()) == (15, 11)
+        path = tmp_path / "dominated.json"
+        path.write_text(text)
+        code, out, _ = run(capsys, "gap", str(path))
+        assert code == 0
+        assert json.loads(out) == {
+            "mais": 6,
+            "oracle": 6,
+            "cover_exact": 7,
+            "cover_greedy": 7,
+            "gap": 1,
+            "counterexample": True,
+        }
+        code, out, _ = run(capsys, "gap", str(path), "--mais-cap", "14")
+        assert code == 0
+        assert json.loads(out)["mais"] is None
+        code, out, _ = run(capsys, "gap", str(path), "--mais-cap", "15")
+        assert json.loads(out)["mais"] == 6
 
     def test_deep_mais_search_has_no_traceback(self, capsys, tmp_path):
         # 1200 distinct wants and no side information: the MAIS search goes

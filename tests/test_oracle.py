@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from indexcoding import (
@@ -15,10 +18,14 @@ from indexcoding import (
 from indexcoding import oracle as oracle_module
 from indexcoding import pipeline as pipeline_module
 from indexcoding.generate import random_instance
-from indexcoding.oracle import can_decode, gf2_basis, iter_rref_rowspaces
+from indexcoding.graph import _bits
+from indexcoding.oracle import can_decode, gf2_basis, has_minimal, iter_rref_rowspaces
 from indexcoding.pipeline import SolveConfig
 
-from helpers import naive_min_rate, unicast_of
+from helpers import (
+    has_minimal_reference, mais_reference, naive_min_rate, reference_min_linear_rate_gf2,
+    unicast_of,
+)
 
 
 def mask(ids):
@@ -59,6 +66,85 @@ class TestGf2:
     def test_six_choose_three_is_1395(self):
         # the count that makes rowspace enumeration tractable at this size
         assert sum(1 for _ in iter_rref_rowspaces(6, 3)) == 1395
+
+
+def three_message_tuples():
+    """C8's 1819 splits: every multiset of one to four (want, has) pairs over
+    three messages."""
+    kinds = [
+        (w, has)
+        for w in (1, 2, 3)
+        for r in range(3)
+        for has in itertools.combinations([i for i in (1, 2, 3) if i != w], r)
+    ]
+    for k in range(1, 5):
+        for pairs in itertools.combinations_with_replacement(kinds, k):
+            yield unicast_of(3, pairs)
+
+
+def audit_gap_splits(seeds):
+    """The audit-gap shape, 7 messages and at most 20 virtuals, split with
+    dedup off and on."""
+    for seed in seeds:
+        full = split_groupcast(random_instance(7, 10, 0.4, (1, 2), seed=seed))
+        yield full
+        yield dedup(full)
+
+
+def c3_instances():
+    """C3's 200 random instances, drawn as C3 draws them."""
+    densities = (0.2, 0.5, 0.8)
+    for i in range(200):
+        seed = 1000 + i
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        m = rng.randint(0, 6)
+        yield random_instance(n, m, densities[i % 3], (1, min(2, n)), seed=seed)
+
+
+class TestHasMinimal:
+    def test_strict_subsets_dominate_and_equal_duplicates_stay(self):
+        # 0 = {2, 3} loses to 1 = {2} and 2 = {3}; 4 repeats 1; want 2 stands alone
+        u = unicast_of(3, [(1, {2, 3}), (1, {2}), (1, {3}), (2, ()), (1, {2})])
+        assert has_minimal(u) == 0b11110
+        assert has_minimal(dedup(u)) == 0b1110
+
+    def test_no_virtuals(self):
+        assert has_minimal(unicast_of(3, [])) == 0
+
+    @staticmethod
+    def check(u):
+        minimal = has_minimal(u)
+        assert set(_bits(minimal)) == has_minimal_reference(u)
+        # every want group keeps a member, so MAIS's bound term is unchanged
+        assert {u.virtuals[p].want for p in _bits(minimal)} == {v.want for v in u.virtuals}
+        return len(u.virtuals) - minimal.bit_count()
+
+    def test_matches_the_definition_on_three_messages(self):
+        dominated = [self.check(u) for u in three_message_tuples()]
+        assert len(dominated) == 1819 and sum(dominated) > 0
+
+    def test_matches_the_definition_on_the_audit_gap_sweep(self):
+        dominated = [self.check(u) for u in audit_gap_splits(range(200))]
+        assert len(dominated) == 400 and sum(dominated) > 0
+
+
+class TestPrunedOracleWitness:
+    """The oracle tests only the has-minimal pairs; the first feasible basis
+    in enumeration order, and so the witness, is the one every pair gives."""
+
+    @staticmethod
+    def check(u):
+        expected = reference_min_linear_rate_gf2(u, mais_reference(u))
+        assert min_linear_rate_gf2(u, with_witness=True) == expected
+
+    def test_c3_instances(self):
+        for inst in c3_instances():
+            self.check(dedup(split_groupcast(inst)))
+
+    def test_audit_gap_seeds(self):
+        for seed in range(2000, 2200):
+            self.check(dedup(split_groupcast(random_instance(7, 10, 0.4, (1, 2), seed=seed))))
 
 
 class TestMinLinearRate:
