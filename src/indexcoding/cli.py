@@ -144,6 +144,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
+    config = _config_from_args(args)  # both variants check the pipeline flags
     if args.variant == "bipartite":
         if inst.num_messages > DOT_MAX_MESSAGES:
             raise ValidationError(
@@ -152,8 +153,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
             )
         sys.stdout.write(bipartite_dot(inst))
         return EXIT_OK
-    config = _config_from_args(args)
-    g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    g = prepare(inst, config.dedup)
     cover = None
     if args.overlay_cover:
         cover, _, fallback = pick_cover(g, config)
@@ -176,8 +176,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="max vertices per connected component for the exact cover solver")
     p.add_argument("--no-dedup", dest="dedup", action="store_false", default=argparse.SUPPRESS,
                    help="keep duplicate virtual receivers in the pipeline")
-    p.add_argument("--strict-cross-neighbor", action="store_true", default=argparse.SUPPRESS,
-                   help="drop the equal-demand edge rule (mutual containment only)")
 
 
 @functools.cache

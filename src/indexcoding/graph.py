@@ -3,17 +3,17 @@
 One relation over virtual receivers underlies the cover and its converse: an
 arc p -> q when q's want sits in p's side information.  The cross-neighbor
 graph is its bidirected arcs (one XOR serves a clique of them) plus an edge
-between virtuals that want the same message, dropped when ``strict``; the
+between virtuals that want the same message (one send of it serves both); the
 MAIS bound (``oracle.mais_lower_bound``) is its largest acyclic set of
 virtuals with distinct wants.
 
 The arcs are the split form's ``UnicastInstance.arcs``, built once per split:
 ``W[i]`` and ``H[i]`` hold the virtuals that want and that hold message i,
 and ``out[p]`` the heads of virtual p's arcs.  Virtual p's cross-neighbor row
-is ``out[p] & H[want_p]``, OR-ed with ``W[want_p]`` unless strict, minus p.
-Both rules are symmetric in p and q, so a ``DerivedGraph``, which is made only
-from a split form and builds these rows itself, is valid by construction and
-no symmetry test runs on it.  ``derived_dot`` colours by ``CliqueCover.assignment``.
+is ``out[p] & H[want_p] | W[want_p]``, minus p.  Both conditions are
+symmetric in p and q, so a ``DerivedGraph``, which is made only from a split
+form and builds these rows itself, is valid by construction and no symmetry
+test runs on it.  ``derived_dot`` colours by ``CliqueCover.assignment``.
 """
 
 from __future__ import annotations
@@ -35,30 +35,24 @@ class DerivedGraph:
 
     It is made only from a ``UnicastInstance`` and builds its rows once, so it
     is valid by construction: symmetric, with no self-loop and no bit at or
-    above ``vertex_count``.  Nothing is checked here beyond the types of the
-    two arguments.
+    above ``vertex_count``.  Nothing is checked here beyond the argument's type.
     """
 
     unicast: UnicastInstance
-    strict: bool = False
-    # derived from the two fields above, once, in __post_init__
+    # derived from the field above, once, in __post_init__
     vertex_count: int = field(init=False, compare=False)
     adjacency: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        u, strict = self.unicast, self.strict
-        if type(u) is not UnicastInstance or type(strict) is not bool:
+        u = self.unicast
+        if type(u) is not UnicastInstance:
             raise ValidationError(
-                "a cross-neighbor graph takes a UnicastInstance and a bool strict flag, "
-                f"not {type(u).__name__} and {type(strict).__name__}"
-            )
+                f"a cross-neighbor graph takes a UnicastInstance, not {type(u).__name__}")
         wanted_by, held_by, out = u.arcs
-        rows = []
-        for p, v in enumerate(u.virtuals):
-            row = out[p] & held_by.get(v.want, 0)
-            if not strict:
-                row |= wanted_by[v.want]
-            rows.append(row & ~(1 << p))
+        rows = [
+            (out[p] & held_by.get(v.want, 0) | wanted_by[v.want]) & ~(1 << p)
+            for p, v in enumerate(u.virtuals)
+        ]
         object.__setattr__(self, "vertex_count", len(rows))
         object.__setattr__(self, "adjacency", tuple(rows))
 
@@ -86,14 +80,13 @@ def closure(rows: Sequence[int], frontier: int, within: int) -> int:
     return reached
 
 
-def build_cross_neighbor_graph(u: UnicastInstance, strict: bool = False) -> DerivedGraph:
-    """Edge {p, q} iff the pair can share one XOR transmission: ``DerivedGraph(u, strict)``.
+def build_cross_neighbor_graph(u: UnicastInstance) -> DerivedGraph:
+    """Edge {p, q} iff the pair can share one XOR transmission: ``DerivedGraph(u)``.
 
-    Default rule: equal wants, or mutual containment (each want in the other's
-    side info).  With ``strict=True`` only mutual containment counts, which
-    makes two virtuals wanting the same message non-adjacent.
+    That is equal wants, or mutual containment (each want in the other's side
+    info).
     """
-    return DerivedGraph(u, strict)
+    return DerivedGraph(u)
 
 
 def connected_components(g: DerivedGraph) -> list[tuple[int, ...]]:

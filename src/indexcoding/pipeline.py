@@ -23,7 +23,6 @@ from .scheme import CodingScheme, scheme_from_cover
 class SolveConfig:
     solver: str = "auto"
     dedup: bool = True
-    strict_cross_neighbor: bool = False
     exact_cap: int = DEFAULT_EXACT_CAP
     oracle_n_cap: int = DEFAULT_ORACLE_N_CAP
     mais_cap: int = DEFAULT_MAIS_CAP
@@ -77,13 +76,14 @@ class RateReport:
         }
 
 
-def prepare(inst: Instance, dedup: bool = True, strict: bool = False) -> DerivedGraph:
-    """Split, optionally dedup, and build the cross-neighbor graph.
+def prepare(inst: Instance, dedup: bool = True) -> DerivedGraph:
+    """Split, optionally dedup, and build the cross-neighbor graph, whose one
+    rule joins equal wants and mutual containment.
 
     The split is the graph's ``unicast``: its ``demands`` hold one virtual
     per demand, its ``virtuals`` the graph's vertices.
     """
-    return DerivedGraph(UnicastInstance(inst, dedup), strict)
+    return DerivedGraph(UnicastInstance(inst, dedup))
 
 
 def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, str | None]:
@@ -105,7 +105,7 @@ def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, 
 
 def solve_instance(inst: Instance, config: SolveConfig = SolveConfig()) -> SolveOutcome:
     """Run the whole pipeline: split, dedup, graph, cover, scheme."""
-    g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    g = prepare(inst, config.dedup)
     u = g.unicast
     cover, solver_used, fallback = pick_cover(g, config)
     scheme = scheme_from_cover(u, cover)
@@ -137,7 +137,7 @@ def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateRepor
     greedy cover always computes (``config.solver`` is not read).  gap =
     cover_exact - oracle when both exist.
     """
-    g = prepare(inst, config.dedup, config.strict_cross_neighbor)
+    g = prepare(inst, config.dedup)
     greedy = greedy_cover(g).size
     exact = _capped(lambda: exact_min_cover(g, cap=config.exact_cap).size)
     mais = _capped(lambda: mais_lower_bound(g.unicast, cap=config.mais_cap))

@@ -1,8 +1,9 @@
 """Builders and references the tests share: graphs built through an
-instance from rows, from edges, at random or induced on a vertex subset, a
-split instance from (want, has) pairs, the symmetry test and defect walk that
-graphs once ran on their rows, the exact cover that relabelled every
-component, the graph-side clique-cover check that ``scheme_from_cover``'s own
+instance from rows, from edges, at random or induced on a vertex subset, the
+cross-neighbor rows by one test per pair (also under the strict rule, whose
+sparser graphs the cover tests use), a split instance from (want, has)
+pairs, the symmetry test and defect walk that graphs once ran on their rows,
+the exact cover that relabelled every component, the graph-side clique-cover check that ``scheme_from_cover``'s own
 check is tested against, the dict form of the entry writer that the code
 replaced, a naive GF(2) rate, the RREF oracle over every distinct (want, has)
 pair and the has-minimal rule by its definition, which the pruned searches
@@ -38,6 +39,27 @@ def graph_of_rows(rows) -> DerivedGraph:
     g = build_cross_neighbor_graph(split_groupcast(inst))
     assert g.adjacency == tuple(rows), "rows must be symmetric and loop-free"
     return g
+
+
+def pairwise_cross_neighbor_rows(u, strict=False):
+    """Reference rows: one want/side-information test per pair.  With
+    ``strict`` two virtuals that want the same message are not joined, which
+    gives the cover tests sparser, harder graphs than the package builds."""
+    virtuals = u.virtuals
+    k = len(virtuals)
+    rows = [0] * k
+    for p in range(k):
+        vp = virtuals[p]
+        for q in range(p + 1, k):
+            vq = virtuals[q]
+            if vp.want == vq.want:
+                joined = not strict
+            else:
+                joined = vp.want in vq.has and vq.want in vp.has
+            if joined:
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+    return tuple(rows)
 
 
 def graph_from_edges(vertex_count: int, edges) -> DerivedGraph:

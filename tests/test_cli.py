@@ -118,22 +118,12 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path), "--no-dedup")
         assert code == 0
         assert len(json.loads(out)["assignments"]) == 4
-        # strict mode joins no two of the four virtuals, so each kept duplicate costs one
-        _, out, _ = run(capsys, "solve", str(path), "--no-dedup", "--strict-cross-neighbor")
-        assert json.loads(out)["rate"] == 4
-        _, out, _ = run(capsys, "solve", str(path), "--strict-cross-neighbor")
-        assert json.loads(out)["rate"] == 2
-
-    def test_strict_mode_separates_equal_wants(self, capsys, tmp_path):
-        path = tmp_path / "same_want.json"
-        path.write_text(
-            '{"num_messages": 2, "receivers": ['
-            '{"wants": [1], "has": []}, {"wants": [1], "has": [2]}]}'
-        )
-        _, out, _ = run(capsys, "solve", str(path))
-        assert json.loads(out)["rate"] == 1
-        _, out, _ = run(capsys, "solve", str(path), "--strict-cross-neighbor")
-        assert json.loads(out)["rate"] == 2
+        # the derived graph draws one node per kept virtual: dedup keeps one
+        # of each duplicate pair, --no-dedup keeps all four
+        for flags, nodes in (([], 2), (["--no-dedup"], 4)):
+            code, out, _ = run(capsys, "export-dot", str(path), *flags)
+            assert code == 0
+            assert sum("label=" in line for line in out.splitlines()) == nodes, flags
 
 
 class TestCachedParser:
@@ -155,18 +145,21 @@ class TestCachedParser:
 
     def test_two_parses_in_a_row_share_no_value(self):
         parser = cli_module.build_parser()
-        first = parser.parse_args(["gap", EXAMPLE6, "--no-dedup", "--strict-cross-neighbor",
+        first = parser.parse_args(["gap", EXAMPLE6, "--no-dedup",
                                    "--exact-cap", "3", "--oracle-cap", "6", "--mais-cap", "5"])
         second = parser.parse_args(["gap", EXAMPLE6])
         assert cli_module._config_from_args(first) == SolveConfig(
-            dedup=False, strict_cross_neighbor=True, exact_cap=3, oracle_n_cap=6, mais_cap=5)
+            dedup=False, exact_cap=3, oracle_n_cap=6, mais_cap=5)
         assert cli_module._config_from_args(second) == SolveConfig()
         assert vars(second) == {"command": "gap", "instance": EXAMPLE6, "func": cli_module.cmd_gap}
 
     def test_usage_errors_still_exit_1(self, capsys):
-        for argv in (["solve"], ["solve", EXAMPLE6, "--bogus"], ["gap"], [], ["nope"]):
+        removed = "--strict-cross-neighbor"  # the equal-demand edge is always drawn
+        for argv in (["solve"], ["solve", EXAMPLE6, "--bogus"], ["gap"], [], ["nope"],
+                     ["solve", EXAMPLE6, removed], ["gap", EXAMPLE6, removed],
+                     ["export-dot", EXAMPLE6, removed]):
             code, out, err = run(capsys, *argv)
-            assert code == 1 and out == "" and "usage" in err
+            assert code == 1 and out == "" and "usage" in err, argv
         code, out, _ = run(capsys, "solve", EXAMPLE6)
         assert code == 0 and json.loads(out)["rate"] == 3
         code, out, _ = run(capsys, "--help")
@@ -178,14 +171,13 @@ PIPELINE_FLAGS = [
     (["--solver", "greedy"], "solver", "greedy"),
     (["--exact-cap", "7"], "exact_cap", 7),
     (["--no-dedup"], "dedup", False),
-    (["--strict-cross-neighbor"], "strict_cross_neighbor", True),
     (["--oracle-cap", "6"], "oracle_n_cap", 6),
     (["--mais-cap", "5"], "mais_cap", 5),
 ]
 PIPELINE_COMMANDS = {
-    "solve": {"solver", "exact_cap", "dedup", "strict_cross_neighbor"},
-    "gap": {"exact_cap", "dedup", "strict_cross_neighbor", "oracle_n_cap", "mais_cap"},
-    "export-dot": {"solver", "exact_cap", "dedup", "strict_cross_neighbor"},
+    "solve": {"solver", "exact_cap", "dedup"},
+    "gap": {"exact_cap", "dedup", "oracle_n_cap", "mais_cap"},
+    "export-dot": {"solver", "exact_cap", "dedup"},
 }
 
 
@@ -373,7 +365,7 @@ class TestOutputDigest:
     # SHA-256 of solve, gap, gen, serialize_instance and serialize_scheme
     # output over a seeded corpus, recorded from json.dumps(indent=2) output,
     # whose bytes the package's own writer must reproduce
-    DIGEST = "bfcf66ea41f8363bd5b18831516f291d9ab9d033c57d92d1cbe3770f32ef4a59"
+    DIGEST = "e8cfdd90026d81764ce827e7925f13990a5f786a92fe3553ca7b1eb2987f4a87"
 
     def test_outputs_match_recorded_digest(self, capsys, tmp_path):
         instances = [parse_instance(Path(path).read_text()) for path in (EXAMPLE6, GROUPCAST3, CYCLE3)]
@@ -392,7 +384,7 @@ class TestOutputDigest:
             g = build_cross_neighbor_graph(u)
             records.append(serialize_scheme(scheme_from_cover(u, greedy_cover(g))))
             for argv in (["solve"], ["solve", "--no-dedup", "--solver", "greedy"],
-                         ["solve", "--strict-cross-neighbor"], ["gap"],
+                         ["gap"],
                          ["gap", "--oracle-cap", "2", "--mais-cap", "1"]):
                 if len(inst.receivers) > 100 and argv[0] == "gap":
                     continue
@@ -594,6 +586,12 @@ class TestExportDot:
         for argv in (["solve", str(path)], ["gap", str(path)]):
             assert run(capsys, *argv)[0] == 0
 
+    def test_both_variants_check_the_pipeline_flags(self, capsys):
+        for variant in ("bipartite", "derived"):
+            code, out, err = run(capsys, "export-dot", EXAMPLE6, "--variant", variant,
+                                 "--exact-cap", "0")
+            assert (code, out, err) == (1, "", "error: caps must be positive\n"), variant
+
     def test_parse_error_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -736,7 +734,7 @@ scheme_bytes = (
 cap = st.integers(-1, 64).map(str)
 solve_argv = st.tuples(
     st.just("solve"), st.sampled_from([["--solver", s] for s in ("exact", "greedy", "auto")]),
-    st.sampled_from([[], ["--no-dedup"], ["--strict-cross-neighbor"]]),
+    st.sampled_from([[], ["--no-dedup"]]),
     cap.map(lambda c: ["--exact-cap", c]),
 )
 verify_argv = st.tuples(
@@ -748,7 +746,7 @@ verify_argv = st.tuples(
 )
 small_cap = st.integers(-1, 8).map(str)
 gap_argv = st.tuples(
-    st.just("gap"), st.sampled_from([[], ["--no-dedup"], ["--strict-cross-neighbor"]]),
+    st.just("gap"), st.sampled_from([[], ["--no-dedup"]]),
     cap.map(lambda c: ["--exact-cap", c]),
     small_cap.map(lambda c: ["--oracle-cap", c]),
     small_cap.map(lambda c: ["--mais-cap", c]),

@@ -31,6 +31,7 @@ from helpers import (
     _symmetric,
     graph_from_edges,
     induced_subgraph,
+    pairwise_cross_neighbor_rows,
     random_graph,
     unicast_of,
 )
@@ -57,25 +58,6 @@ def neighbour_walk_components(g):
     return components
 
 
-def pairwise_cross_neighbor_rows(u, strict=False):
-    """Reference rows: one want/side-information test per pair."""
-    virtuals = u.virtuals
-    k = len(virtuals)
-    rows = [0] * k
-    for p in range(k):
-        vp = virtuals[p]
-        for q in range(p + 1, k):
-            vq = virtuals[q]
-            if vp.want == vq.want:
-                joined = not strict
-            else:
-                joined = vp.want in vq.has and vq.want in vp.has
-            if joined:
-                rows[p] |= 1 << q
-                rows[q] |= 1 << p
-    return tuple(rows)
-
-
 class TestBuild:
     def test_worked_example_edge_set(self, example6):
         g = build_cross_neighbor_graph(split_groupcast(example6))
@@ -91,31 +73,28 @@ class TestBuild:
         u = unicast_of(4, [(1, ()), (2, ()), (3, ()), (4, ())])
         assert build_cross_neighbor_graph(u).edges() == []
 
-    def test_equal_want_edge_and_strict_flag(self):
+    def test_equal_want_edge(self):
         u = unicast_of(3, [(1, {2}), (1, {3})])
         assert build_cross_neighbor_graph(u).edges() == [(0, 1)]
-        assert build_cross_neighbor_graph(u, strict=True).edges() == []
 
     @pytest.mark.parametrize(
         "make, named",
         [
-            (lambda u: DerivedGraph(2, (0b10, 0b01)), "int and tuple"),  # hand-made rows
-            (lambda u: DerivedGraph(u.instance), "Instance and bool"),
-            (lambda u: DerivedGraph(u.virtuals), "tuple and bool"),
-            (lambda u: DerivedGraph(u, 1), "UnicastInstance and int"),
-            (lambda u: DerivedGraph(u, None), "UnicastInstance and NoneType"),
+            (lambda u: DerivedGraph((0b10, 0b01)), "tuple"),  # hand-made rows
+            (lambda u: DerivedGraph(u.instance), "Instance"),
+            (lambda u: DerivedGraph(u.virtuals), "tuple"),
         ],
-        ids=["rows", "instance", "virtuals", "strict 1", "strict None"],
+        ids=["rows", "instance", "virtuals"],
     )
     def test_graph_is_made_only_from_a_split_form(self, make, named):
         u = unicast_of(2, [(1, {2}), (2, {1})])
         with pytest.raises(ValidationError) as exc:
             make(u)
         assert str(exc.value) == (
-            f"a cross-neighbor graph takes a UnicastInstance and a bool strict flag, not {named}")
+            f"a cross-neighbor graph takes a UnicastInstance, not {named}")
         g = DerivedGraph(u)
         assert (g.vertex_count, g.adjacency) == (2, (0b10, 0b01))
-        assert g == build_cross_neighbor_graph(u) != DerivedGraph(u, strict=True)
+        assert g == build_cross_neighbor_graph(u)
 
     @pytest.mark.parametrize(
         "missing, named",
@@ -164,13 +143,12 @@ class TestBuild:
         inst = random_instance(n, m, density, (1, min(hi, n)), seed=seed)
         for flag in (False, True):
             u = UnicastInstance(inst, flag)
-            for strict in (False, True):
-                g = DerivedGraph(u, strict)
-                k = g.vertex_count
-                assert k == len(u.virtuals) == len(g.adjacency)
-                assert not any(row >> k for row in g.adjacency)
-                assert not any(row >> p & 1 for p, row in enumerate(g.adjacency))
-                assert _symmetric(g.adjacency, k)
+            g = DerivedGraph(u)
+            k = g.vertex_count
+            assert k == len(u.virtuals) == len(g.adjacency)
+            assert not any(row >> k for row in g.adjacency)
+            assert not any(row >> p & 1 for p, row in enumerate(g.adjacency))
+            assert _symmetric(g.adjacency, k)
 
     def test_mask_rows_match_pairwise_reference(self):
         rng = random.Random(31)
@@ -188,9 +166,8 @@ class TestBuild:
             full = split_groupcast(inst)
             cases += [full, dedup(full)]
         for u in cases:
-            for strict in (False, True):
-                g = build_cross_neighbor_graph(u, strict=strict)
-                assert g.adjacency == pairwise_cross_neighbor_rows(u, strict), (u, strict)
+            g = build_cross_neighbor_graph(u)
+            assert g.adjacency == pairwise_cross_neighbor_rows(u), u
         sizes = {len(u.virtuals) for u in cases}
         assert {0, 1} <= sizes and max(sizes) > 30
 
