@@ -586,6 +586,18 @@ class TestExportDot:
         for argv in (["solve", str(path)], ["gap", str(path)]):
             assert run(capsys, *argv)[0] == 0
 
+    def test_no_dedup_draws_one_node_per_kept_duplicate(self, capsys, tmp_path):
+        # this generated instance repeats 8 of its 20 virtuals; a seed whose
+        # virtuals are all distinct would draw the same nodes either way
+        _, text, _ = run(capsys, "gen", "-n", "5", "-m", "12", "-p", "0.3",
+                         "--demand-max", "2", "--seed", "1")
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        for flags, nodes in (([], 12), (["--no-dedup"], 20)):
+            code, out, _ = run(capsys, "export-dot", str(path), *flags)
+            assert code == 0
+            assert sum("label=" in line for line in out.splitlines()) == nodes, flags
+
     def test_both_variants_check_the_pipeline_flags(self, capsys):
         for variant in ("bipartite", "derived"):
             code, out, err = run(capsys, "export-dot", EXAMPLE6, "--variant", variant,

@@ -77,6 +77,17 @@ class TestBuild:
         u = unicast_of(3, [(1, {2}), (1, {3})])
         assert build_cross_neighbor_graph(u).edges() == [(0, 1)]
 
+    @pytest.mark.parametrize("make", [DerivedGraph, build_cross_neighbor_graph],
+                             ids=["DerivedGraph", "build_cross_neighbor_graph"])
+    def test_one_rule_and_no_strict_argument(self, make):
+        # the graph always joins equal wants; a second, strict argument is
+        # an unknown one, positional or by name
+        u = unicast_of(3, [(1, {2}), (1, {3})])
+        assert make(u).edges() == [(0, 1)]
+        for call in (lambda: make(u, True), lambda: make(u, strict=True)):
+            with pytest.raises(TypeError):
+                call()
+
     @pytest.mark.parametrize(
         "make, named",
         [

@@ -15,7 +15,7 @@ from indexcoding import (
 )
 from indexcoding import instance as instance_module
 from indexcoding.generate import random_instance
-from indexcoding.graph import bipartite_dot
+from indexcoding.graph import bipartite_dot, build_cross_neighbor_graph
 from indexcoding.instance import (
     UnicastInstance, VirtualReceiver, _violations, instance_from_jsonable,
 )
@@ -584,6 +584,19 @@ class TestPrepare:
             # a removed duplicate is sent by the transmission of the one it repeats
             parts = [part for _, _, part in outcome.assignments]
             assert parts[2:4] == parts[0:2]
+
+    def test_no_strict_rule_to_pass(self):
+        # equal wants are always joined: the duplicates kept by dedup=False
+        # share one part, and neither prepare nor SolveConfig takes a strict flag
+        inst = Instance.of(2, [({1}, set()), ({1}, {2})])
+        g = prepare(inst, dedup=False)
+        assert g.edges() == [(0, 1)]
+        assert g == build_cross_neighbor_graph(UnicastInstance(inst, False))
+        assert solve_instance(inst, SolveConfig(dedup=False)).scheme.rate == 1
+        with pytest.raises(TypeError):
+            prepare(inst, False, True)
+        with pytest.raises(TypeError):
+            SolveConfig(strict_cross_neighbor=True)
 
 
 def pairwise_arcs(virtuals):
