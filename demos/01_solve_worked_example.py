@@ -8,15 +8,12 @@ transmissions suffice.
 from pathlib import Path
 
 from indexcoding import (
-    build_cross_neighbor_graph,
+    UnicastInstance,
     connected_components,
-    dedup,
     exact_min_cover,
     parse_instance,
     scheme_from_cover,
-    split_groupcast,
-    verify_scheme_random,
-    verify_scheme_symbolic,
+    verify_scheme,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -26,25 +23,25 @@ inst = parse_instance((HERE.parent / "instances" / "example6.json").read_text())
 print(f"{inst.num_messages} messages, {len(inst.receivers)} receivers")
 
 # (2) Split into single-demand virtual receivers (already unicast here).
-u = dedup(split_groupcast(inst))
+u = UnicastInstance(inst, dedup=True)
 for v in u.virtuals:
     print(f"  r{v.origin[0]}_{v.origin[1]} wants w{v.want}, has {sorted(v.has)}")
 
-# (3) Build the cross-neighbor graph: an edge means the pair can share
-#     one XOR transmission.
-g = build_cross_neighbor_graph(u)
-print("edges:", [(p + 1, q + 1) for p, q in g.edges()])
-print("components:", [tuple(v + 1 for v in c) for c in connected_components(g)])
+# (3) The split is also the cross-neighbor graph: an edge means the pair
+#     can share one XOR transmission.
+print("edges:", [(p + 1, q + 1) for p, q in u.edges()])
+print("components:", [tuple(v + 1 for v in c) for c in connected_components(u)])
 
 # (4) Partition into a minimum number of cliques.
-cover = exact_min_cover(g)
+cover = exact_min_cover(u)
 print("cover parts:", [tuple(v + 1 for v in part) for part in cover.parts])
 
 # (5) One transmission per clique: the XOR of its distinct wants.
 scheme = scheme_from_cover(u, cover)
 print(f"rate {scheme.rate}:", [list(t) for t in scheme.transmissions])
 
-# (6) Verify symbolically and over random 64-bit words.
-assert verify_scheme_symbolic(u, scheme) == []
-assert verify_scheme_random(u, scheme, trials=100, seed=1) is None
+# (6) Verify symbolically (every virtual is assigned a transmission it
+#     decodes) and over random 64-bit words.
+assigned, failure = verify_scheme(u, scheme, trials=100, seed=1)
+assert None not in assigned and failure is None
 print("verification: symbolic ok, 100 randomized trials ok")

@@ -9,12 +9,11 @@ import random
 
 from indexcoding import (
     Instance,
-    build_cross_neighbor_graph,
+    UnicastInstance,
     decode_receiver,
     encode,
     exact_min_cover,
     scheme_from_cover,
-    split_groupcast,
 )
 from indexcoding.scheme import assign_transmissions
 
@@ -22,13 +21,12 @@ from indexcoding.scheme import assign_transmissions
 inst = Instance.of(3, [({1}, {2, 3}), ({2, 3}, {1})])
 
 # (2) Splitting yields one virtual receiver per demand.
-u = split_groupcast(inst)
+u = UnicastInstance(inst)
 for v in u.virtuals:
     print(f"  r{v.origin[0]}_{v.origin[1]} wants w{v.want}, has {sorted(v.has)}")
 
 # (3) Solve: two transmissions, w1+w2 and w3.
-g = build_cross_neighbor_graph(u)
-scheme = scheme_from_cover(u, exact_min_cover(g))
+scheme = scheme_from_cover(u, exact_min_cover(u))
 print("transmissions:", [list(t) for t in scheme.transmissions])
 
 # (4) Put concrete 16-bit words on the messages and broadcast.

@@ -11,8 +11,7 @@ cross-neighbor graph is edgeless, yet two clever rows serve all three).
 
 from pathlib import Path
 
-from indexcoding import gap_report, min_linear_rate_gf2, parse_instance
-from indexcoding import dedup, split_groupcast
+from indexcoding import UnicastInstance, gap_report, min_linear_rate_gf2, parse_instance
 from indexcoding.generate import random_instance
 
 HERE = Path(__file__).resolve().parent
@@ -35,7 +34,7 @@ for name in ("example6", "groupcast3", "cycle3"):
 
 # (2) The 3-cycle's optimal encoder, explicitly.
 cycle3 = parse_instance((INSTANCES / "cycle3.json").read_text())
-u = dedup(split_groupcast(cycle3))
+u = UnicastInstance(cycle3, dedup=True)
 rate, witness = min_linear_rate_gf2(u, with_witness=True)
 print(f"\ncycle3 optimal rate {rate}, witness rows (bit i = message i+1):")
 for row in witness:

@@ -8,13 +8,11 @@ Writes .dot files into demos/out/; render them with e.g.
 from pathlib import Path
 
 from indexcoding import (
+    UnicastInstance,
     bipartite_dot,
-    build_cross_neighbor_graph,
-    dedup,
     derived_dot,
     exact_min_cover,
     parse_instance,
-    split_groupcast,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -28,12 +26,11 @@ for name in ("example6", "groupcast3", "cycle3"):
     #     edges are side information, dashed edges demands.
     (OUT / f"{name}_bipartite.dot").write_text(bipartite_dot(inst))
 
-    # (2) Cross-neighbor view with the minimum cover colored in.
-    u = dedup(split_groupcast(inst))
-    g = build_cross_neighbor_graph(u)
-    cover = exact_min_cover(g)
-    (OUT / f"{name}_derived.dot").write_text(derived_dot(g, cover))
-    print(f"{name}: {g.vertex_count} vertices, {len(g.edges())} edges, "
+    # (2) Cross-neighbor view of the split with the minimum cover colored in.
+    u = UnicastInstance(inst, dedup=True)
+    cover = exact_min_cover(u)
+    (OUT / f"{name}_derived.dot").write_text(derived_dot(u, cover))
+    print(f"{name}: {u.vertex_count} vertices, {len(u.edges())} edges, "
           f"{cover.size} cover parts")
 
 print(f"wrote DOT files to {OUT}")

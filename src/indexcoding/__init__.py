@@ -9,13 +9,7 @@ MAIS oracles audit the achieved rate.
 from .cover import CliqueCover, exact_min_cover, greedy_cover
 from .errors import CapExceeded, IndexCodingError, ValidationError
 from .generate import random_instance
-from .graph import (
-    DerivedGraph,
-    bipartite_dot,
-    build_cross_neighbor_graph,
-    connected_components,
-    derived_dot,
-)
+from .graph import bipartite_dot, build_cross_neighbor_graph, connected_components, derived_dot
 from .instance import (
     Instance,
     Receiver,
@@ -45,7 +39,6 @@ __all__ = [
     "CapExceeded",
     "CliqueCover",
     "CodingScheme",
-    "DerivedGraph",
     "IndexCodingError",
     "Instance",
     "RateReport",

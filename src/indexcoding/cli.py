@@ -20,7 +20,7 @@ from .generate import random_instance
 from .graph import bipartite_dot, derived_dot
 from .instance import Instance, UnicastInstance, parse_instance, serialize_instance
 from .jsontext import Entries, dumps
-from .pipeline import SolveConfig, gap_report, pick_cover, prepare, solve_instance
+from .pipeline import SolveConfig, gap_report, pick_cover, solve_instance
 from .scheme import DEFAULT_WORD_WIDTH, _check_trials, parse_scheme, verify_scheme
 
 EXIT_OK = 0
@@ -153,12 +153,12 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
             )
         sys.stdout.write(bipartite_dot(inst))
         return EXIT_OK
-    g = prepare(inst, config.dedup)
+    u = UnicastInstance(inst, config.dedup)
     cover = None
     if args.overlay_cover:
-        cover, _, fallback = pick_cover(g, config)
+        cover, _, fallback = pick_cover(u, config)
         _warn_fallback(fallback)
-    sys.stdout.write(derived_dot(g, cover))
+    sys.stdout.write(derived_dot(u, cover))
     return EXIT_OK
 
 

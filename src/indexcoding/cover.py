@@ -1,8 +1,10 @@
 """Minimum clique cover of the cross-neighbor graph.
 
-A clique cover of g is a proper coloring of g's complement, so the exact
-solver runs a DSATUR-ordered branch-and-bound coloring on the complement of
-each connected component (cliques never span components).  A component
+The graph g is a split form: ``g.vertex_count`` virtuals and the cached
+bitmask rows ``g.adjacency``.  A clique cover of g is a proper coloring of
+g's complement, so the exact solver runs a DSATUR-ordered branch-and-bound
+coloring on the complement of each connected component (cliques never span
+components).  A component
 already labelled 0..s-1 (a connected graph is one) is colored on the complement
 of the graph's own rows; any other is relabelled 0..s-1 first.  Each uncolored
 vertex holds one int key, saturation then degree then reversed index in
@@ -21,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .graph import DerivedGraph, _bits, connected_components
+from .graph import connected_components
+from .instance import UnicastInstance, _bits
 
 DEFAULT_EXACT_CAP = 40
 
@@ -45,7 +48,7 @@ class CliqueCover:
         return out
 
 
-def greedy_cover(g: DerivedGraph) -> CliqueCover:
+def greedy_cover(g: UnicastInstance) -> CliqueCover:
     """First-fit cover: scan vertices ascending, join the first part whose
     every member is adjacent, else open a new part.  That puts v in part i
     exactly when no earlier part took v and v is adjacent to every member of
@@ -65,7 +68,7 @@ def greedy_cover(g: DerivedGraph) -> CliqueCover:
     return CliqueCover(tuple(parts))
 
 
-def exact_min_cover(g: DerivedGraph, cap: int = DEFAULT_EXACT_CAP) -> CliqueCover:
+def exact_min_cover(g: UnicastInstance, cap: int = DEFAULT_EXACT_CAP) -> CliqueCover:
     """Minimum clique cover via exact coloring of the complement graph.
 
     Cliques never span connected components, so each is solved on its own and

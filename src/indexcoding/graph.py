@@ -10,61 +10,23 @@ virtuals with distinct wants.
 The arcs are the split form's ``UnicastInstance.arcs``, built once per split:
 ``W[i]`` and ``H[i]`` hold the virtuals that want and that hold message i,
 and ``out[p]`` the heads of virtual p's arcs.  Virtual p's cross-neighbor row
-is ``out[p] & H[want_p] | W[want_p]``, minus p.  Both conditions are
-symmetric in p and q, so a ``DerivedGraph``, which is made only from a split
-form and builds these rows itself, is valid by construction and no symmetry
-test runs on it.  ``derived_dot`` colours by ``CliqueCover.assignment``.
+is ``out[p] & H[want_p] | W[want_p]``, minus p: the split form's cached
+``UnicastInstance.adjacency``, so the graph that ``connected_components``,
+the covers and ``derived_dot`` take is the split form itself.  Both
+conditions are symmetric in p and q, so the rows are valid by construction
+and no symmetry test runs on them.  ``derived_dot`` colours by
+``CliqueCover.assignment``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ValidationError
-from .instance import Instance, UnicastInstance
+from .instance import Instance, UnicastInstance, _bits
 
 if TYPE_CHECKING:  # cover imports this module
     from .cover import CliqueCover
-
-
-@dataclass(frozen=True)
-class DerivedGraph:
-    """The cross-neighbor graph of the split form ``unicast``: an undirected
-    graph over its virtual indices, as dense bitmask rows.
-
-    It is made only from a ``UnicastInstance`` and builds its rows once, so it
-    is valid by construction: symmetric, with no self-loop and no bit at or
-    above ``vertex_count``.  Nothing is checked here beyond the argument's type.
-    """
-
-    unicast: UnicastInstance
-    # derived from the field above, once, in __post_init__
-    vertex_count: int = field(init=False, compare=False)
-    adjacency: tuple[int, ...] = field(init=False, compare=False)
-
-    def __post_init__(self):
-        u = self.unicast
-        if type(u) is not UnicastInstance:
-            raise ValidationError(
-                f"a cross-neighbor graph takes a UnicastInstance, not {type(u).__name__}")
-        wanted_by, held_by, out = u.arcs
-        rows = [
-            (out[p] & held_by.get(v.want, 0) | wanted_by[v.want]) & ~(1 << p)
-            for p, v in enumerate(u.virtuals)
-        ]
-        object.__setattr__(self, "vertex_count", len(rows))
-        object.__setattr__(self, "adjacency", tuple(rows))
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(p, q) for p in range(self.vertex_count) for q in _bits(self.adjacency[p]) if p < q]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def closure(rows: Sequence[int], frontier: int, within: int) -> int:
@@ -80,16 +42,18 @@ def closure(rows: Sequence[int], frontier: int, within: int) -> int:
     return reached
 
 
-def build_cross_neighbor_graph(u: UnicastInstance) -> DerivedGraph:
-    """Edge {p, q} iff the pair can share one XOR transmission: ``DerivedGraph(u)``.
+def build_cross_neighbor_graph(u: UnicastInstance) -> UnicastInstance:
+    """``u`` with its cross-neighbor rows built: edge {p, q} iff the pair can
+    share one XOR transmission, that is equal wants, or mutual containment
+    (each want in the other's side info)."""
+    if type(u) is not UnicastInstance:
+        raise ValidationError(
+            f"a cross-neighbor graph takes a UnicastInstance, not {type(u).__name__}")
+    u.adjacency  # the cached rows: built here on first use, once
+    return u
 
-    That is equal wants, or mutual containment (each want in the other's side
-    info).
-    """
-    return DerivedGraph(u)
 
-
-def connected_components(g: DerivedGraph) -> list[tuple[int, ...]]:
+def connected_components(g: UnicastInstance) -> list[tuple[int, ...]]:
     """Components as ascending vertex tuples, ordered by smallest member:
     each is the closure of the lowest vertex no earlier component holds."""
     unseen = (1 << g.vertex_count) - 1
@@ -140,16 +104,16 @@ def bipartite_dot(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def derived_dot(g: DerivedGraph, cover: CliqueCover | None = None) -> str:
-    """DOT text for the cross-neighbor graph.
+def derived_dot(g: UnicastInstance, cover: CliqueCover | None = None) -> str:
+    """DOT text for the cross-neighbor graph of the split form ``g``.
 
-    Nodes are named r<j>_<k> after each virtual's origin in ``g.unicast``.
+    Nodes are named r<j>_<k> after each virtual's origin.
     When a cover of ``g`` is supplied its parts are shown by fill color, one per part.
     """
     part_of = None if cover is None else cover.assignment(g.vertex_count)
     lines = ["graph cross_neighbors {"]
     names = []
-    for idx, v in enumerate(g.unicast.virtuals):
+    for idx, v in enumerate(g.virtuals):
         j, k = v.origin
         name = f"r{j}_{k}"
         names.append(name)

@@ -16,7 +16,9 @@ The groupcast-to-unicast reduction lives here as well: a
 valid by construction too.  It breaks every receiver into one virtual
 receiver per demanded message and, with ``dedup``, drops virtual receivers
 that are exact duplicates of an earlier one.  Its side-information arcs,
-which the graph and the MAIS bound read, are built on first use, once.
+which the MAIS bound reads, and the cross-neighbor graph's rows built from
+them are views of the split, each built on first use, once: the split form
+is the graph the covers take.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import and_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ValidationError
 from .jsontext import dumps, loads
@@ -148,6 +150,38 @@ class UnicastInstance:
         wanters, message -> its holders (no entry when none), and each
         virtual's out-row.  Built on first use, once; shared, so read-only."""
         return _side_information_arcs(self.virtuals)
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """The cross-neighbor graph over ``virtuals`` as bitmask rows: row p
+        joins q when the two want the same message or each holds the other's
+        want.  Both are symmetric, so the rows are symmetric and loop-free by
+        construction.  Built on first use from :attr:`arcs`, once."""
+        return _cross_neighbor_rows(self)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.virtuals)
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(p, q) for p, row in enumerate(self.adjacency) for q in _bits(row) if p < q]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cross_neighbor_rows(u: UnicastInstance) -> tuple[int, ...]:
+    """:attr:`UnicastInstance.adjacency`: virtual p's row is
+    ``out[p] & H[want_p] | W[want_p]``, minus p."""
+    wanted_by, held_by, out = u.arcs
+    return tuple([
+        (out[p] & held_by.get(v.want, 0) | wanted_by[v.want]) & ~(1 << p)
+        for p, v in enumerate(u.virtuals)
+    ])
 
 
 def _side_information_arcs(virtuals: tuple[VirtualReceiver, ...]) -> tuple[dict, dict, tuple]:

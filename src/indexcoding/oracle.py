@@ -29,8 +29,8 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, ValidationError
-from .graph import _bits, closure
-from .instance import UnicastInstance
+from .graph import closure
+from .instance import UnicastInstance, _bits
 
 DEFAULT_ORACLE_N_CAP = 10
 DEFAULT_MAIS_CAP = 20

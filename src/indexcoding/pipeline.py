@@ -1,9 +1,10 @@
 """The solver pipeline: split, dedup, cross-neighbor graph, clique cover, scheme.
 
-It chains the stages for ``solve``, ``gap`` and ``export-dot``: each builds
-its graph once through :func:`prepare`, whose ``unicast`` is the split, and
-picks its cover through :func:`pick_cover`.  ``verify`` needs no graph or
-cover: the CLI splits and makes one ``scheme.verify_scheme`` call.
+It chains the stages for ``solve``, ``gap`` and ``export-dot``: each makes
+one split form, ``UnicastInstance(inst, config.dedup)``, which is also the
+graph (its cross-neighbor rows are built on first use, once), and picks its
+cover through :func:`pick_cover`.  ``verify`` needs no graph or cover: the
+CLI splits and makes one ``scheme.verify_scheme`` call.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 from .cover import DEFAULT_EXACT_CAP, CliqueCover, exact_min_cover, greedy_cover
 from .errors import CapExceeded, ValidationError
-from .graph import DerivedGraph
 from .instance import Instance, UnicastInstance
 from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
 from .oracle import mais_lower_bound, min_linear_rate_gf2
@@ -76,17 +76,7 @@ class RateReport:
         }
 
 
-def prepare(inst: Instance, dedup: bool = True) -> DerivedGraph:
-    """Split, optionally dedup, and build the cross-neighbor graph, whose one
-    rule joins equal wants and mutual containment.
-
-    The split is the graph's ``unicast``: its ``demands`` hold one virtual
-    per demand, its ``virtuals`` the graph's vertices.
-    """
-    return DerivedGraph(UnicastInstance(inst, dedup))
-
-
-def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, str | None]:
+def pick_cover(g: UnicastInstance, config: SolveConfig) -> tuple[CliqueCover, str, str | None]:
     """Cover g with the configured solver.
 
     Returns the cover, the solver used and, when ``auto`` fell back to greedy
@@ -105,11 +95,10 @@ def pick_cover(g: DerivedGraph, config: SolveConfig) -> tuple[CliqueCover, str, 
 
 def solve_instance(inst: Instance, config: SolveConfig = SolveConfig()) -> SolveOutcome:
     """Run the whole pipeline: split, dedup, graph, cover, scheme."""
-    g = prepare(inst, config.dedup)
-    u = g.unicast
-    cover, solver_used, fallback = pick_cover(g, config)
+    u = UnicastInstance(inst, config.dedup)
+    cover, solver_used, fallback = pick_cover(u, config)
     scheme = scheme_from_cover(u, cover)
-    part_of = cover.assignment(g.vertex_count)
+    part_of = cover.assignment(u.vertex_count)
 
     # expand assignments back to every demand
     removed = u.dedup_map or {}
@@ -137,13 +126,13 @@ def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateRepor
     greedy cover always computes (``config.solver`` is not read).  gap =
     cover_exact - oracle when both exist.
     """
-    g = prepare(inst, config.dedup)
-    greedy = greedy_cover(g).size
-    exact = _capped(lambda: exact_min_cover(g, cap=config.exact_cap).size)
-    mais = _capped(lambda: mais_lower_bound(g.unicast, cap=config.mais_cap))
+    u = UnicastInstance(inst, config.dedup)
+    greedy = greedy_cover(u).size
+    exact = _capped(lambda: exact_min_cover(u, cap=config.exact_cap).size)
+    mais = _capped(lambda: mais_lower_bound(u, cap=config.mais_cap))
     # the oracle starts from this MAIS (0 when capped): MAIS runs once, under mais_cap
     oracle = _capped(lambda: min_linear_rate_gf2(
-        g.unicast, n_cap=config.oracle_n_cap, lower_bound=mais or 0))
+        u, n_cap=config.oracle_n_cap, lower_bound=mais or 0))
     gap = exact - oracle if exact is not None and oracle is not None else None
     return RateReport(
         mais_bound=mais,

@@ -1,5 +1,5 @@
-"""Builders and references the tests share: graphs built through an
-instance from rows, from edges, at random or induced on a vertex subset, the
+"""Builders and references the tests share: graphs, which are split forms,
+built through an instance from rows, from edges, at random or induced on a vertex subset, the
 cross-neighbor rows by one test per pair (also under the strict rule, whose
 sparser graphs the cover tests use), a split instance from (want, has)
 pairs, the symmetry test and defect walk that graphs once ran on their rows,
@@ -15,18 +15,16 @@ import itertools
 import random
 
 from indexcoding import (
-    CliqueCover, CodingScheme, DerivedGraph, Instance, build_cross_neighbor_graph,
-    connected_components, split_groupcast,
+    CliqueCover, CodingScheme, Instance, connected_components, split_groupcast,
 )
 from indexcoding.cover import _exact_coloring
-from indexcoding.graph import _bits
-from indexcoding.instance import UnicastInstance, VirtualReceiver
+from indexcoding.instance import UnicastInstance, VirtualReceiver, _bits
 from indexcoding.jsontext import dumps
 from indexcoding.oracle import can_decode, iter_rref_rowspaces
 
 
-def graph_of_rows(rows) -> DerivedGraph:
-    """The graph whose row p is ``rows[p]``, for symmetric rows without
+def graph_of_rows(rows) -> UnicastInstance:
+    """The split form whose row p is ``rows[p]``, for symmetric rows without
     self-loops, built through an instance: receiver p wants {p + 1} and holds
     the ids of its neighbours plus one.  With distinct wants the edges are
     exactly the mutual-containment pairs, so vertex p stays p.  One int object
@@ -36,9 +34,9 @@ def graph_of_rows(rows) -> DerivedGraph:
     # the ids that row p's bits pick, low bit first: one C-level pass per row
     held = [itertools.compress(ids, map(int, format(row, f"0{k}b")[::-1])) for row in rows]
     inst = Instance.of(max(k, 1), [((ids[p],), has) for p, has in enumerate(held)])
-    g = build_cross_neighbor_graph(split_groupcast(inst))
-    assert g.adjacency == tuple(rows), "rows must be symmetric and loop-free"
-    return g
+    u = UnicastInstance(inst)
+    assert u.adjacency == tuple(rows), "rows must be symmetric and loop-free"
+    return u
 
 
 def pairwise_cross_neighbor_rows(u, strict=False):
@@ -62,7 +60,7 @@ def pairwise_cross_neighbor_rows(u, strict=False):
     return tuple(rows)
 
 
-def graph_from_edges(vertex_count: int, edges) -> DerivedGraph:
+def graph_from_edges(vertex_count: int, edges) -> UnicastInstance:
     """The undirected graph with the given (p, q) edges."""
     rows = [0] * vertex_count
     for p, q in edges:
@@ -71,7 +69,7 @@ def graph_from_edges(vertex_count: int, edges) -> DerivedGraph:
     return graph_of_rows(rows)
 
 
-def induced_subgraph(g: DerivedGraph, vertices) -> DerivedGraph:
+def induced_subgraph(g: UnicastInstance, vertices) -> UnicastInstance:
     """Subgraph on the given vertices, relabelled 0..k-1 in the given order."""
     index = {v: i for i, v in enumerate(vertices)}
     rows = []
@@ -84,7 +82,7 @@ def induced_subgraph(g: DerivedGraph, vertices) -> DerivedGraph:
     return graph_of_rows(rows)
 
 
-def random_graph(num_vertices: int, edge_density: float, seed: int = 0) -> DerivedGraph:
+def random_graph(num_vertices: int, edge_density: float, seed: int = 0) -> UnicastInstance:
     """Erdos-Renyi style graph: each edge (p, q), p < q, drawn in ascending
     order, is present independently with probability ``edge_density``."""
     rng = random.Random(seed)
@@ -132,7 +130,7 @@ def _raise_first_defect(rows: tuple[int, ...], k: int) -> None:
                 raise ValueError(f"adjacency not symmetric on ({p}, {q})")
 
 
-def reference_exact_min_cover(g: DerivedGraph) -> CliqueCover:
+def reference_exact_min_cover(g: UnicastInstance) -> CliqueCover:
     """``exact_min_cover`` with no cap, as it was before a component labelled
     0..s-1 was colored on the graph's own rows: every component is relabelled
     bit by bit."""
@@ -153,7 +151,7 @@ def reference_exact_min_cover(g: DerivedGraph) -> CliqueCover:
     return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
 
 
-def verify_cover(g: DerivedGraph, c: CliqueCover) -> str | None:
+def verify_cover(g: UnicastInstance, c: CliqueCover) -> str | None:
     """Return None when c is a partition of g's vertices into cliques, else a
     diagnostic."""
     seen: set[int] = set()

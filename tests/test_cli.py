@@ -29,6 +29,7 @@ from indexcoding import instance as instance_module
 from indexcoding import scheme as scheme_module
 from indexcoding.cli import main
 from indexcoding.generate import random_instance
+from indexcoding.graph import _PART_COLORS
 from indexcoding.oracle import has_minimal
 from indexcoding.pipeline import SolveConfig
 
@@ -531,29 +532,39 @@ class TestGen:
 
 class TestArcsPerRequest:
     def test_gap_builds_the_arcs_once_and_verify_none(self, capsys, tmp_path, monkeypatch):
-        # the graph and MAIS share the split's arcs; verify builds no graph
-        calls = []
-        real = instance_module._side_information_arcs
+        # the graph's rows and MAIS share the split's arcs, and each request
+        # builds the rows once; verify and the bipartite diagram build neither
+        arcs, rows = [], []
+        real_arcs = instance_module._side_information_arcs
+        real_rows = instance_module._cross_neighbor_rows
 
-        def counting(virtuals):
-            calls.append(len(virtuals))
-            return real(virtuals)
+        def counting_arcs(virtuals):
+            arcs.append(len(virtuals))
+            return real_arcs(virtuals)
 
-        monkeypatch.setattr(instance_module, "_side_information_arcs", counting)
+        def counting_rows(u):
+            rows.append(len(u.virtuals))
+            return real_rows(u)
+
+        monkeypatch.setattr(instance_module, "_side_information_arcs", counting_arcs)
+        monkeypatch.setattr(instance_module, "_cross_neighbor_rows", counting_rows)
         code, out, _ = run(capsys, "solve", EXAMPLE6)
-        assert code == 0 and calls == [6]
+        assert code == 0 and arcs == rows == [6]
         scheme = tmp_path / "scheme.json"
         scheme.write_text(out)
         for argv, builds in [
             (("gap", EXAMPLE6), [6]),
             (("gap", EXAMPLE6, "--mais-cap", "5"), [6]),
             (("gap", GROUPCAST3, "--no-dedup"), [3]),
+            (("export-dot", EXAMPLE6), [6]),
             (("export-dot", EXAMPLE6, "--overlay-cover"), [6]),
+            (("export-dot", EXAMPLE6, "--variant", "bipartite"), []),
             (("verify", EXAMPLE6, str(scheme), "--trials", "20"), []),
         ]:
-            calls.clear()
+            arcs.clear()
+            rows.clear()
             assert run(capsys, *argv)[0] == 0
-            assert calls == builds, argv
+            assert arcs == rows == builds, argv
 
 
 class TestExportDot:
@@ -603,6 +614,24 @@ class TestExportDot:
             code, out, err = run(capsys, "export-dot", EXAMPLE6, "--variant", variant,
                                  "--exact-cap", "0")
             assert (code, out, err) == (1, "", "error: caps must be positive\n"), variant
+
+    def test_exact_overlay_colours_every_component_as_solve_does(self, capsys, tmp_path):
+        # 66 virtuals after dedup in 18 components, none labelled 0..s-1, as in
+        # the CI step: each node is filled by the part solve assigns its virtual
+        _, text, _ = run(capsys, "gen", "-n", "30", "-m", "45", "-p", "0.07",
+                         "--demand-max", "2", "--seed", "4")
+        path = tmp_path / "multi.json"
+        path.write_text(text)
+        flags = ("--solver", "exact", "--exact-cap", "128")
+        code, out, err = run(capsys, "export-dot", str(path), "--overlay-cover", *flags)
+        assert (code, err) == (0, "")
+        nodes = [line for line in out.splitlines() if "label=" in line]
+        assert (len(nodes), sum(" -- " in line for line in out.splitlines())) == (66, 84)
+        part_of = {"r%d_%d" % tuple(a["origin"]): a["transmission"]
+                   for a in json.loads(run(capsys, "solve", str(path), *flags)[1])["assignments"]}
+        for line in nodes:
+            name, colour = line.split()[0], line.split("fillcolor=")[1][:-2]
+            assert colour == _PART_COLORS[part_of[name] % len(_PART_COLORS)], line
 
     def test_parse_error_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

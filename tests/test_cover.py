@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from indexcoding import (
     CapExceeded,
-    DerivedGraph,
     Instance,
     build_cross_neighbor_graph,
     connected_components,
@@ -18,8 +17,10 @@ from indexcoding import (
     split_groupcast,
 )
 from indexcoding import cover as cover_module
+from indexcoding import instance as instance_module
 from indexcoding.cover import _dsatur_greedy, _exact_coloring, _greedy_clique, _keys
 from indexcoding.generate import random_instance
+from indexcoding.instance import UnicastInstance
 
 from helpers import (
     graph_from_edges,
@@ -47,7 +48,7 @@ def set_partitions(items):
         yield [[first]] + part
 
 
-def brute_min_cover_size(g: DerivedGraph) -> int:
+def brute_min_cover_size(g: UnicastInstance) -> int:
     """Minimum clique cover by exhaustive set-partition enumeration."""
     best = 0 if g.vertex_count == 0 else g.vertex_count
     for part in set_partitions(list(range(g.vertex_count))):
@@ -69,7 +70,7 @@ def disjoint_union(graphs):
     return graph_from_edges(offset, edges)
 
 
-def per_component_parts(g: DerivedGraph, cap: int):
+def per_component_parts(g: UnicastInstance, cap: int):
     """Reference exact parts: each component covered as its own induced
     subgraph, mapped back to g's vertices and sorted by smallest member."""
     return tuple(sorted(
@@ -82,7 +83,7 @@ def per_component_parts(g: DerivedGraph, cap: int):
     ))
 
 
-def first_fit_scan_parts(g: DerivedGraph):
+def first_fit_scan_parts(g: UnicastInstance):
     """Reference greedy: the first-fit scan that tests each vertex against
     every open part, its parts sorted into canonical order."""
     parts: list[list[int]] = []
@@ -108,7 +109,7 @@ def symmetric_graphs(draw):
     return graph_from_edges(n, edges)
 
 
-def component_complements(g: DerivedGraph):
+def component_complements(g: UnicastInstance):
     """The rows exact_min_cover colors: the complement of each component of g,
     relabelled in ascending order."""
     for comp in connected_components(g):
@@ -244,12 +245,15 @@ class TestExact:
         g = disjoint_union([random_graph(4, 0.3, seed=1), random_graph(5, 0.5, seed=2),
                             random_graph(3, 1.0)])
         assert len(connected_components(g)) > 1
-        calls = []
-        check = DerivedGraph.__post_init__
-        monkeypatch.setattr(DerivedGraph, "__post_init__",
-                            lambda graph: calls.append(graph) or check(graph))
+        # no split form and no rows are made per component: g's own rows are read
+        splits, rows = [], []
+        check, build = UnicastInstance.__post_init__, instance_module._cross_neighbor_rows
+        monkeypatch.setattr(UnicastInstance, "__post_init__",
+                            lambda u: splits.append(u) or check(u))
+        monkeypatch.setattr(instance_module, "_cross_neighbor_rows",
+                            lambda u: rows.append(u) or build(u))
         cover = exact_min_cover(g)
-        assert calls == []
+        assert (splits, rows) == ([], [])
         assert verify_cover(g, cover) is None
 
 

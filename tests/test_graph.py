@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from indexcoding import (
     CliqueCover,
-    DerivedGraph,
     Instance,
     bipartite_dot,
     build_cross_neighbor_graph,
@@ -20,6 +19,7 @@ from indexcoding import (
     verify_scheme_random,
     verify_scheme_symbolic,
 )
+from indexcoding import instance as instance_module
 from indexcoding.errors import ValidationError
 from indexcoding.graph import closure
 from indexcoding.generate import random_instance
@@ -77,8 +77,8 @@ class TestBuild:
         u = unicast_of(3, [(1, {2}), (1, {3})])
         assert build_cross_neighbor_graph(u).edges() == [(0, 1)]
 
-    @pytest.mark.parametrize("make", [DerivedGraph, build_cross_neighbor_graph],
-                             ids=["DerivedGraph", "build_cross_neighbor_graph"])
+    @pytest.mark.parametrize("make", [build_cross_neighbor_graph],
+                             ids=["build_cross_neighbor_graph"])
     def test_one_rule_and_no_strict_argument(self, make):
         # the graph always joins equal wants; a second, strict argument is
         # an unknown one, positional or by name
@@ -91,9 +91,9 @@ class TestBuild:
     @pytest.mark.parametrize(
         "make, named",
         [
-            (lambda u: DerivedGraph((0b10, 0b01)), "tuple"),  # hand-made rows
-            (lambda u: DerivedGraph(u.instance), "Instance"),
-            (lambda u: DerivedGraph(u.virtuals), "tuple"),
+            (lambda u: build_cross_neighbor_graph((0b10, 0b01)), "tuple"),  # hand-made rows
+            (lambda u: build_cross_neighbor_graph(u.instance), "Instance"),
+            (lambda u: build_cross_neighbor_graph(u.virtuals), "tuple"),
         ],
         ids=["rows", "instance", "virtuals"],
     )
@@ -103,9 +103,11 @@ class TestBuild:
             make(u)
         assert str(exc.value) == (
             f"a cross-neighbor graph takes a UnicastInstance, not {named}")
-        g = DerivedGraph(u)
+        # the graph is the split form itself, its rows built by the call
+        assert "adjacency" not in vars(u)
+        g = build_cross_neighbor_graph(u)
+        assert g is u and "adjacency" in vars(u)
         assert (g.vertex_count, g.adjacency) == (2, (0b10, 0b01))
-        assert g == build_cross_neighbor_graph(u)
 
     @pytest.mark.parametrize(
         "missing, named",
@@ -145,7 +147,25 @@ class TestBuild:
                 _raise_first_defect(tuple(rows), k)
             assert str(exc.value) == expected, (seed, p, q)
 
-    # a graph is valid by construction: the symmetry test it no longer runs holds
+    def test_rows_are_a_cached_view_of_the_split(self, monkeypatch, example6):
+        # built on first use and once; a split with rows still equals and
+        # hashes as one without
+        built = []
+        real = instance_module._cross_neighbor_rows
+        monkeypatch.setattr(instance_module, "_cross_neighbor_rows",
+                            lambda u: built.append(u) or real(u))
+        u, fresh = UnicastInstance(example6, True), UnicastInstance(example6, True)
+        assert built == [] and u.vertex_count == 6
+        edges = u.edges()
+        assert built == [u] and "adjacency" in vars(u)
+        assert build_cross_neighbor_graph(u) is u and u.edges() == edges
+        assert connected_components(u) == [(0, 2, 3), (1, 4), (5,)]
+        assert exact_min_cover(u) == greedy_cover(u)
+        assert built == [u]
+        assert u == fresh and hash(u) == hash(fresh) and "adjacency" not in vars(fresh)
+        assert fresh.adjacency == u.adjacency and built == [u, fresh]
+
+    # the rows are valid by construction: the symmetry test they no longer get holds
     @settings(max_examples=150)
     @example(n=3, m=0, density=0.5, hi=1, seed=0)  # 0 virtuals
     @given(st.integers(1, 12), st.integers(0, 14), st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)),
@@ -154,12 +174,11 @@ class TestBuild:
         inst = random_instance(n, m, density, (1, min(hi, n)), seed=seed)
         for flag in (False, True):
             u = UnicastInstance(inst, flag)
-            g = DerivedGraph(u)
-            k = g.vertex_count
-            assert k == len(u.virtuals) == len(g.adjacency)
-            assert not any(row >> k for row in g.adjacency)
-            assert not any(row >> p & 1 for p, row in enumerate(g.adjacency))
-            assert _symmetric(g.adjacency, k)
+            rows, k = u.adjacency, u.vertex_count
+            assert k == len(u.virtuals) == len(rows)
+            assert not any(row >> k for row in rows)
+            assert not any(row >> p & 1 for p, row in enumerate(rows))
+            assert _symmetric(rows, k)
 
     def test_mask_rows_match_pairwise_reference(self):
         rng = random.Random(31)

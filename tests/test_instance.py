@@ -19,7 +19,8 @@ from indexcoding.graph import bipartite_dot, build_cross_neighbor_graph
 from indexcoding.instance import (
     UnicastInstance, VirtualReceiver, _violations, instance_from_jsonable,
 )
-from indexcoding.pipeline import SolveConfig, prepare, solve_instance
+from indexcoding import pipeline as pipeline_module
+from indexcoding.pipeline import SolveConfig, solve_instance
 
 
 @st.composite
@@ -567,17 +568,21 @@ class TestDedup:
             v for i, v in enumerate(post.demands) if i not in post.dedup_map)
 
 
-class TestPrepare:
+class TestOneSplit:
     @pytest.mark.parametrize("flag", [False, True], ids=["no dedup", "dedup"])
-    def test_one_split_feeds_the_graph_and_the_assignments(self, flag):
+    def test_one_split_feeds_the_graph_and_the_assignments(self, flag, monkeypatch):
         inst = Instance.of(3, [({1, 2}, {3}), ({1, 2}, {3}), ({3}, {1})])
-        g = prepare(inst, dedup=flag)
-        u = g.unicast
+        made = []
+        monkeypatch.setattr(pipeline_module, "UnicastInstance",
+                            lambda *args: made.append(UnicastInstance(*args)) or made[-1])
+        outcome = solve_instance(inst, SolveConfig(dedup=flag))
+        # solve makes one split form, and the cover reads its rows
+        [u] = made
         assert u == UnicastInstance(inst, flag) and u.dedup is flag
+        assert "adjacency" in vars(u)
         assert u.demands == split_groupcast(inst).virtuals
         assert len(u.virtuals) == (3 if flag else 5)
-        assert g.vertex_count == len(u.virtuals)
-        outcome = solve_instance(inst, SolveConfig(dedup=flag))
+        assert u.vertex_count == len(u.virtuals) == len(u.adjacency)
         assert [(origin, want) for origin, want, _ in outcome.assignments] == [
             (v.origin, v.want) for v in u.demands]
         if flag:
@@ -587,14 +592,15 @@ class TestPrepare:
 
     def test_no_strict_rule_to_pass(self):
         # equal wants are always joined: the duplicates kept by dedup=False
-        # share one part, and neither prepare nor SolveConfig takes a strict flag
+        # share one part, and neither the split form nor SolveConfig takes a
+        # strict flag
         inst = Instance.of(2, [({1}, set()), ({1}, {2})])
-        g = prepare(inst, dedup=False)
-        assert g.edges() == [(0, 1)]
-        assert g == build_cross_neighbor_graph(UnicastInstance(inst, False))
+        u = UnicastInstance(inst, dedup=False)
+        assert u.edges() == [(0, 1)]
+        assert build_cross_neighbor_graph(u) is u
         assert solve_instance(inst, SolveConfig(dedup=False)).scheme.rate == 1
         with pytest.raises(TypeError):
-            prepare(inst, False, True)
+            UnicastInstance(inst, False, True)
         with pytest.raises(TypeError):
             SolveConfig(strict_cross_neighbor=True)
 
