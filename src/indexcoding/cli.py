@@ -84,13 +84,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_trials(args.trials, args.word_width)
+    _check_trials(args.trials, DEFAULT_WORD_WIDTH)
     if args.trials > VERIFY_MAX_TRIALS:
         raise ValidationError(f"trials must be at most {VERIFY_MAX_TRIALS}, got {args.trials}")
     inst = _load_instance(args.instance)
     scheme = parse_scheme(_read_file(args.scheme), num_messages=inst.num_messages)
     u = UnicastInstance(inst)  # verification checks every demand, no dedup
-    assigned, failure = verify_scheme(u, scheme, args.trials, args.seed, args.word_width)
+    assigned, failure = verify_scheme(u, scheme, args.trials, args.seed)
     unsatisfied = [i for i, pair in enumerate(assigned) if pair is None]
     report: dict = {
         "rate": scheme.rate,
@@ -201,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100,
                    help="randomized verification trials")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--word-width", type=int, default=DEFAULT_WORD_WIDTH,
-                   help="bits per message word for randomized checks")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gap", help="bound sandwich: MAIS, oracle, covers")

@@ -8,12 +8,16 @@ check is tested against, the dict form of the entry writer that the code
 replaced, a naive GF(2) rate, the RREF oracle over every distinct (want, has)
 pair and the has-minimal rule by its definition, which the pruned searches
 are checked against, a MAIS bound by subset enumeration, the
-canonical scheme JSON, and the DSATUR search with per-vertex saturation rows
-that the cover's int keys and per-color masks replaced."""
+canonical scheme JSON, the DSATUR search with per-vertex saturation rows
+that the cover's int keys and per-color masks replaced, and the environment
+of a subprocess that runs the package under test."""
 
 import itertools
+import os
 import random
+from pathlib import Path
 
+import indexcoding
 from indexcoding import (
     CliqueCover, CodingScheme, Instance, connected_components, split_groupcast,
 )
@@ -21,6 +25,13 @@ from indexcoding.cover import _exact_coloring
 from indexcoding.instance import UnicastInstance, VirtualReceiver, _bits
 from indexcoding.jsontext import dumps
 from indexcoding.oracle import can_decode, iter_rref_rowspaces
+
+# a subprocess imports the package the tests import, and buffers its stdout
+# as a pipe or a file gets by default
+PACKAGE_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": str(Path(indexcoding.__file__).parents[1]),
+}
 
 
 def graph_of_rows(rows) -> UnicastInstance:

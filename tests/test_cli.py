@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import indexcoding
 from indexcoding import (
     build_cross_neighbor_graph,
     dedup,
@@ -34,7 +33,7 @@ from indexcoding.oracle import has_minimal
 from indexcoding.pipeline import SolveConfig
 
 from conftest import INSTANCE_DIR
-from helpers import serialize_scheme
+from helpers import PACKAGE_ENV, serialize_scheme
 
 EXAMPLE6 = str(INSTANCE_DIR / "example6.json")
 GROUPCAST3 = str(INSTANCE_DIR / "groupcast3.json")
@@ -158,7 +157,9 @@ class TestCachedParser:
         removed = "--strict-cross-neighbor"  # the equal-demand edge is always drawn
         for argv in (["solve"], ["solve", EXAMPLE6, "--bogus"], ["gap"], [], ["nope"],
                      ["solve", EXAMPLE6, removed], ["gap", EXAMPLE6, removed],
-                     ["export-dot", EXAMPLE6, removed]):
+                     ["export-dot", EXAMPLE6, removed],
+                     # the trials draw 64-bit words: no verify output depends on the width
+                     ["verify", EXAMPLE6, "s.json", "--word-width", "64"]):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "" and "usage" in err, argv
         code, out, _ = run(capsys, "solve", EXAMPLE6)
@@ -230,14 +231,6 @@ class TestVerify:
         by_origin = {tuple(v["origin"]): v["transmission"] for v in data["virtuals"]}
         assert (2, 1) in by_origin and (2, 2) in by_origin
 
-    def test_bad_word_width_exits_1(self, capsys, tmp_path):
-        _, out, _ = run(capsys, "solve", EXAMPLE6)
-        scheme_path = tmp_path / "scheme.json"
-        scheme_path.write_text(out)
-        code, _, err = run(capsys, "verify", EXAMPLE6, str(scheme_path), "--word-width", "80")
-        assert code == 1
-        assert "word_width" in err
-
     def test_trials_below_1_exits_1(self, capsys, tmp_path):
         _, out, _ = run(capsys, "solve", EXAMPLE6)
         scheme_path = tmp_path / "scheme.json"
@@ -248,20 +241,6 @@ class TestVerify:
             assert code == 1
             assert out == ""
             assert "trials must be at least 1" in err
-
-    def test_word_width_out_of_range_exits_1_whatever_the_scheme(self, capsys, tmp_path):
-        _, out, _ = run(capsys, "solve", EXAMPLE6)
-        solved = tmp_path / "solved.json"
-        solved.write_text(out)
-        failing = tmp_path / "failing.json"  # leaves five of the six demands unmet
-        failing.write_text('{"transmissions": [[1]]}')
-        for scheme_path in (solved, failing):
-            for width in ("0", "65"):
-                code, out, err = run(capsys, "verify", EXAMPLE6, str(scheme_path),
-                                     "--word-width", width)
-                assert code == 1
-                assert out == ""
-                assert err == f"error: word_width must be in [1, 64], got {width}\n"
 
     def test_trials_limit_exits_1_before_reading(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.json")
@@ -346,12 +325,12 @@ def verify_output_corpus(capsys, tmp_path):
 
 class TestVerifyOutput:
     # SHA-256 of verify's exit codes and stdout over the corpus, recorded
-    # before the word format of the random check changed; what verify prints
-    # does not depend on which words a seed draws
-    DIGEST = "f20d8fce613c66498b1ef42ab7f12510b259c29e8e3ccba331256f6899ea8729"
+    # while verify still took a word width; what verify prints does not
+    # depend on which words a seed draws
+    DIGEST = "cfa01eb9f3636603ddc73fc0628d0841cd1951f1c1b35cd7997623fd471a9447"
 
     def test_stdout_matches_recorded_digest(self, capsys, tmp_path):
-        variants = [[], ["--seed", "5", "--trials", "7"], ["--word-width", "1", "--trials", "3"]]
+        variants = [[], ["--seed", "5", "--trials", "7"]]
         records = []
         for inst_path, scheme_path in verify_output_corpus(capsys, tmp_path):
             for extra in variants:
@@ -443,11 +422,26 @@ class TestGap:
         data = json.loads(out)
         assert data["gap"] == 0 and not data["counterexample"]
 
-    def test_over_cap_fields_null(self, capsys):
+    def test_over_cap_fields_null(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gap", EXAMPLE6, "--oracle-cap", "2")
         assert code == 0
         data = json.loads(out)
         assert data["oracle"] is None and data["gap"] is None
+        # 12 messages and over 20 virtuals: past both default caps
+        _, text, _ = run(capsys, "gen", "-n", "12", "-m", "20", "-p", "0.5",
+                         "--demand-max", "3", "--seed", "1")
+        path = tmp_path / "gen.json"
+        path.write_text(text)
+        code, out, _ = run(capsys, "gap", str(path))
+        assert code == 0
+        assert json.loads(out) == {
+            "mais": None,
+            "oracle": None,
+            "cover_exact": 10,
+            "cover_greedy": 14,
+            "gap": None,
+            "counterexample": False,
+        }
 
     def test_exact_cap_bounds_the_largest_component(self, capsys):
         code, out, _ = run(capsys, "gap", EXAMPLE6, "--exact-cap", "3")
@@ -679,18 +673,25 @@ class TestExportDot:
 
 
 class TestPipelineClosure:
+    # (gen arguments, solve flags): ten small instances, then two the exact
+    # cover solves, one solve-exact-sized (a 30-60 virtual component) and one
+    # of 66 virtuals in 18 components
+    EXACT = ["--solver", "exact", "--exact-cap", "128"]
+    CASES = [(["-n", "6", "-m", "5", "-p", "0.5", "--demand-max", "2", "--seed", str(seed)], [])
+             for seed in range(10)] + [
+        (["-n", "25", "-m", "30", "-p", "0.8", "--demand-max", "2", "--seed", "3"], EXACT),
+        (["-n", "30", "-m", "45", "-p", "0.07", "--demand-max", "2", "--seed", "4"], EXACT),
+    ]
+
     def test_solve_then_verify_on_random_instances(self, capsys, tmp_path):
-        for seed in range(10):
-            gen_code, inst_text, _ = run(
-                capsys, "gen", "-n", "6", "-m", "5", "-p", "0.5",
-                "--demand-min", "1", "--demand-max", "2", "--seed", str(seed),
-            )
+        for k, (gen_args, solve_flags) in enumerate(self.CASES):
+            gen_code, inst_text, _ = run(capsys, "gen", *gen_args)
             assert gen_code == 0
-            inst_path = tmp_path / f"inst{seed}.json"
+            inst_path = tmp_path / f"inst{k}.json"
             inst_path.write_text(inst_text)
-            solve_code, scheme_text, _ = run(capsys, "solve", str(inst_path))
+            solve_code, scheme_text, _ = run(capsys, "solve", str(inst_path), *solve_flags)
             assert solve_code == 0
-            scheme_path = tmp_path / f"scheme{seed}.json"
+            scheme_path = tmp_path / f"scheme{k}.json"
             scheme_path.write_text(scheme_text)
             verify_code, report, _ = run(capsys, "verify", str(inst_path), str(scheme_path))
             assert verify_code == 0, report
@@ -782,7 +783,6 @@ verify_argv = st.tuples(
     st.just("verify"),
     (st.integers(-1, 64) | st.sampled_from([10**6, 10**6 + 1, 10**12]))
     .map(lambda t: ["--trials", str(t)]),
-    st.integers(-1, 70).map(lambda w: ["--word-width", str(w)]),
     st.integers(-1, 3).map(lambda s: ["--seed", str(s)]),
 )
 small_cap = st.integers(-1, 8).map(str)
@@ -830,6 +830,13 @@ def test_any_input_ends_in_an_exit_code(command, instance, scheme):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["gap", CYCLE3], ["solve", EXAMPLE6]])
+def test_module_entry_point_prints_what_main_prints(capsys, argv):
+    proc = subprocess.run([sys.executable, "-m", "indexcoding", *argv], capture_output=True,
+                          text=True, env=PACKAGE_ENV, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
 class _ClosedPipe:
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -867,12 +874,10 @@ def test_full_stdout_exits_1(capsys, monkeypatch, argv):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 def test_full_device_leaves_no_traceback():
     # the output fits the stdout buffer, so the write fails when it is flushed
-    env = dict(os.environ, PYTHONPATH=str(Path(indexcoding.__file__).parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "indexcoding", "solve", EXAMPLE6],
-            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=full, stderr=subprocess.PIPE, env=PACKAGE_ENV, timeout=60,
         )
     assert proc.returncode == 1
     assert proc.stderr.decode() == "error: cannot write stdout: No space left on device\n"
@@ -883,10 +888,7 @@ def test_closed_stdout_pipe_leaves_no_traceback(unbuffered):
     # buffered, the output fits the stdout buffer and the pipe fails only when
     # it is flushed, at interpreter exit unless the CLI flushes it first;
     # unbuffered, the first write fails
-    env = dict(os.environ, PYTHONPATH=str(Path(indexcoding.__file__).parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = dict(PACKAGE_ENV, PYTHONUNBUFFERED="1") if unbuffered else PACKAGE_ENV
     proc = subprocess.Popen(
         [sys.executable, "-m", "indexcoding", "solve", EXAMPLE6],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
