@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import os
 import sys
 
@@ -235,6 +236,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    Reference counting still frees whatever a command drops; what it builds
+    (the parsed instance, the split form, the graph) lives until the command
+    returns, so the collector would only walk it.  A successful command
+    leaves no reference cycle, and one left by an error is freed once the
+    collector runs again.  A caller that had disabled the collector finds it
+    disabled; otherwise it is back on at every exit."""
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

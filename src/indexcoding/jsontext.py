@@ -5,8 +5,10 @@ value in Python.  The bulk of the command outputs is lists of ints (id arrays
 and transmissions) and lists of ``{"origin", "want", "transmission"}``
 entries, so those are formatted here directly.  The entries come as
 :class:`Entries`, the ``(origin, want, transmission)`` rows the caller already
-holds, and are written from one ``%`` template filled with their ints.  Any
-other value goes through ``json.dumps`` and is re-indented to its depth,
+holds, and are written from one ``%`` template filled with their ints.  An
+empty list or dict is written here too: ``json.dumps`` would build a
+pure-Python encoder, whose closures are a reference cycle, to write ``[]``.
+Any other value goes through ``json.dumps`` and is re-indented to its depth,
 which is exact because encoded JSON holds no raw newline.
 """
 
@@ -62,12 +64,16 @@ def _dump(value, nl: str) -> str:
         if not rows:
             return "[]"
         return f"[{inner}{(',' + inner).join([_entry(inner)] * len(rows)) % _row_ints(rows)}{nl}]"
-    if t is list and value:
+    if t is list:
+        if not value:
+            return "[]"
         if _INT_ONLY.issuperset(map(type, value)):
             # repr of an int list is its ids joined by ", ", built in C
             return f"[{inner}{repr(value)[1:-1].replace(', ', ',' + inner)}{nl}]"
         return f"[{inner}{(',' + inner).join([_dump(v, inner) for v in value])}{nl}]"
-    if t is dict and value and _STR_ONLY.issuperset(map(type, value)):
+    if t is dict and _STR_ONLY.issuperset(map(type, value)):
+        if not value:
+            return "{}"
         items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
     return json.dumps(value, indent=2).replace("\n", nl)
