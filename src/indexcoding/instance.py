@@ -164,7 +164,11 @@ class UnicastInstance:
         return len(self.virtuals)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(p, q) for p, row in enumerate(self.adjacency) for q in _bits(row) if p < q]
+        """Each edge once as (p, q) with p < q, in row order: row p walks only
+        its bits above p."""
+        return [
+            (p, p + 1 + q) for p, row in enumerate(self.adjacency) for q in _bits(row >> (p + 1))
+        ]
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -21,6 +21,13 @@ its arcs out are a subset of p's, so no cycle appears.  So the least rate and
 the largest acyclic set are the same over the has-minimal virtuals.  Equal
 duplicates (under ``--no-dedup``) both stay, and the caps still count every
 virtual.
+
+The rate search tests the pairs fail-first (Haralick and Elliott, 1980):
+fewest side-information bits first, as a pair with less side information
+frees fewer columns and so rejects more row spaces.  A row space is feasible
+only when every pair decodes, whatever the order, and the row spaces come in
+the same order, so the first feasible row space, and with it the rate and the
+witness, is unchanged; only the rejections come sooner.
 """
 
 from __future__ import annotations
@@ -110,8 +117,13 @@ def has_minimal(u: UnicastInstance) -> int:
 
 
 def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
-    """Distinct (want, has_mask) pairs of the has-minimal virtuals, in virtual
-    order; dominated virtuals and duplicates cannot change feasibility."""
+    """Distinct (want, has_mask) pairs of the has-minimal virtuals, fewest
+    side-information bits first, ties in virtual order; dominated virtuals
+    and duplicates cannot change feasibility.  A pair with less side
+    information frees fewer columns, so it is the likeliest to reject a row
+    space, and the decode test meets it first.  Feasibility is a conjunction
+    over the pairs, so no order changes which row space is the first feasible
+    one: the rate and the witness are those of virtual order."""
     pairs = []
     seen = set()
     virtuals = u.virtuals
@@ -124,6 +136,7 @@ def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
         if key not in seen:
             seen.add(key)
             pairs.append(key)
+    pairs.sort(key=lambda pair: pair[1].bit_count())
     return pairs
 
 

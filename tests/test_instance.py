@@ -632,3 +632,7 @@ class TestArcs:
         for flag in (False, True):
             u = UnicastInstance(inst, flag)
             assert u.arcs == pairwise_arcs(u.virtuals)
+            k = len(u.virtuals)
+            assert u.edges() == [
+                (p, q) for p in range(k) for q in range(p + 1, k) if u.adjacency[p] >> q & 1
+            ]

@@ -129,9 +129,29 @@ class TestHasMinimal:
         assert len(dominated) == 400 and sum(dominated) > 0
 
 
+class TestFailFirstOrder:
+    def test_fewest_side_information_bits_first_and_ties_in_virtual_order(self):
+        reordered = 0
+        for u in three_message_tuples():
+            in_order = list(dict.fromkeys(
+                (u.virtuals[p].want, mask(u.virtuals[p].has))
+                for p in sorted(has_minimal_reference(u))
+            ))
+            pairs = oracle_module._virtual_masks(u)
+            for bits in range(3):  # a has of three messages holds at most two
+                assert [pair for pair in pairs if pair[1].bit_count() == bits] == [
+                    pair for pair in in_order if pair[1].bit_count() == bits
+                ]
+            sizes = [has.bit_count() for _, has in pairs]
+            assert sizes == sorted(sizes)
+            reordered += pairs != in_order
+        assert reordered > 0
+
+
 class TestPrunedOracleWitness:
-    """The oracle tests only the has-minimal pairs; the first feasible basis
-    in enumeration order, and so the witness, is the one every pair gives."""
+    """The oracle tests only the has-minimal pairs, fewest side-information
+    bits first; the first feasible basis in enumeration order, and so the
+    witness, is the one every pair in virtual order gives."""
 
     @staticmethod
     def check(u):
