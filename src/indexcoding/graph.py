@@ -124,7 +124,9 @@ def derived_dot(g: UnicastInstance, cover: CliqueCover | None = None) -> str:
             attrs.append("style=filled")
             attrs.append(f"fillcolor={color}")
         lines.append(f"  {name} [{', '.join(attrs)}];")
-    for p, q in g.edges():
-        lines.append(f"  {names[p]} -- {names[q]};")
+    # the edges in edges() order, walked from the rows with no tuple list
+    for p, row in enumerate(g.adjacency):
+        for q in _bits(row >> (p + 1)):
+            lines.append(f"  {names[p]} -- {names[p + 1 + q]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,9 +24,12 @@ virtual.
 
 The rate search tests the pairs fail-first (Haralick and Elliott, 1980):
 fewest side-information bits first, as a pair with less side information
-frees fewer columns and so rejects more row spaces.  A row space is feasible
-only when every pair decodes, whatever the order, and the row spaces come in
-the same order, so the first feasible row space, and with it the rate and the
+frees fewer columns and so rejects more row spaces.  Then each pair that
+rejects a row space moves to the front of the list (move-to-front, Rivest,
+1976): consecutive RREF bases share most rows, so the pair that rejected the
+last one is the likeliest to reject the next.  A row space is feasible only
+when every pair decodes, whatever the order, and the row spaces come in the
+same order, so the first feasible row space, and with it the rate and the
 witness, is unchanged; only the rejections come sooner.
 """
 
@@ -152,6 +155,8 @@ def min_linear_rate_gf2(
     provably infeasible), enumerating all row spaces of each dimension.  The
     bound is ``lower_bound`` when given (a caller that has the MAIS bound
     passes it, or 0 for none), else the MAIS bound at its default cap.
+    Each call starts from the fail-first pairs and moves the pair that
+    rejects a row space to the front.
     Returns the rate, an int from 0 to n, or with ``with_witness=True``
     (rate, rows): the first feasible basis in enumeration order, a tuple of
     n-bit ints (bit i = message i + 1), empty when nothing is wanted.
@@ -171,7 +176,12 @@ def min_linear_rate_gf2(
             lower_bound = 0
     for beta in range(max(1, lower_bound), n + 1):
         for rows in iter_rref_rowspaces(n, beta):
-            if all(can_decode(rows, want, mask) for want, mask in receivers):
+            for idx, (want, mask) in enumerate(receivers):
+                if not can_decode(rows, want, mask):
+                    if idx:  # move to front: the next basis shares most rows
+                        receivers.insert(0, receivers.pop(idx))
+                    break
+            else:
                 return (beta, rows) if with_witness else beta
     # the n unit vectors decode every virtual, so only a bound above n gets here
     raise ValidationError(f"lower bound {lower_bound} exceeds the {n} messages")

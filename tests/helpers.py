@@ -211,9 +211,9 @@ def naive_min_rate(n, pairs):
 
 def reference_min_linear_rate_gf2(u: UnicastInstance, lower_bound: int):
     """``min_linear_rate_gf2(u, with_witness=True)`` as it was before the
-    has-minimal rule and the fail-first order: it tests every distinct (want,
-    has) pair, dominated or not, in virtual order, on each row space from
-    ``lower_bound`` up, and returns (rate, rows)."""
+    has-minimal rule and both orders, fail-first and move-to-front: it tests
+    every distinct (want, has) pair, dominated or not, in virtual order, on
+    each row space from ``lower_bound`` up, and returns (rate, rows)."""
     pairs = list(dict.fromkeys((v.want, _mask(v.has)) for v in u.virtuals))
     if not pairs:
         return 0, ()

@@ -320,6 +320,12 @@ class TestDot:
             assert f"r{j}_1 [" in dot
         assert sum("--" in l for l in dot.splitlines()) == 4
         assert "r1_1 -- r3_1;" in dot
+        # the edge lines are edges(), in its order, on a groupcast instance too
+        for h in (g, split_groupcast(random_instance(12, 20, 0.5, (1, 3), seed=1))):
+            names = [f"r{j}_{k}" for j, k in (v.origin for v in h.virtuals)]
+            assert [l for l in derived_dot(h).splitlines() if " -- " in l] == [
+                f"  {names[p]} -- {names[q]};" for p, q in h.edges()
+            ]
 
     def test_derived_empty_instance(self):
         inst = Instance.of(3, [])

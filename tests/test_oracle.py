@@ -148,10 +148,36 @@ class TestFailFirstOrder:
         assert reordered > 0
 
 
+class TestMoveToFront:
+    def test_the_pair_that_rejected_the_last_row_space_is_tested_first(self, monkeypatch):
+        calls = []
+
+        def recording(rows, want, has_mask):
+            decodes = can_decode(rows, want, has_mask)
+            calls.append((rows, (want, has_mask), decodes))
+            return decodes
+
+        monkeypatch.setattr(oracle_module, "can_decode", recording)
+        moved = 0
+        for u in audit_gap_splits(range(20)):
+            calls.clear()
+            min_linear_rate_gf2(u)
+            # each call starts from the fail-first pairs
+            first = expected = oracle_module._virtual_masks(u)[0]
+            for _, tested in itertools.groupby(calls, key=lambda call: call[0]):
+                tested = list(tested)
+                assert tested[0][1] == expected
+                moved += expected != first
+                _, expected, decodes = tested[-1]  # the rejecting pair, if any
+            assert decodes  # the last row space tested is the witness
+        assert moved > 0
+
+
 class TestPrunedOracleWitness:
     """The oracle tests only the has-minimal pairs, fewest side-information
-    bits first; the first feasible basis in enumeration order, and so the
-    witness, is the one every pair in virtual order gives."""
+    bits first and then each rejecting pair moved to the front; the first
+    feasible basis in enumeration order, and so the witness, is the one every
+    pair in virtual order gives."""
 
     @staticmethod
     def check(u):
@@ -163,8 +189,10 @@ class TestPrunedOracleWitness:
             self.check(dedup(split_groupcast(inst)))
 
     def test_audit_gap_seeds(self):
-        for seed in range(2000, 2200):
-            self.check(dedup(split_groupcast(random_instance(7, 10, 0.4, (1, 2), seed=seed))))
+        audit_gap = (random_instance(7, 10, 0.4, (1, 2), seed=s) for s in range(2000, 2200))
+        dense = (random_instance(7, 10, 0.8, (1, 3), seed=s) for s in range(2000, 2040))
+        for inst in itertools.chain(audit_gap, dense):
+            self.check(dedup(split_groupcast(inst)))
 
 
 class TestMinLinearRate:
