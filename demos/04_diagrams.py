@@ -24,12 +24,12 @@ for name in ("example6", "groupcast3", "cycle3"):
 
     # (1) Bipartite view: boxes are messages, ellipses receivers; solid
     #     edges are side information, dashed edges demands.
-    (OUT / f"{name}_bipartite.dot").write_text(bipartite_dot(inst))
+    (OUT / f"{name}_bipartite.dot").write_text("".join(bipartite_dot(inst)))
 
     # (2) Cross-neighbor view of the split with the minimum cover colored in.
     u = UnicastInstance(inst, dedup=True)
     cover = exact_min_cover(u)
-    (OUT / f"{name}_derived.dot").write_text(derived_dot(u, cover))
+    (OUT / f"{name}_derived.dot").write_text("".join(derived_dot(u, cover)))
     print(f"{name}: {u.vertex_count} vertices, {len(u.edges())} edges, "
           f"{cover.size} cover parts")
 

@@ -152,14 +152,14 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
                 f"bipartite diagram: num_messages must be at most {DOT_MAX_MESSAGES}, "
                 f"got {inst.num_messages}"
             )
-        sys.stdout.write(bipartite_dot(inst))
+        sys.stdout.writelines(bipartite_dot(inst))
         return EXIT_OK
     u = UnicastInstance(inst, config.dedup)
     cover = None
     if args.overlay_cover:
         cover, _, fallback = pick_cover(u, config)
         _warn_fallback(fallback)
-    sys.stdout.write(derived_dot(u, cover))
+    sys.stdout.writelines(derived_dot(u, cover))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ and no symmetry test runs on them.  ``derived_dot`` colours by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ValidationError
 from .instance import Instance, UnicastInstance, _bits
@@ -78,40 +78,39 @@ _PART_COLORS = (
 )
 
 
-def bipartite_dot(inst: Instance) -> str:
-    """DOT text for the bipartite picture of an instance.
+def bipartite_dot(inst: Instance) -> Iterator[str]:
+    """DOT text for the bipartite picture of an instance, as chunks to join
+    or write in turn: one per node line and one per receiver's edge lines.
 
     Message nodes are named m<i>, receiver nodes r<j>.  Side-information
     edges are solid; demand edges are dashed (the diagram distinguishes the
     two roles explicitly).
     """
-    lines = ["graph index_coding {", "  rankdir=LR;"]
-    lines.append("  { rank=same;")
+    yield "graph index_coding {\n  rankdir=LR;\n  { rank=same;\n"
     for i in range(1, inst.num_messages + 1):
-        lines.append(f'    m{i} [shape=box, label="w{i}"];')
-    lines.append("  }")
+        yield f'    m{i} [shape=box, label="w{i}"];\n'
+    yield "  }\n"
     if inst.receivers:
-        lines.append("  { rank=same;")
+        yield "  { rank=same;\n"
         for j in range(1, len(inst.receivers) + 1):
-            lines.append(f'    r{j} [shape=ellipse, label="r{j}"];')
-        lines.append("  }")
+            yield f'    r{j} [shape=ellipse, label="r{j}"];\n'
+        yield "  }\n"
     for j, r in enumerate(inst.receivers, start=1):
-        for i in sorted(r.has):
-            lines.append(f"  r{j} -- m{i};")
-        for i in sorted(r.wants):
-            lines.append(f"  r{j} -- m{i} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "".join([f"  r{j} -- m{i};\n" for i in sorted(r.has)]
+                      + [f"  r{j} -- m{i} [style=dashed];\n" for i in sorted(r.wants)])
+    yield "}\n"
 
 
-def derived_dot(g: UnicastInstance, cover: CliqueCover | None = None) -> str:
-    """DOT text for the cross-neighbor graph of the split form ``g``.
+def derived_dot(g: UnicastInstance, cover: CliqueCover | None = None) -> Iterator[str]:
+    """DOT text for the cross-neighbor graph of the split form ``g``, as
+    chunks to join or write in turn: one per node line and one per row's
+    edge lines.
 
     Nodes are named r<j>_<k> after each virtual's origin.
     When a cover of ``g`` is supplied its parts are shown by fill color, one per part.
     """
     part_of = None if cover is None else cover.assignment(g.vertex_count)
-    lines = ["graph cross_neighbors {"]
+    yield "graph cross_neighbors {\n"
     names = []
     for idx, v in enumerate(g.virtuals):
         j, k = v.origin
@@ -123,10 +122,8 @@ def derived_dot(g: UnicastInstance, cover: CliqueCover | None = None) -> str:
             color = _PART_COLORS[part_of[idx] % len(_PART_COLORS)]
             attrs.append("style=filled")
             attrs.append(f"fillcolor={color}")
-        lines.append(f"  {name} [{', '.join(attrs)}];")
+        yield f"  {name} [{', '.join(attrs)}];\n"
     # the edges in edges() order, walked from the rows with no tuple list
     for p, row in enumerate(g.adjacency):
-        for q in _bits(row >> (p + 1)):
-            lines.append(f"  {names[p]} -- {names[p + 1 + q]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "".join([f"  {names[p]} -- {names[p + 1 + q]};\n" for q in _bits(row >> (p + 1))])
+    yield "}\n"

@@ -12,25 +12,22 @@ digraph over virtuals with pairwise-distinct wants) lower-bounds every code,
 linear or not.  The rate search starts from it, skipping rates it proves
 infeasible; no step checks the oracle's answer against it.
 
-Both searches read only the has-minimal virtuals (:func:`has_minimal`): those
-with no same-want virtual whose ``has`` is a strict subset of theirs.  Take
-p and q with one want and has_q < has_p.  (1) Any code q decodes from, p
-decodes from too: more side information only frees more columns.  (2) Put q
-for p in an acyclic set: the arcs into it (from holders of the want) stay,
-its arcs out are a subset of p's, so no cycle appears.  So the least rate and
-the largest acyclic set are the same over the has-minimal virtuals.  Equal
-duplicates (under ``--no-dedup``) both stay, and the caps still count every
-virtual.
+The MAIS search branches only on the has-minimal virtuals
+(:func:`has_minimal`): those with no same-want virtual whose ``has`` is a
+strict subset of theirs.  Take p and q with one want and has_q < has_p, and
+put q for p in an acyclic set: the arcs into it (from holders of the want)
+stay, its arcs out are a subset of p's, so no cycle appears.  So the largest
+acyclic set is the same over the has-minimal virtuals.  The cap still counts
+every virtual.
 
-The rate search tests the pairs fail-first (Haralick and Elliott, 1980):
-fewest side-information bits first, as a pair with less side information
-frees fewer columns and so rejects more row spaces.  Then each pair that
-rejects a row space moves to the front of the list (move-to-front, Rivest,
-1976): consecutive RREF bases share most rows, so the pair that rejected the
-last one is the likeliest to reject the next.  A row space is feasible only
-when every pair decodes, whatever the order, and the row spaces come in the
-same order, so the first feasible row space, and with it the rate and the
-witness, is unchanged; only the rejections come sooner.
+The rate search tests the distinct (want, has) pairs of all virtuals, and
+each pair that rejects a row space moves to the front of the list
+(move-to-front, Rivest, 1976): consecutive RREF bases share most rows, so
+the pair that rejected the last one is the likeliest to reject the next.  A
+row space is feasible only when every pair decodes, whatever the order, and
+the row spaces come in the same order, so the first feasible row space, and
+with it the rate and the witness, is that of virtual order; only the
+rejections come sooner.
 """
 
 from __future__ import annotations
@@ -120,27 +117,10 @@ def has_minimal(u: UnicastInstance) -> int:
 
 
 def _virtual_masks(u: UnicastInstance) -> list[tuple[int, int]]:
-    """Distinct (want, has_mask) pairs of the has-minimal virtuals, fewest
-    side-information bits first, ties in virtual order; dominated virtuals
-    and duplicates cannot change feasibility.  A pair with less side
-    information frees fewer columns, so it is the likeliest to reject a row
-    space, and the decode test meets it first.  Feasibility is a conjunction
-    over the pairs, so no order changes which row space is the first feasible
-    one: the rate and the witness are those of virtual order."""
-    pairs = []
-    seen = set()
-    virtuals = u.virtuals
-    for p in _bits(has_minimal(u)):
-        v = virtuals[p]
-        mask = 0
-        for i in v.has:
-            mask |= 1 << (i - 1)
-        key = (v.want, mask)
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    pairs.sort(key=lambda pair: pair[1].bit_count())
-    return pairs
+    """Distinct (want, has_mask) pairs of ``u.virtuals``, in virtual order."""
+    return list(dict.fromkeys(
+        (v.want, sum(1 << (i - 1) for i in v.has)) for v in u.virtuals
+    ))
 
 
 def min_linear_rate_gf2(
@@ -155,8 +135,8 @@ def min_linear_rate_gf2(
     provably infeasible), enumerating all row spaces of each dimension.  The
     bound is ``lower_bound`` when given (a caller that has the MAIS bound
     passes it, or 0 for none), else the MAIS bound at its default cap.
-    Each call starts from the fail-first pairs and moves the pair that
-    rejects a row space to the front.
+    Each call starts from the pairs in virtual order and moves the pair
+    that rejects a row space to the front.
     Returns the rate, an int from 0 to n, or with ``with_witness=True``
     (rate, rows): the first feasible basis in enumeration order, a tuple of
     n-bit ints (bit i = message i + 1), empty when nothing is wanted.

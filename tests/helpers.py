@@ -2,12 +2,11 @@
 built through an instance from rows, from edges, at random or induced on a vertex subset, the
 cross-neighbor rows by one test per pair (also under the strict rule, whose
 sparser graphs the cover tests use), a split instance from (want, has)
-pairs, the symmetry test and defect walk that graphs once ran on their rows,
-the exact cover that relabelled every component, the graph-side clique-cover check that ``scheme_from_cover``'s own
+pairs, the exact cover that relabelled every component, the graph-side clique-cover check that ``scheme_from_cover``'s own
 check is tested against, the dict form of the entry writer that the code
-replaced, a naive GF(2) rate, the RREF oracle over every distinct (want, has)
-pair and the has-minimal rule by its definition, which the pruned searches
-are checked against, a MAIS bound by subset enumeration, the
+replaced, a naive GF(2) rate, the RREF oracle without move-to-front and the
+has-minimal rule by its definition, which the oracle and MAIS are checked
+against, a MAIS bound by subset enumeration, the
 canonical scheme JSON, the DSATUR search with per-vertex saturation rows
 that the cover's int keys and per-color masks replaced, and the environment
 of a subprocess that runs the package under test."""
@@ -106,41 +105,6 @@ def random_graph(num_vertices: int, edge_density: float, seed: int = 0) -> Unica
     return graph_from_edges(num_vertices, edges)
 
 
-# characters per strip of the symmetry test (one per adjacency bit)
-_STRIP_CHARS = 1 << 22
-
-
-def _symmetric(rows: tuple[int, ...], k: int) -> bool:
-    """Exact symmetry test in C, column strip by column strip: each strip of
-    the bit matrix is one string, row p's bits low bit first, and its column
-    slices must equal the matching rows.  A strip holds at most
-    ``_STRIP_CHARS`` characters, so the test's memory does not grow as k^2."""
-    width = max(1, min(k, _STRIP_CHARS // max(k, 1)))
-    for c in range(0, k, width):
-        w = min(width, k - c)
-        low = (1 << w) - 1
-        strip = "".join([format(row >> c & low, f"0{w}b")[::-1] for row in rows])
-        for q in range(c, c + w):
-            # with one strip, row q is a slice of it; otherwise it is formatted
-            row_q = strip[q * k:(q + 1) * k] if w == k else format(rows[q], f"0{k}b")[::-1]
-            if strip[q - c::w] != row_q:
-                return False
-    return True
-
-
-def _raise_first_defect(rows: tuple[int, ...], k: int) -> None:
-    """Raise ValueError naming the first defect of k bitmask rows, in row
-    order: a bit at or above k, a self-loop, or a bit its partner lacks."""
-    for p, row in enumerate(rows):
-        if row >> k:
-            raise ValueError(f"vertex {p}: neighbor bit out of range")
-        if (row >> p) & 1:
-            raise ValueError(f"vertex {p}: self-loop")
-        for q in _bits(row):
-            if not (rows[q] >> p) & 1:
-                raise ValueError(f"adjacency not symmetric on ({p}, {q})")
-
-
 def reference_exact_min_cover(g: UnicastInstance) -> CliqueCover:
     """``exact_min_cover`` with no cap, as it was before a component labelled
     0..s-1 was colored on the graph's own rows: every component is relabelled
@@ -210,10 +174,9 @@ def naive_min_rate(n, pairs):
 
 
 def reference_min_linear_rate_gf2(u: UnicastInstance, lower_bound: int):
-    """``min_linear_rate_gf2(u, with_witness=True)`` as it was before the
-    has-minimal rule and both orders, fail-first and move-to-front: it tests
-    every distinct (want, has) pair, dominated or not, in virtual order, on
-    each row space from ``lower_bound`` up, and returns (rate, rows)."""
+    """``min_linear_rate_gf2(u, with_witness=True)`` without move-to-front:
+    it tests every distinct (want, has) pair in virtual order, on each row
+    space from ``lower_bound`` up, and returns (rate, rows)."""
     pairs = list(dict.fromkeys((v.want, _mask(v.has)) for v in u.virtuals))
     if not pairs:
         return 0, ()

@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indexcoding import (
+    ValidationError,
+    bipartite_dot,
     build_cross_neighbor_graph,
     dedup,
     derived_dot,
+    exact_min_cover,
     greedy_cover,
     parse_instance,
     scheme_from_cover,
@@ -26,6 +29,7 @@ from indexcoding import (
 )
 from indexcoding import cli as cli_module
 from indexcoding import instance as instance_module
+from indexcoding import oracle as oracle_module
 from indexcoding import scheme as scheme_module
 from indexcoding.cli import main
 from indexcoding.generate import random_instance
@@ -528,8 +532,9 @@ class TestGen:
 class TestArcsPerRequest:
     def test_gap_builds_the_arcs_once_and_verify_none(self, capsys, tmp_path, monkeypatch):
         # the graph's rows and MAIS share the split's arcs, and each request
-        # builds the rows once; verify and the bipartite diagram build neither
-        arcs, rows = [], []
+        # builds the rows once; verify and the bipartite diagram build neither.
+        # Only MAIS reads the has-minimal virtuals, once per uncapped gap
+        arcs, rows, minimal = [], [], []
         real_arcs = instance_module._side_information_arcs
         real_rows = instance_module._cross_neighbor_rows
 
@@ -541,25 +546,32 @@ class TestArcsPerRequest:
             rows.append(len(u.virtuals))
             return real_rows(u)
 
+        def counting_minimal(u):
+            minimal.append(len(u.virtuals))
+            return has_minimal(u)
+
         monkeypatch.setattr(instance_module, "_side_information_arcs", counting_arcs)
         monkeypatch.setattr(instance_module, "_cross_neighbor_rows", counting_rows)
+        monkeypatch.setattr(oracle_module, "has_minimal", counting_minimal)
         code, out, _ = run(capsys, "solve", EXAMPLE6)
-        assert code == 0 and arcs == rows == [6]
+        assert code == 0 and arcs == rows == [6] and minimal == []
         scheme = tmp_path / "scheme.json"
         scheme.write_text(out)
-        for argv, builds in [
-            (("gap", EXAMPLE6), [6]),
-            (("gap", EXAMPLE6, "--mais-cap", "5"), [6]),
-            (("gap", GROUPCAST3, "--no-dedup"), [3]),
-            (("export-dot", EXAMPLE6), [6]),
-            (("export-dot", EXAMPLE6, "--overlay-cover"), [6]),
-            (("export-dot", EXAMPLE6, "--variant", "bipartite"), []),
-            (("verify", EXAMPLE6, str(scheme), "--trials", "20"), []),
+        for argv, builds, minimal_calls in [
+            (("gap", EXAMPLE6), [6], [6]),
+            (("gap", EXAMPLE6, "--mais-cap", "5"), [6], []),
+            (("gap", GROUPCAST3, "--no-dedup"), [3], [3]),
+            (("export-dot", EXAMPLE6), [6], []),
+            (("export-dot", EXAMPLE6, "--overlay-cover"), [6], []),
+            (("export-dot", EXAMPLE6, "--variant", "bipartite"), [], []),
+            (("verify", EXAMPLE6, str(scheme), "--trials", "20"), [], []),
         ]:
             arcs.clear()
             rows.clear()
+            minimal.clear()
             assert run(capsys, *argv)[0] == 0
             assert arcs == rows == builds, argv
+            assert minimal == minimal_calls, argv
 
 
 class TestExportDot:
@@ -609,6 +621,30 @@ class TestExportDot:
             code, out, err = run(capsys, "export-dot", EXAMPLE6, "--variant", variant,
                                  "--exact-cap", "0")
             assert (code, out, err) == (1, "", "error: caps must be positive\n"), variant
+        # argparse's choices keep an unknown solver off the command line
+        with pytest.raises(ValidationError, match="^unknown solver 'fast'$"):
+            SolveConfig(solver="fast")
+
+    def test_both_variants_write_the_text_chunk_by_chunk(self, capsys, monkeypatch):
+        # the diagram reaches stdout one node line or one row's edges at a
+        # time, never as one joined text
+        class Recording(io.TextIOBase):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        inst = parse_instance(Path(EXAMPLE6).read_text())
+        g = build_cross_neighbor_graph(dedup(split_groupcast(inst)))
+        for argv, chunks in [
+            (("--variant", "bipartite"), list(bipartite_dot(inst))),
+            ((), list(derived_dot(g))),
+            (("--overlay-cover",), list(derived_dot(g, exact_min_cover(g)))),
+        ]:
+            writes = []
+            monkeypatch.setattr(sys, "stdout", Recording())
+            assert main(["export-dot", EXAMPLE6, *argv]) == 0, argv
+            assert writes == chunks and len(chunks) > 2, argv
+        assert capsys.readouterr().err == ""
 
     def test_exact_overlay_colours_every_component_as_solve_does(self, capsys, tmp_path):
         # 66 virtuals after dedup in 18 components, none labelled 0..s-1, as in
@@ -669,7 +705,7 @@ class TestExportDot:
         u = dedup(split_groupcast(parse_instance(path.read_text())))
         g = build_cross_neighbor_graph(u)
         assert greedy_cover(g).size == 3
-        assert out == derived_dot(g, greedy_cover(g))
+        assert out == "".join(derived_dot(g, greedy_cover(g)))
         assert out != default
 
 
@@ -885,7 +921,8 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, argv, scheme, expected):
         gc.enable()
 
 
-class _ClosedPipe:
+class _ClosedPipe(io.TextIOBase):
+    # a text stream: its writelines calls write, as sys.stdout's does
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
 

@@ -25,10 +25,7 @@ from indexcoding.graph import closure
 from indexcoding.generate import random_instance
 from indexcoding.instance import UnicastInstance
 
-import helpers
 from helpers import (
-    _raise_first_defect,
-    _symmetric,
     graph_from_edges,
     induced_subgraph,
     pairwise_cross_neighbor_rows,
@@ -109,44 +106,6 @@ class TestBuild:
         assert g is u and "adjacency" in vars(u)
         assert (g.vertex_count, g.adjacency) == (2, (0b10, 0b01))
 
-    @pytest.mark.parametrize(
-        "missing, named",
-        [
-            ((4, 0), (0, 4)),  # the bad pair sits in the first row
-            ((3, 5), (5, 3)),  # in the last row
-            ((1, 3), (3, 1)),  # only below the diagonal: row 3 holds 1, row 1 lacks 3
-        ],
-    )
-    def test_asymmetric_rows_name_the_first_bad_pair(self, missing, named):
-        rows = list(graph_from_edges(6, [(0, 4), (1, 3), (3, 5), (2, 4)]).adjacency)
-        p, q = missing
-        rows[p] &= ~(1 << q)
-        with pytest.raises(ValueError, match=rf"^adjacency not symmetric on \({named[0]}, {named[1]}\)$"):
-            _raise_first_defect(tuple(rows), 6)
-
-    @pytest.mark.parametrize("strip_chars", [None, 1, 50])
-    def test_one_flipped_bit_is_always_rejected(self, monkeypatch, strip_chars):
-        if strip_chars is not None:  # many column strips per matrix
-            monkeypatch.setattr(helpers, "_STRIP_CHARS", strip_chars)
-        rng = random.Random(8)
-        for seed in range(200):
-            g = random_graph(1 + seed % 40, (0.05, 0.3, 0.9)[seed % 3], seed=seed)
-            k = g.vertex_count
-            assert _symmetric(g.adjacency, k)
-            p, q = rng.randrange(k), rng.randrange(k)
-            rows = list(g.adjacency)
-            rows[p] ^= 1 << q
-            if p == q:
-                expected = f"vertex {p}: self-loop"
-            elif (rows[p] >> q) & 1:  # an added bit: row p holds q, row q lacks p
-                expected = f"adjacency not symmetric on ({p}, {q})"
-            else:  # a removed bit: row q is the one that holds its partner
-                expected = f"adjacency not symmetric on ({q}, {p})"
-            assert _symmetric(rows, k) == (p == q)
-            with pytest.raises(ValueError) as exc:
-                _raise_first_defect(tuple(rows), k)
-            assert str(exc.value) == expected, (seed, p, q)
-
     def test_rows_are_a_cached_view_of_the_split(self, monkeypatch, example6):
         # built on first use and once; a split with rows still equals and
         # hashes as one without
@@ -165,7 +124,8 @@ class TestBuild:
         assert u == fresh and hash(u) == hash(fresh) and "adjacency" not in vars(fresh)
         assert fresh.adjacency == u.adjacency and built == [u, fresh]
 
-    # the rows are valid by construction: the symmetry test they no longer get holds
+    # the rows are valid by construction: they equal the pairwise rows, which
+    # are symmetric by construction
     @settings(max_examples=150)
     @example(n=3, m=0, density=0.5, hi=1, seed=0)  # 0 virtuals
     @given(st.integers(1, 12), st.integers(0, 14), st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)),
@@ -178,7 +138,7 @@ class TestBuild:
             assert k == len(u.virtuals) == len(rows)
             assert not any(row >> k for row in rows)
             assert not any(row >> p & 1 for p, row in enumerate(rows))
-            assert _symmetric(rows, k)
+            assert rows == pairwise_cross_neighbor_rows(u)
 
     def test_mask_rows_match_pairwise_reference(self):
         rng = random.Random(31)
@@ -301,7 +261,7 @@ class TestComponents:
 
 class TestDot:
     def test_bipartite_counts(self, groupcast3):
-        dot = bipartite_dot(groupcast3)
+        dot = "".join(bipartite_dot(groupcast3))
         assert dot.count("[shape=box") == 3
         assert dot.count("[shape=ellipse") == 2
         solid = [l for l in dot.splitlines() if "--" in l and "dashed" not in l]
@@ -315,7 +275,7 @@ class TestDot:
     def test_derived_nodes_and_edges(self, example6):
         u = split_groupcast(example6)
         g = build_cross_neighbor_graph(u)
-        dot = derived_dot(g)
+        dot = "".join(derived_dot(g))
         for j in range(1, 7):
             assert f"r{j}_1 [" in dot
         assert sum("--" in l for l in dot.splitlines()) == 4
@@ -323,22 +283,38 @@ class TestDot:
         # the edge lines are edges(), in its order, on a groupcast instance too
         for h in (g, split_groupcast(random_instance(12, 20, 0.5, (1, 3), seed=1))):
             names = [f"r{j}_{k}" for j, k in (v.origin for v in h.virtuals)]
-            assert [l for l in derived_dot(h).splitlines() if " -- " in l] == [
+            assert [l for l in "".join(derived_dot(h)).splitlines() if " -- " in l] == [
                 f"  {names[p]} -- {names[q]};" for p, q in h.edges()
             ]
+
+    def test_one_chunk_per_node_line_and_per_row_of_edges(self):
+        inst = random_instance(12, 20, 0.5, (1, 3), seed=1)
+        chunks = list(bipartite_dot(inst))
+        m = len(inst.receivers)
+        assert chunks[0].count("\n") == 3 and chunks[-1] == "}\n"
+        assert all(c.count("\n") == 1 for c in chunks[1:-1 - m])
+        for j, (r, c) in enumerate(zip(inst.receivers, chunks[-1 - m:-1]), start=1):
+            assert c.count(f"  r{j} -- m") == c.count("\n") == len(r.wants) + len(r.has)
+        g = split_groupcast(inst)
+        k = g.vertex_count
+        chunks = list(derived_dot(g, greedy_cover(g)))
+        assert len(chunks) == 2 * k + 2 and chunks[-1] == "}\n"
+        assert all(c.count("\n") == 1 for c in chunks[:k + 1])
+        for p, (row, c) in enumerate(zip(g.adjacency, chunks[k + 1:-1])):
+            assert c.count(" -- ") == c.count("\n") == (row >> (p + 1)).bit_count()
 
     def test_derived_empty_instance(self):
         inst = Instance.of(3, [])
         u = split_groupcast(inst)
         g = build_cross_neighbor_graph(u)
-        dot = derived_dot(g)
+        dot = "".join(derived_dot(g))
         assert dot == "graph cross_neighbors {\n}\n"
 
     def test_cover_overlay_colors(self, example6):
         u = split_groupcast(example6)
         g = build_cross_neighbor_graph(u)
         cover = exact_min_cover(g)
-        dot = derived_dot(g, cover)
+        dot = "".join(derived_dot(g, cover))
         assert dot.count("style=filled") == 6
         # members of one part share a fill color
         fills = {
@@ -351,5 +327,5 @@ class TestDot:
     def test_groupcast_node_names_use_ordinals(self, groupcast3):
         u = split_groupcast(groupcast3)
         g = build_cross_neighbor_graph(u)
-        dot = derived_dot(g)
+        dot = "".join(derived_dot(g))
         assert "r2_1 [" in dot and "r2_2 [" in dot

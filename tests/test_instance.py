@@ -296,10 +296,12 @@ class TestParseEquivalence:
         want = _outcome(reference_instance_from_jsonable, data)
         assert _outcome(instance_from_jsonable, data) == want
 
-    @pytest.mark.parametrize("data", ONE_DEFECT + ORDER_DEFECTS)
+    @pytest.mark.parametrize("data", ONE_DEFECT + ORDER_DEFECTS + [[], 3, None])
     def test_each_defect_matches_reference_parse(self, data):
         want = _outcome(reference_instance_from_jsonable, data)
         assert _outcome(instance_from_jsonable, data) == want
+        if not isinstance(data, dict):
+            assert want[2] == "instance must be a JSON object"
 
     def test_every_violation_in_order(self):
         data = {"num_messages": 3, "receivers": [

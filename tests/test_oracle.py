@@ -129,23 +129,34 @@ class TestHasMinimal:
         assert len(dominated) == 400 and sum(dominated) > 0
 
 
-class TestFailFirstOrder:
-    def test_fewest_side_information_bits_first_and_ties_in_virtual_order(self):
-        reordered = 0
-        for u in three_message_tuples():
-            in_order = list(dict.fromkeys(
-                (u.virtuals[p].want, mask(u.virtuals[p].has))
-                for p in sorted(has_minimal_reference(u))
-            ))
-            pairs = oracle_module._virtual_masks(u)
-            for bits in range(3):  # a has of three messages holds at most two
-                assert [pair for pair in pairs if pair[1].bit_count() == bits] == [
-                    pair for pair in in_order if pair[1].bit_count() == bits
-                ]
-            sizes = [has.bit_count() for _, has in pairs]
-            assert sizes == sorted(sizes)
-            reordered += pairs != in_order
-        assert reordered > 0
+class TestVirtualMasks:
+    def test_every_distinct_pair_in_virtual_order(self):
+        for full in three_message_tuples():
+            for u in (full, dedup(full)):
+                assert oracle_module._virtual_masks(u) == list(
+                    dict.fromkeys((v.want, mask(v.has)) for v in u.virtuals)
+                )
+
+    def test_only_mais_reads_the_has_minimal_virtuals(self, monkeypatch):
+        # the rate search tests every pair, dominated or not; MAIS still
+        # branches on the has-minimal virtuals, once per bound
+        calls = []
+
+        def counting(u):
+            calls.append(len(u.virtuals))
+            return has_minimal(u)
+
+        monkeypatch.setattr(oracle_module, "has_minimal", counting)
+        for u in audit_gap_splits(range(10)):
+            k = len(u.virtuals)
+            calls.clear()
+            min_linear_rate_gf2(u, lower_bound=0)
+            assert calls == []
+            mais_lower_bound(u)
+            assert calls == [k]
+            calls.clear()
+            min_linear_rate_gf2(u)  # the default bound is MAIS's
+            assert calls == [k]
 
 
 class TestMoveToFront:
@@ -162,7 +173,7 @@ class TestMoveToFront:
         for u in audit_gap_splits(range(20)):
             calls.clear()
             min_linear_rate_gf2(u)
-            # each call starts from the fail-first pairs
+            # each call starts from the pairs in virtual order
             first = expected = oracle_module._virtual_masks(u)[0]
             for _, tested in itertools.groupby(calls, key=lambda call: call[0]):
                 tested = list(tested)
@@ -174,10 +185,9 @@ class TestMoveToFront:
 
 
 class TestPrunedOracleWitness:
-    """The oracle tests only the has-minimal pairs, fewest side-information
-    bits first and then each rejecting pair moved to the front; the first
-    feasible basis in enumeration order, and so the witness, is the one every
-    pair in virtual order gives."""
+    """The oracle moves each rejecting pair to the front; the first feasible
+    basis in enumeration order, and so the witness, is the one every pair in
+    virtual order gives."""
 
     @staticmethod
     def check(u):
