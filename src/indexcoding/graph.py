@@ -61,7 +61,7 @@ def connected_components(g: UnicastInstance) -> list[tuple[int, ...]]:
     while unseen:
         comp = closure(g.adjacency, unseen & -unseen, unseen)
         unseen &= ~comp
-        components.append(tuple(_bits(comp)))
+        components.append(tuple([*_bits(comp)]))
     return components
 
 

@@ -19,6 +19,14 @@ that are exact duplicates of an earlier one.  Its side-information arcs,
 which the MAIS bound reads, and the cross-neighbor graph's rows built from
 them are views of the split, each built on first use, once: the split form
 is the graph the covers take.
+
+The per-request tuples are built from lists (``tuple([...])``), never from a
+generator or ``map``.  An iterator has no known length, so CPython sizes the
+tuple for 10 items and then shrinks it, and the tuple goes, when freed, onto
+the free list of its final size; those lists grow to 2000 tuples per size
+and only a full collection empties them, which ``cli.main``'s paused
+collector makes rare.  A tuple of a list's known length takes its block from
+the free list it returns to.
 """
 
 from __future__ import annotations
@@ -123,11 +131,11 @@ class UnicastInstance:
                 "a split form takes an Instance and a bool dedup flag, not "
                 f"{type(inst).__name__} and {type(self.dedup).__name__}"
             )
-        demands = tuple(
+        demands = tuple([
             VirtualReceiver(want, r.has, (j, k))
             for j, r in enumerate(inst.receivers, start=1)
             for k, want in enumerate(sorted(r.wants), start=1)
-        )
+        ])
         virtuals, dedup_map = demands, None
         if self.dedup:
             first_seen: dict[tuple[int, frozenset[int]], int] = {}
@@ -204,7 +212,7 @@ def _side_information_arcs(virtuals: tuple[VirtualReceiver, ...]) -> tuple[dict,
             held_by[i] = held_by.get(i, 0) | members
             reach |= wanted_by.get(i, 0)
         reach_of[has] = reach
-    return wanted_by, held_by, tuple(reach_of[v.has] for v in virtuals)
+    return wanted_by, held_by, tuple([reach_of[v.has] for v in virtuals])
 
 
 def _violations(n, receivers) -> list[str]:
@@ -319,7 +327,7 @@ def instance_from_jsonable(data) -> Instance:
     if not isinstance(raw_receivers, list):
         raise ValidationError("'receivers' must be an array")
     try:
-        return Instance(n, tuple(map(_receiver, raw_receivers)))
+        return Instance(n, tuple([*map(_receiver, raw_receivers)]))
     except (TypeError, ValidationError) as exc:
         # a receiver failed its C-speed tests (on a defect the walk names), or the
         # instance a rule; the walk names any structural defect before a violation

@@ -10,7 +10,11 @@ test: e_d must lie in rowspace(E) + span{e_i : i in S}.
 The MAIS bound (maximum acyclic induced subgraph of the side-information
 digraph over virtuals with pairwise-distinct wants) lower-bounds every code,
 linear or not.  The rate search starts from it, skipping rates it proves
-infeasible; no step checks the oracle's answer against it.
+infeasible; no step checks the oracle's answer against it.  Where MAIS meets
+the exact clique cover, whose scheme is a linear code, the rate is pinned:
+``pipeline.gap_report`` then takes its oracle field from the bounds and runs
+no search.  :func:`min_linear_rate_gf2` itself always searches, so the tests
+keep it as the reference that the shortcut is checked against.
 
 The MAIS search branches only on the has-minimal virtuals
 (:func:`has_minimal`): those with no same-want virtual whose ``has`` is a

@@ -50,9 +50,11 @@ class RateReport:
 
     Fields are None when the corresponding computation exceeded its cap.  The
     gap is the exact cover's rate minus the oracle's, never negative, since a
-    cover scheme is itself linear.  A positive gap means some linear code
-    beats the best cover, so the instance is a counterexample to the claim
-    that the clique-cover program is linearly optimal.
+    cover scheme is itself linear.  For the same reason the oracle rate is
+    taken from the bounds, with no search, when MAIS meets the exact cover.
+    A positive gap means some linear code beats the best cover, so the
+    instance is a counterexample to the claim that the clique-cover program
+    is linearly optimal.
     """
 
     mais_bound: int | None
@@ -124,15 +126,22 @@ def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateRepor
 
     Each field degrades to None independently when its cap is exceeded; the
     greedy cover always computes (``config.solver`` is not read).  gap =
-    cover_exact - oracle when both exist.
+    cover_exact - oracle when both exist.  When MAIS equals the exact cover,
+    the oracle rate is that value and no search runs: MAIS bounds every code
+    from below and the cover's scheme is a linear code.  The oracle's cap is
+    tested first, so its field stays None above ``oracle_n_cap`` even there.
     """
     u = UnicastInstance(inst, config.dedup)
     greedy = greedy_cover(u).size
     exact = _capped(lambda: exact_min_cover(u, cap=config.exact_cap).size)
     mais = _capped(lambda: mais_lower_bound(u, cap=config.mais_cap))
-    # the oracle starts from this MAIS (0 when capped): MAIS runs once, under mais_cap
-    oracle = _capped(lambda: min_linear_rate_gf2(
-        u, n_cap=config.oracle_n_cap, lower_bound=mais or 0))
+    if u.num_messages > config.oracle_n_cap:
+        oracle = None  # the cap holds even where the bounds meet
+    elif mais is not None and mais == exact:
+        oracle = mais  # mais <= oracle <= cover_exact: the bounds pin it
+    else:
+        # the search starts from this MAIS (0 when capped): MAIS runs once, under mais_cap
+        oracle = min_linear_rate_gf2(u, n_cap=config.oracle_n_cap, lower_bound=mais or 0)
     gap = exact - oracle if exact is not None and oracle is not None else None
     return RateReport(
         mais_bound=mais,

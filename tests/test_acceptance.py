@@ -77,6 +77,7 @@ def test_c3_optimality_sandwich_on_random_instances():
         import random as _random
 
         densities = (0.2, 0.5, 0.8)
+        pinned = 0  # reports whose oracle rate the bounds gave, with no search
         for i in range(200):
             seed = 1000 + i
             rng = _random.Random(seed)
@@ -95,8 +96,11 @@ def test_c3_optimality_sandwich_on_random_instances():
                 <= report.cover_rate_exact
                 <= report.cover_rate_greedy
             ), (i, report)
-
+            # the unpruned search, so the bounds' shortcut never hides a bug in the cover
             u = dedup(split_groupcast(inst))
+            assert report.oracle_rate == min_linear_rate_gf2(u, lower_bound=0), (i, report)
+            pinned += report.mais_bound == report.cover_rate_exact
+
             g = build_cross_neighbor_graph(u)
             for cover in (exact_min_cover(g), greedy_cover(g)):
                 scheme = scheme_from_cover(u, cover)
@@ -104,6 +108,7 @@ def test_c3_optimality_sandwich_on_random_instances():
                 assert (
                     verify_scheme_random(u, scheme, trials=50, seed=seed) is None
                 )
+        assert 0 < pinned < 200  # both the pinned reports and the searched ones
 
 
 def test_c4_cover_vs_oracle_gap_harness(cycle3):

@@ -477,6 +477,40 @@ class TestGap:
         code, out, _ = run(capsys, "gap", str(path), "--mais-cap", "15")
         assert json.loads(out)["mais"] == 6
 
+    @pytest.mark.parametrize("seed, rate, greedy", [(3, 8, 8), (5, 6, 7), (6, 6, 6)])
+    def test_bounds_pin_the_oracle_at_ten_messages(self, capsys, tmp_path, monkeypatch,
+                                                   seed, rate, greedy):
+        # MAIS meets the exact cover, so gap prints the oracle rate with no search
+        # (the search did not end in 40 s on seed 6); the cap still nulls the field
+        def no_search(n, k):
+            raise AssertionError("the oracle searched")
+
+        _, text, _ = run(capsys, "gen", "-n", "10", "-m", "10", "-p", "0.4",
+                         "--demand-max", "2", "--seed", str(seed))
+        path = tmp_path / "pinned.json"
+        path.write_text(text)
+        monkeypatch.setattr(oracle_module, "iter_rref_rowspaces", no_search)
+        code, out, err = run(capsys, "gap", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "mais": rate,
+            "oracle": rate,
+            "cover_exact": rate,
+            "cover_greedy": greedy,
+            "gap": 0,
+            "counterexample": False,
+        }
+        code, out, _ = run(capsys, "gap", str(path), "--oracle-cap", "9")
+        assert code == 0
+        assert json.loads(out) == {
+            "mais": rate,
+            "oracle": None,
+            "cover_exact": rate,
+            "cover_greedy": greedy,
+            "gap": None,
+            "counterexample": False,
+        }
+
     def test_deep_mais_search_has_no_traceback(self, capsys, tmp_path):
         # 1200 distinct wants and no side information: the MAIS search goes
         # 1200 groups deep, past the interpreter's default recursion limit

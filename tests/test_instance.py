@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,8 @@ from indexcoding.instance import (
     UnicastInstance, VirtualReceiver, _violations, instance_from_jsonable,
 )
 from indexcoding import pipeline as pipeline_module
-from indexcoding.pipeline import SolveConfig, solve_instance
+from indexcoding.pipeline import SolveConfig, gap_report, solve_instance
+from indexcoding.scheme import verify_scheme
 
 
 @st.composite
@@ -605,6 +608,54 @@ class TestOneSplit:
             UnicastInstance(inst, False, True)
         with pytest.raises(TypeError):
             SolveConfig(strict_cross_neighbor=True)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's free lists")
+class TestTupleFreeLists:
+    """A request leaves CPython's tuple free lists as it found them: each
+    tuple it frees goes back onto the list of the size it was taken at, so
+    the allocated blocks stay flat however many requests run with the
+    collector off (``cli.main`` runs each command so)."""
+
+    AUDIT_GAP = [random_instance(7, 10, 0.4, (1, 2), seed=s) for s in range(20)]
+    # 12 messages and 8 receivers: 5 to 10 components each
+    MULTI = [random_instance(12, 8, 0.15, (1, 2), seed=s) for s in range(20)]
+
+    @staticmethod
+    def growth(call, pool, calls=1000):
+        """Allocated blocks gained over ``calls`` calls, after a warm-up."""
+        gc.collect()
+        gc.disable()
+        try:
+            for args in pool:
+                call(*args)
+            # fill the lists a request may still add to, up to their caps: the
+            # dict and list free lists (80 each), and CPython 3.11's list of
+            # 20-item tuples, which it frees onto but never takes from; no
+            # tuple of another size is freed here
+            parked = ([tuple([k] * 20) for k in range(2000)],
+                      [{k: k} for k in range(100)], [[k] for k in range(100)])
+            del parked
+            before = sys.getallocatedblocks()
+            for k in range(calls):
+                call(*pool[k % len(pool)])
+            return sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("shape", ["AUDIT_GAP", "MULTI"])
+    def test_gap_solve_verify_and_parse_hold_no_blocks(self, shape):
+        pool = getattr(self, shape)
+        texts = [(serialize_instance(inst),) for inst in pool]
+        schemes = [(inst, solve_instance(inst).scheme) for inst in pool]
+
+        def verify(inst, scheme):  # the CLI's verify: split, then one call
+            return verify_scheme(UnicastInstance(inst, True), scheme, 20)
+
+        for call, args in ((parse_instance, texts), (gap_report, [(i,) for i in pool]),
+                           (solve_instance, [(i,) for i in pool]), (verify, schemes)):
+            # a tuple built from an iterator gained about 4 blocks per gap_report
+            assert self.growth(call, args) < 40, call
 
 
 def pairwise_arcs(virtuals):

@@ -360,6 +360,7 @@ class TestGapReport:
         assert caps == [7, 2]
 
     def test_sandwich_on_random_instances(self):
+        pinned = 0
         for seed in range(40):
             inst = random_instance(
                 2 + seed % 5, 1 + seed % 6, [0.2, 0.5, 0.8][seed % 3], (1, 2), seed=seed
@@ -367,3 +368,8 @@ class TestGapReport:
             r = gap_report(inst)
             assert r.mais_bound <= r.oracle_rate <= r.cover_rate_exact
             assert r.cover_rate_exact <= r.cover_rate_greedy
+            # the unpruned search agrees whether or not the bounds pinned the rate
+            u = dedup(split_groupcast(inst))
+            assert r.oracle_rate == min_linear_rate_gf2(u, lower_bound=0), seed
+            pinned += r.mais_bound == r.cover_rate_exact
+        assert 0 < pinned < 40
