@@ -2,9 +2,12 @@
 
 The graph g is a split form: ``g.vertex_count`` virtuals and the cached
 bitmask rows ``g.adjacency``.  A clique cover of g is a proper coloring of
-g's complement, so the exact solver runs a DSATUR-ordered branch-and-bound
-coloring on the complement of each connected component (cliques never span
-components).  A component
+g's complement, so the exact solver colors the complement of each
+connected component (cliques never span components) in two phases
+(:class:`DsaturCover`): a greedy DSATUR coloring, whose summed color count
+upper-bounds the minimum, then a DSATUR-ordered branch and bound from it.
+``pipeline.gap_report`` skips the second phase where MAIS, a lower bound on
+every code and so on every cover, meets the first phase's count.  A component
 already labelled 0..s-1 (a connected graph is one) is colored on the complement
 of the graph's own rows; any other is relabelled 0..s-1 first.  Each uncolored
 vertex holds one int key, saturation then degree then reversed index in
@@ -68,44 +71,77 @@ def greedy_cover(g: UnicastInstance) -> CliqueCover:
     return CliqueCover(tuple(parts))
 
 
-def exact_min_cover(g: UnicastInstance, cap: int = DEFAULT_EXACT_CAP) -> CliqueCover:
-    """Minimum clique cover via exact coloring of the complement graph.
+class DsaturCover:
+    """The first phase of :func:`exact_min_cover`: g's connected components,
+    the cap test, and the greedy DSATUR coloring of each component's
+    complement.  ``size``, the colors it uses summed over the components, is
+    the size of the DSATUR cover (each color class a part), an upper bound
+    on the minimum.  :meth:`minimum` runs the second phase, the branch and
+    bound, from each DSATUR coloring.  The branch and bound replaces its
+    incumbent only on a strict improvement, so where a lower bound meets
+    ``size`` every DSATUR coloring is optimal and ``minimum()`` is the DSATUR
+    cover, parts and all; ``pipeline.gap_report`` takes that bound from MAIS
+    and then runs no second phase.
 
-    Cliques never span connected components, so each is solved on its own and
-    ``cap`` bounds the largest one: a component over ``cap`` vertices raises
-    CapExceeded before any is solved; use :func:`greedy_cover` then.  A
-    component whose largest vertex is ``s - 1`` for its ``s`` vertices is
-    exactly 0..s-1, so its complement is taken from ``g.adjacency`` as it
-    stands; any other is relabelled bit by bit.
+    Cliques never span connected components, so each is colored on its own
+    and ``cap`` bounds the largest one: a component over ``cap`` vertices
+    raises CapExceeded before any is colored.  A component whose largest
+    vertex is ``s - 1`` for its ``s`` vertices is exactly 0..s-1, so its
+    complement is taken from ``g.adjacency`` as it stands; any other is
+    relabelled bit by bit.
     """
-    components = connected_components(g)
-    largest = max(map(len, components), default=0)
-    if largest > cap:
-        raise CapExceeded(
-            f"exact cover cap exceeded (component of {largest} vertices > {cap}); "
-            "use greedy_cover"
-        )
-    adj, parts = g.adjacency, []
-    for comp in components:
-        full = (1 << len(comp)) - 1
-        if comp[-1] == len(comp) - 1:  # already labelled 0..len(comp)-1
-            complement = [full & ~adj[v] & ~(1 << v) for v in comp]
-        else:
-            # relabel the component 0..len(comp)-1 in ascending order; it is
-            # closed under adjacency, so every neighbor has a label
-            local = {v: i for i, v in enumerate(comp)}
-            complement = []
-            for i, v in enumerate(comp):
-                row = 0
-                for u in _bits(adj[v]):
-                    row |= 1 << local[u]
-                complement.append(full & ~row & ~(1 << i))
-        # color classes fill in ascending vertex order, so each part is sorted
-        classes: dict[int, list[int]] = {}
-        for v, color in zip(comp, _exact_coloring(len(comp), complement)):
-            classes.setdefault(color, []).append(v)
-        parts.extend(map(tuple, classes.values()))
-    return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
+
+    __slots__ = ("components", "size")
+
+    def __init__(self, g: UnicastInstance, cap: int = DEFAULT_EXACT_CAP):
+        components = connected_components(g)
+        largest = max(map(len, components), default=0)
+        if largest > cap:
+            raise CapExceeded(
+                f"exact cover cap exceeded (component of {largest} vertices > {cap}); "
+                "use greedy_cover"
+            )
+        adj, size = g.adjacency, 0
+        # per component: its vertices, its complement's rows, its DSATUR start
+        colored: list[tuple[tuple[int, ...], list[int], tuple]] = []
+        for comp in components:
+            full = (1 << len(comp)) - 1
+            if comp[-1] == len(comp) - 1:  # already labelled 0..len(comp)-1
+                complement = [full & ~adj[v] & ~(1 << v) for v in comp]
+            else:
+                # relabel the component 0..len(comp)-1 in ascending order; it
+                # is closed under adjacency, so every neighbor has a label
+                local = {v: i for i, v in enumerate(comp)}
+                complement = []
+                for i, v in enumerate(comp):
+                    row = 0
+                    for u in _bits(adj[v]):
+                        row |= 1 << local[u]
+                    complement.append(full & ~row & ~(1 << i))
+            start = _dsatur_start(complement)
+            colored.append((comp, complement, start))
+            size += max(start[2]) + 1
+        self.components, self.size = colored, size
+
+    def minimum(self) -> CliqueCover:
+        """A minimum cover, the second phase: each component's coloring from
+        the branch and bound that starts at its DSATUR coloring."""
+        parts = []
+        for comp, complement, start in self.components:
+            # color classes fill in ascending vertex order, so each part is sorted
+            classes: dict[int, list[int]] = {}
+            for v, color in zip(comp, _exact_coloring(len(comp), complement, start)):
+                classes.setdefault(color, []).append(v)
+            parts.extend(map(tuple, classes.values()))
+        return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
+
+
+def exact_min_cover(g: UnicastInstance, cap: int = DEFAULT_EXACT_CAP) -> CliqueCover:
+    """Minimum clique cover via exact coloring of the complement graph: both
+    phases of :class:`DsaturCover` with no bound, so a component over ``cap``
+    vertices raises CapExceeded before any is solved; use
+    :func:`greedy_cover` then."""
+    return DsaturCover(g, cap).minimum()
 
 
 def _keys(adj: list[int]) -> tuple[list[int], int]:
@@ -156,6 +192,13 @@ def _dsatur_greedy(adj: list[int], base: list[int], b: int) -> list[int]:
     return colors
 
 
+def _dsatur_start(adj: list[int]) -> tuple[list[int], int, list[int]]:
+    """The DSATUR keys of adj at saturation 0, their field width, and the
+    greedy DSATUR coloring: where the branch and bound starts."""
+    base, b = _keys(adj)
+    return base, b, _dsatur_greedy(adj, base, b)
+
+
 def _greedy_clique(adj: list[int], base: list[int], b: int) -> list[int]:
     """Greedy maximal clique: the highest-degree vertex, then each time the
     candidate with the most candidate neighbors, ties to the lowest index."""
@@ -171,19 +214,21 @@ def _greedy_clique(adj: list[int], base: list[int], b: int) -> list[int]:
     return sorted(clique)
 
 
-def _exact_coloring(n: int, adj: list[int]) -> list[int]:
+def _exact_coloring(n: int, adj: list[int], start: tuple | None = None) -> list[int]:
     """Minimum proper coloring of the graph given as bitmask adjacency rows.
 
     DSATUR-ordered branch and bound: greedy DSATUR supplies the initial upper
-    bound, a greedy maximal clique the lower bound, and the clique is
-    pre-colored to break color symmetry.  Deterministic tie-breaks throughout
-    (saturation, then degree, then ascending index).
+    bound (``start``, from :func:`_dsatur_start`, when the caller has run it
+    already), a greedy maximal clique the lower bound, and the clique is
+    pre-colored to break color symmetry.  The incumbent is replaced only by a
+    coloring with fewer colors, so an optimal DSATUR coloring is returned as
+    it is.  Deterministic tie-breaks throughout (saturation, then degree,
+    then ascending index).
     """
     if n == 0:
         return []
-    base, b = _keys(adj)
+    base, b, best = start or _dsatur_start(adj)
     low, bump = (1 << b) - 1, 1 << 2 * b
-    best = _dsatur_greedy(adj, base, b)
     best_k = max(best) + 1
     clique = _greedy_clique(adj, base, b)
     lower = len(clique)

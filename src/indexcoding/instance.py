@@ -66,13 +66,15 @@ class Instance:
     def __post_init__(self):
         n, receivers = self.num_messages, self.receivers
         # a bulk test first; the walk runs only to list the violations.  Types come
-        # before any set operation, ids one by one as the union merges True into 1
+        # before any set operation, ids one by one as the union merges True into 1.
+        # No call takes wants and has as one 2m-item argument tuple: at m = 10,
+        # CPython 3.11 frees that onto a 20-item free list it never takes from
         if type(receivers) is tuple and {Receiver}.issuperset(map(type, receivers)):
             wants, has = [r.wants for r in receivers], [r.has for r in receivers]
             if ({frozenset}.issuperset(map(type, chain(wants, has))) and type(n) is int
                     and n >= 1 and all(wants) and not any(map(and_, wants, has))
-                    and {int}.issuperset(map(type, chain(*wants, *has)))
-                    and 1 <= min(ids := set().union(*wants, *has), default=1)
+                    and {int}.issuperset(map(type, chain.from_iterable(chain(wants, has))))
+                    and 1 <= min(ids := set().union(*wants).union(*has), default=1)
                     and max(ids, default=1) <= n):
                 return
         raise ValidationError("invalid instance", _violations(n, receivers))

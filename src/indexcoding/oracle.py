@@ -16,6 +16,13 @@ the exact clique cover, whose scheme is a linear code, the rate is pinned:
 no search.  :func:`min_linear_rate_gf2` itself always searches, so the tests
 keep it as the reference that the shortcut is checked against.
 
+The bounds pin MAIS too.  Every clique cover's scheme is a code, so a cover's
+size bounds MAIS from above; given one as ``upper``, :func:`mais_lower_bound`
+returns as soon as its best set reaches it, with the same answer as the full
+search.  ``gap_report`` passes the smaller of the greedy and DSATUR covers,
+and where MAIS meets the DSATUR cover it is the exact cover too, so the
+cover's branch and bound is skipped (``cover.DsaturCover``).
+
 The MAIS search branches only on the has-minimal virtuals
 (:func:`has_minimal`): those with no same-want virtual whose ``has`` is a
 strict subset of theirs.  Take p and q with one want and has_q < has_p, and
@@ -171,7 +178,8 @@ def min_linear_rate_gf2(
     raise ValidationError(f"lower bound {lower_bound} exceeds the {n} messages")
 
 
-def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
+def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP,
+                     upper: int | None = None) -> int:
     """Largest acyclic set of virtuals with pairwise-distinct wants.
 
     Acyclic means in the side-information digraph ``u.arcs``; such a
@@ -182,6 +190,11 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
     virtual.  A new cycle must pass through candidate p, so p is admitted
     unless the closure of its arcs into the chosen set reaches a holder of
     its want.  Branches that cannot beat the best are cut.
+
+    ``upper``, when given, must be a proven upper bound on the answer, such
+    as the size of any clique cover (its scheme is a code): the search
+    returns as soon as its best set reaches it.  The best grows one virtual
+    at a time, so the answer is the same as with no bound.
     """
     k = len(u.virtuals)
     if k > cap:
@@ -194,7 +207,10 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP) -> int:
     while stack:
         group, chosen = stack.pop()
         size = chosen.bit_count()
-        best = max(best, size)
+        if size > best:
+            best = size
+            if best == upper:
+                return best
         if size + len(groups) - group <= best:
             continue
         stack.append((group + 1, chosen))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import DEFAULT_EXACT_CAP, CliqueCover, exact_min_cover, greedy_cover
+from .cover import DEFAULT_EXACT_CAP, CliqueCover, DsaturCover, exact_min_cover, greedy_cover
 from .errors import CapExceeded, ValidationError
 from .instance import Instance, UnicastInstance
 from .oracle import DEFAULT_MAIS_CAP, DEFAULT_ORACLE_N_CAP
@@ -52,6 +52,10 @@ class RateReport:
     gap is the exact cover's rate minus the oracle's, never negative, since a
     cover scheme is itself linear.  For the same reason the oracle rate is
     taken from the bounds, with no search, when MAIS meets the exact cover.
+    The covers pin MAIS from above (its search stops when it reaches the
+    smaller of the greedy and DSATUR covers), and MAIS pins the exact cover
+    from below (it is the DSATUR cover's size when the two meet, with no
+    branch and bound); every field equals its unbounded search's.
     A positive gap means some linear code beats the best cover, so the
     instance is a counterexample to the claim that the clique-cover program
     is linearly optimal.
@@ -126,15 +130,27 @@ def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateRepor
 
     Each field degrades to None independently when its cap is exceeded; the
     greedy cover always computes (``config.solver`` is not read).  gap =
-    cover_exact - oracle when both exist.  When MAIS equals the exact cover,
-    the oracle rate is that value and no search runs: MAIS bounds every code
-    from below and the cover's scheme is a linear code.  The oracle's cap is
-    tested first, so its field stays None above ``oracle_n_cap`` even there.
+    cover_exact - oracle when both exist.  The exact cover's first phase, its
+    cap test and DSATUR coloring, runs before MAIS, whose search stops at the
+    smaller of the greedy and DSATUR covers.  When MAIS equals the DSATUR
+    cover, that is the exact cover and its branch and bound is skipped; the
+    cap is tested first, so the field stays None above ``exact_cap`` even
+    there.  When MAIS equals the exact cover, the oracle rate is that value
+    and no search runs: MAIS bounds every code from below and the cover's
+    scheme is a linear code.  The oracle's cap is tested first, so its field
+    stays None above ``oracle_n_cap`` even there.
     """
     u = UnicastInstance(inst, config.dedup)
     greedy = greedy_cover(u).size
-    exact = _capped(lambda: exact_min_cover(u, cap=config.exact_cap).size)
-    mais = _capped(lambda: mais_lower_bound(u, cap=config.mais_cap))
+    dsatur = _capped(lambda: DsaturCover(u, cap=config.exact_cap))
+    upper = greedy if dsatur is None else min(greedy, dsatur.size)
+    mais = _capped(lambda: mais_lower_bound(u, cap=config.mais_cap, upper=upper))
+    if dsatur is None:
+        exact = None
+    elif mais == dsatur.size:
+        exact = mais  # every DSATUR coloring is optimal: the branch and bound keeps it
+    else:
+        exact = dsatur.minimum().size
     if u.num_messages > config.oracle_n_cap:
         oracle = None  # the cap holds even where the bounds meet
     elif mais is not None and mais == exact:

@@ -6,7 +6,8 @@ pairs, the exact cover that relabelled every component, the graph-side clique-co
 check is tested against, the dict form of the entry writer that the code
 replaced, a naive GF(2) rate, the RREF oracle without move-to-front and the
 has-minimal rule by its definition, which the oracle and MAIS are checked
-against, a MAIS bound by subset enumeration, the
+against, a MAIS bound by subset enumeration, ``gap_report`` by the unbounded
+searches, the
 canonical scheme JSON, the DSATUR search with per-vertex saturation rows
 that the cover's int keys and per-color masks replaced, and the environment
 of a subprocess that runs the package under test."""
@@ -18,12 +19,14 @@ from pathlib import Path
 
 import indexcoding
 from indexcoding import (
-    CliqueCover, CodingScheme, Instance, connected_components, split_groupcast,
+    CapExceeded, CliqueCover, CodingScheme, Instance, connected_components, exact_min_cover,
+    greedy_cover, mais_lower_bound, min_linear_rate_gf2, split_groupcast,
 )
 from indexcoding.cover import _exact_coloring
 from indexcoding.instance import UnicastInstance, VirtualReceiver, _bits
 from indexcoding.jsontext import dumps
 from indexcoding.oracle import can_decode, iter_rref_rowspaces
+from indexcoding.pipeline import RateReport, SolveConfig
 
 # a subprocess imports the package the tests import, and buffers its stdout
 # as a pipe or a file gets by default
@@ -217,6 +220,31 @@ def mais_reference(u: UnicastInstance) -> int:
             if any(_acyclic(chosen) for chosen in itertools.product(*wants)):
                 return size
     return 0
+
+
+def reference_gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateReport:
+    """``gap_report`` with every field from its unbounded search, each None
+    over its cap: the exact cover's branch and bound always runs, MAIS has
+    no upper bound, and the oracle searches from rate 1 even where MAIS
+    meets the exact cover."""
+    u = UnicastInstance(inst, config.dedup)
+
+    def capped(compute):
+        try:
+            return compute()
+        except CapExceeded:
+            return None
+
+    exact = capped(lambda: exact_min_cover(u, cap=config.exact_cap).size)
+    mais = capped(lambda: mais_lower_bound(u, cap=config.mais_cap))
+    oracle = capped(lambda: min_linear_rate_gf2(u, n_cap=config.oracle_n_cap, lower_bound=0))
+    return RateReport(
+        mais_bound=mais,
+        oracle_rate=oracle,
+        cover_rate_exact=exact,
+        cover_rate_greedy=greedy_cover(u).size,
+        gap=exact - oracle if exact is not None and oracle is not None else None,
+    )
 
 
 def _acyclic(chosen) -> bool:

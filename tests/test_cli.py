@@ -28,6 +28,7 @@ from indexcoding import (
     split_groupcast,
 )
 from indexcoding import cli as cli_module
+from indexcoding import cover as cover_module
 from indexcoding import instance as instance_module
 from indexcoding import oracle as oracle_module
 from indexcoding import scheme as scheme_module
@@ -510,6 +511,31 @@ class TestGap:
             "gap": None,
             "counterexample": False,
         }
+
+    def test_exact_cap_wins_where_mais_meets_the_dsatur_cover(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # components of 3, 5, 5 and 1 virtuals; MAIS meets the DSATUR cover, so
+        # gap skips the branch and bound, but only under the cap
+        def no_search(n, rows, start=None):
+            raise AssertionError("the branch and bound ran")
+
+        _, text, _ = run(capsys, "gen", "-n", "7", "-m", "10", "-p", "0.4",
+                         "--demand-max", "2", "--seed", "2")
+        path = tmp_path / "met.json"
+        path.write_text(text)
+        monkeypatch.setattr(cover_module, "_exact_coloring", no_search)
+        for cap, exact in (("5", 6), ("4", None)):
+            expected = {
+                "mais": 6,
+                "oracle": 6,
+                "cover_exact": exact,
+                "cover_greedy": 6,
+                "gap": None if exact is None else 0,
+                "counterexample": False,
+            }
+            code, out, err = run(capsys, "gap", str(path), "--exact-cap", cap)
+            assert (code, err) == (0, "")
+            assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_deep_mais_search_has_no_traceback(self, capsys, tmp_path):
         # 1200 distinct wants and no side information: the MAIS search goes

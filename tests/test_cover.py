@@ -266,12 +266,13 @@ class TestLabelledComponents:
     @pytest.mark.parametrize("kind", KINDS)
     def test_parts_match_the_relabelling_reference(self, monkeypatch, kind):
         # wrong rows can hold a self-loop, on which the greedy clique never
-        # ends, so each component's rows are checked before they are colored
+        # ends, so each component's rows are checked before the branch and
+        # bound (which runs the greedy clique) takes them
         expected = iter(())
 
-        def checked_coloring(n, rows):
+        def checked_coloring(n, rows, start=None):
             assert rows == next(expected)
-            return _exact_coloring(n, rows)
+            return _exact_coloring(n, rows, start)
 
         monkeypatch.setattr(cover_module, "_exact_coloring", checked_coloring)
         rng = random.Random(f"labelled {kind}")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import subprocess
 import sys
 
 import pytest
@@ -24,6 +25,8 @@ from indexcoding.instance import (
 from indexcoding import pipeline as pipeline_module
 from indexcoding.pipeline import SolveConfig, gap_report, solve_instance
 from indexcoding.scheme import verify_scheme
+
+from helpers import PACKAGE_ENV
 
 
 @st.composite
@@ -656,6 +659,28 @@ class TestTupleFreeLists:
                            (solve_instance, [(i,) for i in pool]), (verify, schemes)):
             # a tuple built from an iterator gained about 4 blocks per gap_report
             assert self.growth(call, args) < 40, call
+
+
+    def test_validation_frees_no_twenty_item_tuple(self):
+        # at m = 10 a 2m-item argument tuple would go onto CPython 3.11's list
+        # of 20-item tuples, which nothing takes from; this session has filled
+        # that list already, so a fresh interpreter counts the blocks
+        script = (
+            "import gc, sys\n"
+            "from indexcoding.generate import random_instance\n"
+            "from indexcoding.instance import Instance\n"
+            "pool = [random_instance(7, 10, 0.4, (1, 2), seed=s) for s in range(50)]\n"
+            "gc.collect(); gc.disable()\n"
+            "before = sys.getallocatedblocks()\n"
+            "for k in range(1500):\n"
+            "    Instance(pool[k % 50].num_messages, pool[k % 50].receivers)\n"
+            "print(sys.getallocatedblocks() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=PACKAGE_ENV, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # the argument tuples of chain(*wants, *has) and union(*wants, *has) left 2000
+        assert int(proc.stdout) < 100
 
 
 def pairwise_arcs(virtuals):

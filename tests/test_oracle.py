@@ -10,21 +10,24 @@ from indexcoding import (
     dedup,
     exact_min_cover,
     gap_report,
+    greedy_cover,
     mais_lower_bound,
     min_linear_rate_gf2,
     scheme_from_cover,
     split_groupcast,
 )
+from indexcoding import cover as cover_module
 from indexcoding import oracle as oracle_module
 from indexcoding import pipeline as pipeline_module
 from indexcoding.generate import random_instance
+from indexcoding.cover import DsaturCover, _exact_coloring
 from indexcoding.graph import _bits
 from indexcoding.oracle import can_decode, gf2_basis, has_minimal, iter_rref_rowspaces
 from indexcoding.pipeline import SolveConfig
 
 from helpers import (
-    has_minimal_reference, mais_reference, naive_min_rate, reference_min_linear_rate_gf2,
-    unicast_of,
+    has_minimal_reference, mais_reference, naive_min_rate, reference_gap_report,
+    reference_min_linear_rate_gf2, unicast_of,
 )
 
 
@@ -347,9 +350,9 @@ class TestGapReport:
     def test_mais_runs_once_under_the_configured_cap(self, example6, monkeypatch):
         caps = []
 
-        def counting_mais(u, cap=oracle_module.DEFAULT_MAIS_CAP):
+        def counting_mais(u, cap=oracle_module.DEFAULT_MAIS_CAP, upper=None):
             caps.append(cap)
-            return mais_lower_bound(u, cap)
+            return mais_lower_bound(u, cap, upper)
 
         monkeypatch.setattr(oracle_module, "mais_lower_bound", counting_mais)
         monkeypatch.setattr(pipeline_module, "mais_lower_bound", counting_mais)
@@ -360,7 +363,7 @@ class TestGapReport:
         assert caps == [7, 2]
 
     def test_sandwich_on_random_instances(self):
-        pinned = 0
+        pinned = skipped = 0
         for seed in range(40):
             inst = random_instance(
                 2 + seed % 5, 1 + seed % 6, [0.2, 0.5, 0.8][seed % 3], (1, 2), seed=seed
@@ -368,8 +371,75 @@ class TestGapReport:
             r = gap_report(inst)
             assert r.mais_bound <= r.oracle_rate <= r.cover_rate_exact
             assert r.cover_rate_exact <= r.cover_rate_greedy
-            # the unpruned search agrees whether or not the bounds pinned the rate
-            u = dedup(split_groupcast(inst))
-            assert r.oracle_rate == min_linear_rate_gf2(u, lower_bound=0), seed
+            # the unbounded searches agree whichever bound pinned a field
+            assert r == reference_gap_report(inst), seed
             pinned += r.mais_bound == r.cover_rate_exact
+            skipped += r.mais_bound == DsaturCover(dedup(split_groupcast(inst))).size
         assert 0 < pinned < 40
+        assert 0 < skipped < 40  # the branch and bound skipped, and run
+
+
+def meets_dsatur(u):
+    """Whether MAIS meets the DSATUR cover of u, so gap_report skips the
+    branch and bound."""
+    return mais_lower_bound(u, cap=64) == DsaturCover(u, cap=64).size
+
+
+class TestBoundsPinCoverAndMais:
+    """gap_report gives MAIS the smaller of the greedy and DSATUR covers as
+    an upper bound, and skips the branch and bound where MAIS meets the
+    DSATUR cover; neither bound changes an answer."""
+
+    SHAPES = {
+        "audit-gap": [random_instance(7, 10, 0.4, (1, 2), seed=s) for s in range(150)],
+        # 12 messages and 8 single-demand receivers: several components each
+        "multi-component": [random_instance(12, 8, 0.15, (1, 1), seed=s) for s in range(60)],
+        # one component of 30-60 virtuals
+        "solve-exact": [random_instance(25, 30, 0.8, (1, 2), seed=s) for s in range(10)],
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_upper_bound_changes_no_mais(self, shape):
+        for inst in self.SHAPES[shape]:
+            u = dedup(split_groupcast(inst))
+            mais = mais_lower_bound(u, cap=64)
+            dsatur = DsaturCover(u, cap=64)
+            for upper in (greedy_cover(u).size, dsatur.size, dsatur.minimum().size):
+                assert mais_lower_bound(u, cap=64, upper=upper) == mais, (shape, upper)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_an_optimal_dsatur_start_is_the_minimum(self, shape, monkeypatch):
+        # where MAIS meets the DSATUR cover, that cover is optimal; the branch
+        # and bound keeps an optimal start, so skipping it leaves the parts
+        optimal = []
+        for inst in self.SHAPES[shape]:
+            u = dedup(split_groupcast(inst))
+            cover = exact_min_cover(u, cap=64)
+            if DsaturCover(u, cap=64).size == cover.size:
+                optimal.append((u, cover))
+        monkeypatch.setattr(cover_module, "_exact_coloring", lambda n, rows, start: start[2])
+        for u, cover in optimal:
+            assert DsaturCover(u, cap=64).minimum().parts == cover.parts
+        assert optimal
+
+    def test_no_branch_and_bound_where_the_bounds_meet(self, monkeypatch):
+        # the reference's oracle searches from rate 1: about 0.1 s per audit-gap case
+        cases = self.SHAPES["audit-gap"][:40] + self.SHAPES["multi-component"]
+        expected = [reference_gap_report(inst) for inst in cases]
+        calls = []
+
+        def counting_coloring(n, rows, start=None):
+            calls.append(n)
+            return _exact_coloring(n, rows, start)
+
+        monkeypatch.setattr(cover_module, "_exact_coloring", counting_coloring)
+        met = 0
+        for inst, report in zip(cases, expected):
+            del calls[:]
+            assert gap_report(inst) == report
+            if meets_dsatur(dedup(split_groupcast(inst))):
+                met += 1
+                assert calls == []
+            else:
+                assert calls  # one per component
+        assert 0 < met < len(cases)
