@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import gc
 import os
@@ -38,7 +37,7 @@ DOT_MAX_MESSAGES = 10**6
 # 10^6 trials take seconds where 10^12 would take days
 VERIFY_MAX_TRIALS = 10**6
 # each pipeline flag sets the SolveConfig field it names only when given: no CLI default
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SolveConfig))
+_CONFIG_FIELDS = frozenset(SolveConfig._fields)
 
 
 def _emit(data: dict) -> None:

@@ -23,7 +23,7 @@ by smallest member, so covers are deterministic and asserted exactly in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded
 from .graph import connected_components
@@ -32,8 +32,7 @@ from .instance import UnicastInstance, _bits
 DEFAULT_EXACT_CAP = 40
 
 
-@dataclass(frozen=True)
-class CliqueCover:
+class CliqueCover(NamedTuple):
     """A partition of graph vertices into cliques; len(parts) is the rate."""
 
     parts: tuple[tuple[int, ...], ...]
@@ -120,7 +119,7 @@ class DsaturCover:
                     complement.append(full & ~row & ~(1 << i))
             start = _dsatur_start(complement)
             colored.append((comp, complement, start))
-            size += max(start[2]) + 1
+            size += start[3]
         self.components, self.size = colored, size
 
     def minimum(self) -> CliqueCover:
@@ -192,11 +191,12 @@ def _dsatur_greedy(adj: list[int], base: list[int], b: int) -> list[int]:
     return colors
 
 
-def _dsatur_start(adj: list[int]) -> tuple[list[int], int, list[int]]:
-    """The DSATUR keys of adj at saturation 0, their field width, and the
-    greedy DSATUR coloring: where the branch and bound starts."""
+def _dsatur_start(adj: list[int]) -> tuple[list[int], int, list[int], int]:
+    """The DSATUR keys of adj at saturation 0, their field width, the greedy
+    DSATUR coloring and its color count: where the branch and bound starts."""
     base, b = _keys(adj)
-    return base, b, _dsatur_greedy(adj, base, b)
+    colors = _dsatur_greedy(adj, base, b)
+    return base, b, colors, max(colors) + 1
 
 
 def _greedy_clique(adj: list[int], base: list[int], b: int) -> list[int]:
@@ -227,9 +227,8 @@ def _exact_coloring(n: int, adj: list[int], start: tuple | None = None) -> list[
     """
     if n == 0:
         return []
-    base, b, best = start or _dsatur_start(adj)
+    base, b, best, best_k = start or _dsatur_start(adj)
     low, bump = (1 << b) - 1, 1 << 2 * b
-    best_k = max(best) + 1
     clique = _greedy_clique(adj, base, b)
     lower = len(clique)
     if lower == best_k:

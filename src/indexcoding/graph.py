@@ -109,7 +109,8 @@ def derived_dot(g: UnicastInstance, cover: CliqueCover | None = None) -> Iterato
     Nodes are named r<j>_<k> after each virtual's origin.
     When a cover of ``g`` is supplied its parts are shown by fill color, one per part.
     """
-    part_of = None if cover is None else cover.assignment(g.vertex_count)
+    # the rows first, so that the graph cap raises before any line is written
+    rows, part_of = g.adjacency, None if cover is None else cover.assignment(g.vertex_count)
     yield "graph cross_neighbors {\n"
     names = []
     for idx, v in enumerate(g.virtuals):
@@ -124,6 +125,6 @@ def derived_dot(g: UnicastInstance, cover: CliqueCover | None = None) -> Iterato
             attrs.append(f"fillcolor={color}")
         yield f"  {name} [{', '.join(attrs)}];\n"
     # the edges in edges() order, walked from the rows with no tuple list
-    for p, row in enumerate(g.adjacency):
+    for p, row in enumerate(rows):
         yield "".join([f"  {names[p]} -- {names[p + 1 + q]};\n" for q in _bits(row >> (p + 1))])
     yield "}\n"

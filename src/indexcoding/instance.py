@@ -26,23 +26,25 @@ tuple for 10 items and then shrinks it, and the tuple goes, when freed, onto
 the free list of its final size; those lists grow to 2000 tuples per size
 and only a full collection empties them, which ``cli.main``'s paused
 collector makes rare.  A tuple of a list's known length takes its block from
-the free list it returns to.
+the free list it returns to.  Receivers and virtuals are NamedTuples, which
+the parse and the split build by ``tuple.__new__``, with no Python frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .jsontext import dumps, loads
 
+# the split form's bound: its graph's rows are bitmasks over its virtuals (~0.1 GB at it)
+GRAPH_MAX_VIRTUALS = 2**14
 
-@dataclass(frozen=True)
-class Receiver:
+
+class Receiver(NamedTuple):
     """One receiver: the messages it wants and the messages it already has."""
 
     wants: frozenset[int]
@@ -53,18 +55,21 @@ class Receiver:
         return cls(frozenset(wants), frozenset(has))
 
 
-@dataclass(frozen=True)
-class Instance:
+class _InstanceFields(NamedTuple):
+    num_messages: int
+    receivers: tuple[Receiver, ...]
+
+
+class Instance(_InstanceFields):
     """A (possibly groupcast) index coding problem, valid by construction:
     ``num_messages`` is at least 1, ``receivers`` is a tuple of ``Receiver``
     with frozenset fields, and every receiver wants a nonempty set of ids in
     ``[1, num_messages]`` disjoint from the ids it has."""
 
-    num_messages: int
-    receivers: tuple[Receiver, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, receivers = self.num_messages, self.receivers
+    def __new__(cls, num_messages: int, receivers: tuple[Receiver, ...]):
+        n = num_messages
         # a bulk test first; the walk runs only to list the violations.  Types come
         # before any set operation, ids one by one as the union merges True into 1.
         # No call takes wants and has as one 2m-item argument tuple: at m = 10,
@@ -76,8 +81,11 @@ class Instance:
                     and {int}.issuperset(map(type, chain.from_iterable(chain(wants, has))))
                     and 1 <= min(ids := set().union(*wants).union(*has), default=1)
                     and max(ids, default=1) <= n):
-                return
+                return tuple.__new__(cls, (n, receivers))
         raise ValidationError("invalid instance", _violations(n, receivers))
+
+    # _replace, copy and pickle build through _make or __new__: each validates
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def of(
@@ -86,8 +94,7 @@ class Instance:
         return cls(num_messages, tuple(Receiver.of(w, h) for w, h in receivers))
 
 
-@dataclass(frozen=True)
-class VirtualReceiver:
+class VirtualReceiver(NamedTuple):
     """A single-demand receiver produced by splitting a groupcast receiver.
 
     ``origin`` is the pair (receiver index, demand ordinal), both 1-indexed;
@@ -100,7 +107,6 @@ class VirtualReceiver:
     origin: tuple[int, int]
 
 
-@dataclass(frozen=True)
 class UnicastInstance:
     """The split form of ``instance``: every virtual receiver demands exactly
     one message.
@@ -115,31 +121,24 @@ class UnicastInstance:
     duplicate, both 0-based positions in ``demands``.
 
     The ``Instance`` is valid by construction, so nothing is checked again
-    here beyond the types of the two arguments.
+    here beyond the types of the two arguments.  Two split forms are equal
+    when their ``instance`` and ``dedup`` are; every field is read-only.
     """
 
-    instance: Instance
-    dedup: bool = False
-    # derived from the two fields above, once, in __post_init__
-    num_messages: int = field(init=False, compare=False)
-    demands: tuple[VirtualReceiver, ...] = field(init=False, compare=False)
-    virtuals: tuple[VirtualReceiver, ...] = field(init=False, compare=False)
-    dedup_map: dict[int, int] | None = field(init=False, compare=False)
-
-    def __post_init__(self):
-        inst = self.instance
-        if type(inst) is not Instance or type(self.dedup) is not bool:
+    def __init__(self, instance: Instance, dedup: bool = False):
+        if type(instance) is not Instance or type(dedup) is not bool:
             raise ValidationError(
                 "a split form takes an Instance and a bool dedup flag, not "
-                f"{type(inst).__name__} and {type(self.dedup).__name__}"
+                f"{type(instance).__name__} and {type(dedup).__name__}"
             )
+        new = tuple.__new__
         demands = tuple([
-            VirtualReceiver(want, r.has, (j, k))
-            for j, r in enumerate(inst.receivers, start=1)
+            new(VirtualReceiver, (want, r.has, (j, k)))
+            for j, r in enumerate(instance.receivers, start=1)
             for k, want in enumerate(sorted(r.wants), start=1)
         ])
         virtuals, dedup_map = demands, None
-        if self.dedup:
+        if dedup:
             first_seen: dict[tuple[int, frozenset[int]], int] = {}
             kept, dedup_map = [], {}
             for idx, v in enumerate(demands):
@@ -149,16 +148,32 @@ class UnicastInstance:
                 else:
                     dedup_map[idx] = rep
             virtuals = tuple(kept)
-        for name, value in (("num_messages", inst.num_messages), ("demands", demands),
-                            ("virtuals", virtuals), ("dedup_map", dedup_map)):
-            object.__setattr__(self, name, value)
+        vars(self).update(instance=instance, dedup=dedup, num_messages=instance.num_messages,
+                          demands=demands, virtuals=virtuals, dedup_map=dedup_map)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not UnicastInstance:
+            return NotImplemented
+        return (self.instance, self.dedup) == (other.instance, other.dedup)
+
+    def __hash__(self):
+        return hash((self.instance, self.dedup))
 
     @cached_property
     def arcs(self) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
         """``(W, H, out)``: the side-information digraph (arc p -> q when q's
         want is in p's ``has``) as bitmasks over ``virtuals``, message -> its
         wanters, message -> its holders (no entry when none), and each
-        virtual's out-row.  Built on first use, once; shared, so read-only."""
+        virtual's out-row.  Built on first use, once; shared, so read-only.
+        Raises CapExceeded, building nothing, above ``GRAPH_MAX_VIRTUALS``."""
+        if len(self.virtuals) > GRAPH_MAX_VIRTUALS:
+            raise CapExceeded(f"graph cap exceeded ({len(self.virtuals)} virtuals > "
+                              f"{GRAPH_MAX_VIRTUALS})")
         return _side_information_arcs(self.virtuals)
 
     @cached_property
@@ -291,7 +306,7 @@ def _receiver(entry) -> Receiver:
             w, h = frozenset(wants), frozenset(has)  # TypeError: an unhashable id
             # 1.0 and True equal 1, so a list holding one of them and 1 is longer
             if len(w) == len(wants) and len(h) == len(has):
-                return Receiver(w, h)
+                return tuple.__new__(Receiver, (w, h))
     raise TypeError("receiver fails the C-speed tests")
 
 

@@ -15,9 +15,8 @@ which is exact because encoded JSON holds no raw newline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -26,8 +25,7 @@ _STR_ONLY = frozenset((str,))
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-@dataclass(frozen=True, slots=True)
-class Entries:
+class Entries(NamedTuple):
     """The array ``[{"origin": [a, b], "want": w, "transmission": t}, ...]``
     held as its rows ``((a, b), w, t)``, each an exact int."""
 

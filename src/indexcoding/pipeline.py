@@ -9,7 +9,7 @@ CLI splits and makes one ``scheme.verify_scheme`` call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import DEFAULT_EXACT_CAP, CliqueCover, DsaturCover, exact_min_cover, greedy_cover
 from .errors import CapExceeded, ValidationError
@@ -19,23 +19,30 @@ from .oracle import mais_lower_bound, min_linear_rate_gf2
 from .scheme import CodingScheme, scheme_from_cover
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class _ConfigFields(NamedTuple):
     solver: str = "auto"
     dedup: bool = True
     exact_cap: int = DEFAULT_EXACT_CAP
     oracle_n_cap: int = DEFAULT_ORACLE_N_CAP
     mais_cap: int = DEFAULT_MAIS_CAP
 
-    def __post_init__(self):
+
+class SolveConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.solver not in ("exact", "greedy", "auto"):
             raise ValidationError(f"unknown solver {self.solver!r}")
         if min(self.exact_cap, self.oracle_n_cap, self.mais_cap) < 1:
             raise ValidationError("caps must be positive")
+        return self
+
+    # _replace, copy and pickle build through _make or __new__: each validates
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     scheme: CodingScheme
     solver_used: str
     # per pre-dedup virtual: (origin, want, transmission index)
@@ -44,8 +51,7 @@ class SolveOutcome:
     fallback: str | None
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """The bound sandwich for one instance: mais <= oracle <= exact <= greedy.
 
     Fields are None when the corresponding computation exceeded its cap.  The

@@ -17,9 +17,8 @@ Message words are one mapping from 1-based message id to int word, shared by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .cover import CliqueCover
 from .errors import ValidationError
@@ -34,8 +33,7 @@ _want = attrgetter("want")
 Assignment = tuple[int, frozenset[int]]  # (transmission index, other summands)
 
 
-@dataclass(frozen=True)
-class CodingScheme:
+class CodingScheme(NamedTuple):
     """An ordered list of XOR transmissions; the rate is their count."""
 
     num_messages: int
@@ -46,8 +44,7 @@ class CodingScheme:
         return len(self.transmissions)
 
 
-@dataclass(frozen=True)
-class TrialFailure:
+class TrialFailure(NamedTuple):
     """First randomized trial on which some virtual decoded the wrong word."""
 
     trial: int

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import gc
 import hashlib
@@ -35,6 +34,7 @@ from indexcoding import scheme as scheme_module
 from indexcoding.cli import main
 from indexcoding.generate import random_instance
 from indexcoding.graph import _PART_COLORS
+from indexcoding.instance import GRAPH_MAX_VIRTUALS
 from indexcoding.oracle import has_minimal
 from indexcoding.pipeline import SolveConfig
 
@@ -204,7 +204,7 @@ class TestConfigFromArgs:
         for flags, name, value in PIPELINE_FLAGS:
             if name in PIPELINE_COMMANDS[command]:
                 assert self.config(command, EXAMPLE6, *flags) == \
-                    dataclasses.replace(SolveConfig(), **{name: value})
+                    SolveConfig()._replace(**{name: value})
             else:
                 assert run(capsys, command, EXAMPLE6, *flags)[0] == 1
 
@@ -767,6 +767,55 @@ class TestExportDot:
         assert greedy_cover(g).size == 3
         assert out == "".join(derived_dot(g, greedy_cover(g)))
         assert out != default
+
+
+class TestGraphCap:
+    """A split form of more than ``GRAPH_MAX_VIRTUALS`` virtuals builds no
+    graph.  Virtual j wants message 1 and holds message j + 1: dedup keeps
+    every virtual and all of them form one clique, so each row of the graph
+    holds a bit per virtual.  Each command runs in a child process whose
+    address space alone is capped."""
+
+    CHILD = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+             "from indexcoding.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+    def child(self, *argv):
+        return subprocess.run([sys.executable, "-c", self.CHILD, *argv], capture_output=True,
+                              text=True, env=PACKAGE_ENV, timeout=60)
+
+    @staticmethod
+    def same_want(tmp_path, k):
+        path = tmp_path / f"same_want_{k}.json"
+        path.write_text(json.dumps({"num_messages": k + 1, "receivers": [
+            {"wants": [1], "has": [j + 1]} for j in range(1, k + 1)]}))
+        return str(path)
+
+    def test_above_the_bound_graph_commands_exit_2(self, tmp_path):
+        k = GRAPH_MAX_VIRTUALS + 1
+        path = self.same_want(tmp_path, k)
+        for argv in (["solve", path], ["solve", path, "--no-dedup"], ["gap", path],
+                     ["export-dot", path], ["export-dot", path, "--overlay-cover"]):
+            proc = self.child(*argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                2, "", f"error: graph cap exceeded ({k} virtuals > {GRAPH_MAX_VIRTUALS})\n"), argv
+        # verify and the bipartite diagram build no graph, so no bound holds them
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text('{"transmissions": [[1]]}')
+        for argv in (["verify", path, str(scheme), "--trials", "1"],
+                     ["export-dot", path, "--variant", "bipartite"]):
+            proc = self.child(*argv)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+    def test_at_the_bound_graph_commands_succeed(self, tmp_path):
+        path = self.same_want(tmp_path, GRAPH_MAX_VIRTUALS)
+        proc = self.child("solve", path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["transmissions"] == [[1]]
+        proc = self.child("gap", path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cover_greedy"] == 1
 
 
 class TestPipelineClosure:

@@ -247,9 +247,9 @@ class TestExact:
         assert len(connected_components(g)) > 1
         # no split form and no rows are made per component: g's own rows are read
         splits, rows = [], []
-        check, build = UnicastInstance.__post_init__, instance_module._cross_neighbor_rows
-        monkeypatch.setattr(UnicastInstance, "__post_init__",
-                            lambda u: splits.append(u) or check(u))
+        check, build = UnicastInstance.__init__, instance_module._cross_neighbor_rows
+        monkeypatch.setattr(UnicastInstance, "__init__",
+                            lambda u, *fields: splits.append(u) or check(u, *fields))
         monkeypatch.setattr(instance_module, "_cross_neighbor_rows",
                             lambda u: rows.append(u) or build(u))
         cover = exact_min_cover(g)

@@ -1,12 +1,26 @@
 import ast
 import contextlib
+import copy
 import importlib
 import io
+import pickle
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import indexcoding
+from indexcoding import (
+    CliqueCover, CodingScheme, Instance, RateReport, Receiver, UnicastInstance, ValidationError,
+    VirtualReceiver, gap_report, greedy_cover, scheme_from_cover,
+)
+from indexcoding.jsontext import Entries
+from indexcoding.pipeline import SolveConfig, SolveOutcome, solve_instance
+from indexcoding.scheme import TrialFailure
+
+from helpers import PACKAGE_ENV
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "indexcoding"
 BENCHMARK_DIR = PACKAGE_DIR.parent.parent / "perfbench"
@@ -73,3 +87,59 @@ def test_readme_library_example_runs():
         exec(compile(blocks[0], "README.md", "exec"), {})
     assert out.getvalue() == ("{'mais': 2, 'oracle': 2, 'cover_exact': 2, 'cover_greedy': 2,"
                               " 'gap': 0, 'counterexample': False}\n")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a bare interpreter loads neither; the package's records are tuples and
+    # plain classes, so its import pulls in no class generator
+    script = ("import sys, indexcoding.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & {*sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=PACKAGE_ENV, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def public_records():
+    inst = Instance.of(3, [({1}, {2}), ({2}, {3}), ({3}, {1})])
+    u = UnicastInstance(inst)
+    cover = greedy_cover(u)
+    records = [inst.receivers[0], inst, u.virtuals[0], u, cover, scheme_from_cover(u, cover),
+               TrialFailure(0, 0, 1, 2), SolveConfig(), solve_instance(inst), gap_report(inst),
+               Entries([((1, 1), 1, 0)])]
+    assert [type(r) for r in records] == [
+        Receiver, Instance, VirtualReceiver, UnicastInstance, CliqueCover, CodingScheme,
+        TrialFailure, SolveConfig, SolveOutcome, RateReport, Entries]
+    return records
+
+
+def test_every_public_record_is_read_only():
+    # README: "All values are immutable after construction"
+    for record in public_records():
+        # the split form's fields and its cached views (the cover built them)
+        names = [*(record._fields if hasattr(record, "_fields") else vars(record)), "extra"]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        # only the split form keeps a dict: its cached graph views
+        assert hasattr(record, "__dict__") == (type(record) is UnicastInstance)
+
+
+@pytest.mark.parametrize("cls, valid, invalid", [
+    (Instance, (3, (Receiver.of({1}, {2}),)), (2, (Receiver.of({1}, {3}),))),
+    (SolveConfig, ("exact", False, 5, 6, 7), ("exact", False, 0, 6, 7)),
+])
+def test_every_way_to_build_a_validating_record_validates(monkeypatch, cls, valid, invalid):
+    record = cls(*valid)
+    for build in (lambda: cls(*invalid), lambda: cls._make(invalid),
+                  lambda: record._replace(**dict(zip(cls._fields, invalid)))):
+        with pytest.raises(ValidationError):
+            build()
+    assert record._replace() == cls._make(valid) == record
+    # copies and pickles are built again through the validating constructor
+    calls, check = [], cls.__new__
+    monkeypatch.setattr(cls, "__new__", lambda c, *args: calls.append(args) or check(c, *args))
+    copies = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    assert copies == [record] * 3 and {type(c) for c in copies} == {cls}
+    assert calls == [valid] * 3
