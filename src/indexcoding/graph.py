@@ -9,7 +9,10 @@ virtuals with distinct wants.
 
 The arcs are the split form's ``UnicastInstance.arcs``, built once per split:
 ``W[i]`` and ``H[i]`` hold the virtuals that want and that hold message i,
-and ``out[p]`` the heads of virtual p's arcs.  Virtual p's cross-neighbor row
+``H`` for wanted messages only (no other makes an arc), and ``out[p]`` the
+heads of virtual p's arcs.  Each distinct ``has`` is walked from its shorter
+side, itself or the wanted messages it lacks, so the build costs
+O(sum of min(|has|, |wanted|)).  Virtual p's cross-neighbor row
 is ``out[p] & H[want_p] | W[want_p]``, minus p: the split form's cached
 ``UnicastInstance.adjacency``, so the graph that ``connected_components``,
 the covers and ``derived_dot`` take is the split form itself.  Both

@@ -168,7 +168,7 @@ class UnicastInstance:
     def arcs(self) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
         """``(W, H, out)``: the side-information digraph (arc p -> q when q's
         want is in p's ``has``) as bitmasks over ``virtuals``, message -> its
-        wanters, message -> its holders (no entry when none), and each
+        wanters, wanted message -> its holders (no entry when none), and each
         virtual's out-row.  Built on first use, once; shared, so read-only.
         Raises CapExceeded, building nothing, above ``GRAPH_MAX_VIRTUALS``."""
         if len(self.virtuals) > GRAPH_MAX_VIRTUALS:
@@ -214,21 +214,40 @@ def _cross_neighbor_rows(u: UnicastInstance) -> tuple[int, ...]:
 
 
 def _side_information_arcs(virtuals: tuple[VirtualReceiver, ...]) -> tuple[dict, dict, tuple]:
-    """:attr:`UnicastInstance.arcs`, built per message, not by pairs: the OR
-    of ``W[i]`` over i in ``has`` is taken once per distinct ``has``."""
+    """:attr:`UnicastInstance.arcs`, built per distinct ``has``, not by pairs,
+    from its shorter side: ``has`` (OR its ``W[i]``), or, when it is over 2/3
+    the size of the wanted set, the wanted messages it lacks (XOR their
+    ``W[i]``, which partition the virtuals, out of everyone).  Only wanted
+    messages make arcs, so ``H`` holds only them and the build costs
+    O(sum of min(|has|, |wanted|))."""
     wanted_by: dict[int, int] = {}
     group: dict[frozenset[int], int] = {}  # has -> virtuals sharing it
     for p, v in enumerate(virtuals):
         wanted_by[v.want] = wanted_by.get(v.want, 0) | 1 << p
         group[v.has] = group.get(v.has, 0) | 1 << p
+    cut = 2 * len(wanted_by) // 3  # len(has) > cut: 3 |has| > 2 |wanted|
     held_by: dict[int, int] = {}
-    reach_of: dict[frozenset[int], int] = {}
+    dense, reach_of = 0, {}
     for has, members in group.items():
-        reach = 0
-        for i in has:
-            held_by[i] = held_by.get(i, 0) | members
-            reach |= wanted_by.get(i, 0)
+        if len(has) <= cut:
+            reach = 0
+            for i in has:
+                if w := wanted_by.get(i):
+                    held_by[i] = held_by.get(i, 0) | members
+                    reach |= w
+        else:
+            if not dense:  # missed: wanted message -> dense-set virtuals lacking it
+                wanted, everyone, missed = frozenset(wanted_by), (1 << len(virtuals)) - 1, {}
+            dense |= members
+            reach = everyone
+            for i in wanted - has:
+                missed[i] = missed.get(i, 0) | members
+                reach ^= wanted_by[i]
         reach_of[has] = reach
+    if dense:
+        for i in wanted:
+            if mask := held_by.get(i, 0) | dense & ~missed.get(i, 0):
+                held_by[i] = mask
     return wanted_by, held_by, tuple([reach_of[v.has] for v in virtuals])
 
 

@@ -622,6 +622,8 @@ class TestTupleFreeLists:
     AUDIT_GAP = [random_instance(7, 10, 0.4, (1, 2), seed=s) for s in range(20)]
     # 12 messages and 8 receivers: 5 to 10 components each
     MULTI = [random_instance(12, 8, 0.15, (1, 2), seed=s) for s in range(20)]
+    # every has set over 2/3 of the wanted ones: the arcs walk the wanted ids it lacks
+    DENSE = [random_instance(12, 8, 0.9, (1, 2), seed=s) for s in range(20)]
 
     @staticmethod
     def growth(call, pool, calls=1000):
@@ -645,7 +647,7 @@ class TestTupleFreeLists:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("shape", ["AUDIT_GAP", "MULTI"])
+    @pytest.mark.parametrize("shape", ["AUDIT_GAP", "MULTI", "DENSE"])
     def test_gap_solve_verify_and_parse_hold_no_blocks(self, shape):
         pool = getattr(self, shape)
         texts = [(serialize_instance(inst),) for inst in pool]
@@ -684,14 +686,12 @@ class TestTupleFreeLists:
 
 def pairwise_arcs(virtuals):
     """Reference side-information digraph: arc p -> q iff q's want is in p's
-    ``has``, one test per ordered pair; W and H one pass per message."""
-    ids = {v.want for v in virtuals}.union(*(v.has for v in virtuals))
+    ``has``, one test per ordered pair; W and H one pass per message, H only
+    for the messages some virtual wants (no other makes an arc)."""
     wanted_by, held_by = {}, {}
-    for i in ids:
-        wanting = sum(1 << p for p, v in enumerate(virtuals) if v.want == i)
+    for i in {v.want for v in virtuals}:
+        wanted_by[i] = sum(1 << p for p, v in enumerate(virtuals) if v.want == i)
         holding = sum(1 << p for p, v in enumerate(virtuals) if i in v.has)
-        if wanting:
-            wanted_by[i] = wanting
         if holding:
             held_by[i] = holding
     out = tuple(sum(1 << q for q, vq in enumerate(virtuals) if vq.want in vp.has)
@@ -699,11 +699,29 @@ def pairwise_arcs(virtuals):
     return wanted_by, held_by, out
 
 
+def walks(u):
+    """The sides the arcs build walks: True for a ``has`` over 2/3 the size of
+    the wanted set (the wanted messages it lacks), False for ``has`` itself."""
+    wanted = {v.want for v in u.virtuals}
+    return {3 * len(v.has) > 2 * len(wanted) for v in u.virtuals}
+
+
+def many_unwanted(step):
+    """2000 messages, wants in 1..5: receiver j wants 1 + j % 5 and holds one
+    other wanted id and every ``step``-th id of 6 + j..2000, all unwanted."""
+    return Instance.of(2000, [
+        ({1 + j % 5}, {1 + (j + 1 + j // 5 % 4) % 5, *range(6 + j, 2001, step)})
+        for j in range(24)
+    ])
+
+
 class TestArcs:
     @settings(max_examples=150)
     @example(n=3, m=0, density=0.5, hi=1, seed=0)  # 0 virtuals
-    @given(st.integers(1, 12), st.integers(0, 14), st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)),
-           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example(n=300, m=3, density=0.5, hi=2, seed=0)  # n far above the wanted count
+    @given(st.integers(1, 12) | st.integers(13, 300), st.integers(0, 14),
+           st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
     def test_arcs_match_the_pairwise_reference(self, n, m, density, hi, seed):
         inst = random_instance(n, m, density, (1, min(hi, n)), seed=seed)
         for flag in (False, True):
@@ -713,3 +731,19 @@ class TestArcs:
             assert u.edges() == [
                 (p, q) for p in range(k) for q in range(p + 1, k) if u.adjacency[p] >> q & 1
             ]
+
+    @pytest.mark.parametrize("build, sides", [
+        (lambda s: random_instance(10, 12, 1.0, (1, 2), seed=s), {True}),
+        (lambda s: random_instance(16, 20, 0.8, (1, 2), seed=2 * s), {True}),
+        (lambda s: random_instance(20, 30, 0.2, (1, 2), seed=s), {False}),
+        (lambda s: random_instance(30, 40, 0.65, (1, 2), seed=s), {False, True}),
+        (lambda s: many_unwanted(1 + s), {True}),  # 986 to 1995 unwanted ids each
+        (lambda s: many_unwanted(2000 + s), {False}),  # one unwanted id each
+    ], ids=["dense-1.0", "dense-0.8", "sparse", "mixed", "unwanted-dense", "unwanted-sparse"])
+    def test_each_walk_matches_the_pairwise_reference(self, build, sides):
+        for seed in range(2):
+            inst = build(seed)
+            for flag in (False, True):
+                u = UnicastInstance(inst, flag)
+                assert walks(u) == sides
+                assert u.arcs == pairwise_arcs(u.virtuals)
