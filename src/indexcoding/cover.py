@@ -6,19 +6,18 @@ g's complement, so the exact solver colors the complement of each
 connected component (cliques never span components) in two phases
 (:class:`DsaturCover`): a greedy DSATUR coloring, whose summed color count
 upper-bounds the minimum, then a DSATUR-ordered branch and bound from it.
-``pipeline.gap_report`` skips the second phase where MAIS, a lower bound on
-every code and so on every cover, meets the first phase's count.  A component
-already labelled 0..s-1 (a connected graph is one) is colored on the complement
-of the graph's own rows; any other is relabelled 0..s-1 first.  Each uncolored
-vertex holds one int key, saturation then degree then reversed index in
-fixed-width fields, so a DSATUR pick is one C-level ``max``; saturation is
-kept as one bitset per color, the OR of the rows given that color, in the
-bit-parallel style of San Segundo et al. (BBMC, Computers & OR 2012), so
-painting a vertex bumps only the keys of neighbors it newly saturates and a
-color is free for v when v's bit is clear in its mask.  Greedy first-fit
-builds each part whole, as one ascending sequential clique: O(k) big-int
-steps on k vertices.  Ties break on ascending vertex index and parts are sorted
-by smallest member, so covers are deterministic and asserted exactly in tests.
+A component already labelled 0..s-1 (a connected graph is one) is colored on
+the complement of the graph's own rows; any other is relabelled 0..s-1 first.
+Each uncolored vertex holds one int key, saturation then degree then reversed
+index in fixed-width fields, so a DSATUR pick is one C-level ``max``;
+saturation is kept as one bitset per color, the OR of the rows given that
+color, in the bit-parallel style of San Segundo et al. (BBMC, Computers & OR
+2012), so painting a vertex bumps only the keys of neighbors it newly
+saturates and a color is free for v when v's bit is clear in its mask.  Greedy
+first-fit builds each part whole, as one ascending sequential clique: O(k)
+big-int steps on k vertices.  Ties break on ascending vertex index and parts
+are sorted by smallest member, so covers are deterministic and asserted
+exactly in tests.
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ class DsaturCover:
     bound, from each DSATUR coloring.  The branch and bound replaces its
     incumbent only on a strict improvement, so where a lower bound meets
     ``size`` every DSATUR coloring is optimal and ``minimum()`` is the DSATUR
-    cover, parts and all; ``pipeline.gap_report`` takes that bound from MAIS
-    and then runs no second phase.
+    cover, parts and all (``pipeline.gap_report`` uses this).
 
     Cliques never span connected components, so each is colored on its own
     and ``cap`` bounds the largest one: a component over ``cap`` vertices
@@ -129,7 +127,7 @@ class DsaturCover:
         for comp, complement, start in self.components:
             # color classes fill in ascending vertex order, so each part is sorted
             classes: dict[int, list[int]] = {}
-            for v, color in zip(comp, _exact_coloring(len(comp), complement, start)):
+            for v, color in zip(comp, _exact_coloring(complement, start)):
                 classes.setdefault(color, []).append(v)
             parts.extend(map(tuple, classes.values()))
         return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
@@ -214,20 +212,19 @@ def _greedy_clique(adj: list[int], base: list[int], b: int) -> list[int]:
     return sorted(clique)
 
 
-def _exact_coloring(n: int, adj: list[int], start: tuple | None = None) -> list[int]:
-    """Minimum proper coloring of the graph given as bitmask adjacency rows.
+def _exact_coloring(adj: list[int], start: tuple) -> list[int]:
+    """Minimum proper coloring of the graph given as bitmask adjacency rows,
+    one or more (a connected component is never empty).
 
-    DSATUR-ordered branch and bound: greedy DSATUR supplies the initial upper
-    bound (``start``, from :func:`_dsatur_start`, when the caller has run it
-    already), a greedy maximal clique the lower bound, and the clique is
-    pre-colored to break color symmetry.  The incumbent is replaced only by a
-    coloring with fewer colors, so an optimal DSATUR coloring is returned as
-    it is.  Deterministic tie-breaks throughout (saturation, then degree,
-    then ascending index).
+    DSATUR-ordered branch and bound: the greedy DSATUR coloring ``start``,
+    from :func:`_dsatur_start`, supplies the initial upper bound, a greedy
+    maximal clique the lower bound, and the clique is pre-colored to break
+    color symmetry.  The incumbent is replaced only by a coloring with fewer
+    colors, so an optimal DSATUR coloring is returned as it is.
+    Deterministic tie-breaks throughout (saturation, then degree, then
+    ascending index).
     """
-    if n == 0:
-        return []
-    base, b, best, best_k = start or _dsatur_start(adj)
+    n, (base, b, best, best_k) = len(adj), start
     low, bump = (1 << b) - 1, 1 << 2 * b
     clique = _greedy_clique(adj, base, b)
     lower = len(clique)

@@ -10,18 +10,11 @@ test: e_d must lie in rowspace(E) + span{e_i : i in S}.
 The MAIS bound (maximum acyclic induced subgraph of the side-information
 digraph over virtuals with pairwise-distinct wants) lower-bounds every code,
 linear or not.  The rate search starts from it, skipping rates it proves
-infeasible; no step checks the oracle's answer against it.  Where MAIS meets
-the exact clique cover, whose scheme is a linear code, the rate is pinned:
-``pipeline.gap_report`` then takes its oracle field from the bounds and runs
-no search.  :func:`min_linear_rate_gf2` itself always searches, so the tests
-keep it as the reference that the shortcut is checked against.
-
-The bounds pin MAIS too.  Every clique cover's scheme is a code, so a cover's
-size bounds MAIS from above; given one as ``upper``, :func:`mais_lower_bound`
-returns as soon as its best set reaches it, with the same answer as the full
-search.  ``gap_report`` passes the smaller of the greedy and DSATUR covers,
-and where MAIS meets the DSATUR cover it is the exact cover too, so the
-cover's branch and bound is skipped (``cover.DsaturCover``).
+infeasible; no step checks the oracle's answer against it, and
+:func:`min_linear_rate_gf2` always searches.  Given an ``upper`` bound,
+:func:`mais_lower_bound` returns as soon as its best set reaches it, with the
+same answer as the full search.  ``pipeline.gap_report`` states how the covers
+and these bounds pin one another.
 
 The MAIS search branches only on the has-minimal virtuals
 (:func:`has_minimal`): those with no same-want virtual whose ``has`` is a
@@ -191,10 +184,9 @@ def mais_lower_bound(u: UnicastInstance, cap: int = DEFAULT_MAIS_CAP,
     unless the closure of its arcs into the chosen set reaches a holder of
     its want.  Branches that cannot beat the best are cut.
 
-    ``upper``, when given, must be a proven upper bound on the answer, such
-    as the size of any clique cover (its scheme is a code): the search
-    returns as soon as its best set reaches it.  The best grows one virtual
-    at a time, so the answer is the same as with no bound.
+    ``upper``, when given, must be a proven upper bound on the answer: the
+    search returns as soon as its best set reaches it.  The best grows one
+    virtual at a time, so the answer is the same as with no bound.
     """
     k = len(u.virtuals)
     if k > cap:

@@ -2,9 +2,11 @@
 
 It chains the stages for ``solve``, ``gap`` and ``export-dot``: each makes
 one split form, ``UnicastInstance(inst, config.dedup)``, which is also the
-graph (its cross-neighbor rows are built on first use, once), and picks its
-cover through :func:`pick_cover`.  ``verify`` needs no graph or cover: the
-CLI splits and makes one ``scheme.verify_scheme`` call.
+graph (its cross-neighbor rows are built on first use, once).  ``solve`` and
+``export-dot`` pick their cover through :func:`pick_cover`; ``gap`` runs
+``greedy_cover`` and ``cover.DsaturCover`` (:func:`gap_report`).  ``verify``
+needs no graph or cover: the CLI splits and makes one
+``scheme.verify_scheme`` call.
 """
 
 from __future__ import annotations
@@ -34,8 +36,13 @@ class SolveConfig(_ConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.solver not in ("exact", "greedy", "auto"):
             raise ValidationError(f"unknown solver {self.solver!r}")
-        if min(self.exact_cap, self.oracle_n_cap, self.mais_cap) < 1:
-            raise ValidationError("caps must be positive")
+        if type(self.dedup) is not bool:
+            raise ValidationError(f"dedup must be a bool, not {type(self.dedup).__name__}")
+        for cap in (self.exact_cap, self.oracle_n_cap, self.mais_cap):
+            if type(cap) is not int:
+                raise ValidationError(f"caps must be integers, not {type(cap).__name__}")
+            if cap < 1:
+                raise ValidationError("caps must be positive")
         return self
 
     # _replace, copy and pickle build through _make or __new__: each validates
@@ -56,15 +63,9 @@ class RateReport(NamedTuple):
 
     Fields are None when the corresponding computation exceeded its cap.  The
     gap is the exact cover's rate minus the oracle's, never negative, since a
-    cover scheme is itself linear.  For the same reason the oracle rate is
-    taken from the bounds, with no search, when MAIS meets the exact cover.
-    The covers pin MAIS from above (its search stops when it reaches the
-    smaller of the greedy and DSATUR covers), and MAIS pins the exact cover
-    from below (it is the DSATUR cover's size when the two meet, with no
-    branch and bound); every field equals its unbounded search's.
-    A positive gap means some linear code beats the best cover, so the
-    instance is a counterexample to the claim that the clique-cover program
-    is linearly optimal.
+    cover scheme is itself linear.  A positive gap means some linear code
+    beats the best cover, so the instance is a counterexample to the claim
+    that the clique-cover program is linearly optimal.
     """
 
     mais_bound: int | None
@@ -136,15 +137,18 @@ def gap_report(inst: Instance, config: SolveConfig = SolveConfig()) -> RateRepor
 
     Each field degrades to None independently when its cap is exceeded; the
     greedy cover always computes (``config.solver`` is not read).  gap =
-    cover_exact - oracle when both exist.  The exact cover's first phase, its
-    cap test and DSATUR coloring, runs before MAIS, whose search stops at the
+    cover_exact - oracle when both exist.
+
+    The bounds pin one another, and every field equals its unbounded search's.
+    MAIS bounds every code from below, and every cover's scheme is a linear
+    code.  So the exact cover's first phase, its cap test and DSATUR coloring
+    (``cover.DsaturCover``), runs before MAIS, whose search stops at the
     smaller of the greedy and DSATUR covers.  When MAIS equals the DSATUR
     cover, that is the exact cover and its branch and bound is skipped; the
     cap is tested first, so the field stays None above ``exact_cap`` even
     there.  When MAIS equals the exact cover, the oracle rate is that value
-    and no search runs: MAIS bounds every code from below and the cover's
-    scheme is a linear code.  The oracle's cap is tested first, so its field
-    stays None above ``oracle_n_cap`` even there.
+    and no search runs.  The oracle's cap is tested first, so its field stays
+    None above ``oracle_n_cap`` even there.
     """
     u = UnicastInstance(inst, config.dedup)
     greedy = greedy_cover(u).size

@@ -20,9 +20,9 @@ from pathlib import Path
 import indexcoding
 from indexcoding import (
     CapExceeded, CliqueCover, CodingScheme, Instance, connected_components, exact_min_cover,
-    greedy_cover, mais_lower_bound, min_linear_rate_gf2, split_groupcast,
+    greedy_cover, mais_lower_bound, min_linear_rate_gf2,
 )
-from indexcoding.cover import _exact_coloring
+from indexcoding.cover import _dsatur_start, _exact_coloring
 from indexcoding.instance import UnicastInstance, VirtualReceiver, _bits
 from indexcoding.jsontext import dumps
 from indexcoding.oracle import can_decode, iter_rref_rowspaces
@@ -123,7 +123,7 @@ def reference_exact_min_cover(g: UnicastInstance) -> CliqueCover:
                 row |= 1 << local[u]
             complement.append(full & ~row & ~(1 << i))
         classes: dict[int, list[int]] = {}
-        for v, color in zip(comp, _exact_coloring(len(comp), complement)):
+        for v, color in zip(comp, _exact_coloring(complement, _dsatur_start(complement))):
             classes.setdefault(color, []).append(v)
         parts.extend(map(tuple, classes.values()))
     return CliqueCover(tuple(sorted(parts, key=lambda p: p[0])))
@@ -161,7 +161,7 @@ def entry_dicts(rows) -> list[dict]:
 def unicast_of(num_messages, pairs) -> UnicastInstance:
     """The split of an instance with one receiver per (want, has) pair, so
     virtual j has origin (j, 1)."""
-    return split_groupcast(Instance.of(num_messages, [({w}, h) for w, h in pairs]))
+    return UnicastInstance(Instance.of(num_messages, [({w}, h) for w, h in pairs]))
 
 
 def naive_min_rate(n, pairs):
@@ -306,8 +306,6 @@ def reference_exact_coloring(n, adj) -> list[int]:
     """The cover's DSATUR branch and bound as it was before the int keys: each
     node picks by a key function over the uncolored vertices and paints
     saturation rows neighbor by neighbor; a frame saves every row."""
-    if n == 0:
-        return []
     degrees = [row.bit_count() for row in adj]
     best = reference_dsatur_greedy(n, adj, degrees)
     best_k = max(best) + 1

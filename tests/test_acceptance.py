@@ -10,15 +10,13 @@ from contextlib import contextmanager
 
 from indexcoding import (
     Instance,
-    build_cross_neighbor_graph,
-    dedup,
+    UnicastInstance,
     exact_min_cover,
     gap_report,
     greedy_cover,
     mais_lower_bound,
     min_linear_rate_gf2,
     scheme_from_cover,
-    split_groupcast,
     verify_scheme_random,
     verify_scheme_symbolic,
 )
@@ -62,9 +60,8 @@ def test_c1_worked_example_reproduction():
 
 def test_c2_groupcast_split_rate_and_decoding(groupcast3):
     with criterion("C2 groupcast split achieves rate 2", 1.0):
-        u = split_groupcast(groupcast3)
-        g = build_cross_neighbor_graph(u)
-        scheme = scheme_from_cover(u, exact_min_cover(g))
+        u = UnicastInstance(groupcast3)
+        scheme = scheme_from_cover(u, exact_min_cover(u))
         assert scheme.rate == 2
         assert verify_scheme_symbolic(u, scheme) == []
         # both demands of receiver 2 are individually assigned and decoded
@@ -102,12 +99,11 @@ def test_c3_optimality_sandwich_on_random_instances():
             ), (i, report)
             # the unbounded searches, so no bound's shortcut hides a bug in another field
             assert report == reference_gap_report(inst), (i, report)
-            u = dedup(split_groupcast(inst))
+            u = UnicastInstance(inst, True)
             pinned += report.mais_bound == report.cover_rate_exact
             skipped += report.mais_bound == DsaturCover(u).size
 
-            g = build_cross_neighbor_graph(u)
-            for cover in (exact_min_cover(g), greedy_cover(g)):
+            for cover in (exact_min_cover(u), greedy_cover(u)):
                 scheme = scheme_from_cover(u, cover)
                 assert verify_scheme_symbolic(u, scheme) == []
                 assert (
@@ -148,7 +144,7 @@ def test_c6_oracle_matches_naive_matrix_enumeration():
                 for i, smask in enumerate(sides):
                     has = {j + 1 for j in range(n) if (smask >> j) & 1}
                     receivers.append(({i + 1}, has))
-                u = split_groupcast(Instance.of(n, receivers))
+                u = UnicastInstance(Instance.of(n, receivers))
                 pairs = [
                     (v.want, sum(1 << (i - 1) for i in v.has)) for v in u.virtuals
                 ]
@@ -175,8 +171,8 @@ def test_c8_mais_matches_subset_enumeration():
         assert checked == 1819
         # the audit-gap shape: 7 messages, at most 20 virtuals, dedup on and off
         for seed in range(200):
-            u_full = split_groupcast(random_instance(7, 10, 0.4, (1, 2), seed=seed))
-            for u in (u_full, dedup(u_full)):
+            inst = random_instance(7, 10, 0.4, (1, 2), seed=seed)
+            for u in (UnicastInstance(inst), UnicastInstance(inst, True)):
                 assert mais_lower_bound(u) == mais_reference(u), seed
 
 
@@ -189,5 +185,5 @@ def test_c7_performance_budgets():
     for seed in (900, 901, 902):
         with criterion(f"C7 oracle at n=6 (seed {seed})", 5.0):
             inst = random_instance(6, 6, 0.5, (1, 2), seed=seed)
-            rate = min_linear_rate_gf2(dedup(split_groupcast(inst)))
+            rate = min_linear_rate_gf2(UnicastInstance(inst, True))
             assert 1 <= rate <= 6

@@ -14,17 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indexcoding import (
+    UnicastInstance,
     ValidationError,
     bipartite_dot,
-    build_cross_neighbor_graph,
-    dedup,
     derived_dot,
     exact_min_cover,
     greedy_cover,
     parse_instance,
     scheme_from_cover,
     serialize_instance,
-    split_groupcast,
 )
 from indexcoding import cli as cli_module
 from indexcoding import cover as cover_module
@@ -366,9 +364,8 @@ class TestOutputDigest:
             records.append(text)
             path = tmp_path / f"inst{k}.json"
             path.write_text(text)
-            u = dedup(split_groupcast(inst))
-            g = build_cross_neighbor_graph(u)
-            records.append(serialize_scheme(scheme_from_cover(u, greedy_cover(g))))
+            u = UnicastInstance(inst, True)
+            records.append(serialize_scheme(scheme_from_cover(u, greedy_cover(u))))
             for argv in (["solve"], ["solve", "--no-dedup", "--solver", "greedy"],
                          ["gap"],
                          ["gap", "--oracle-cap", "2", "--mais-cap", "1"]):
@@ -458,7 +455,7 @@ class TestGap:
         # MAIS branches only on has-minimal virtuals, but its cap counts them all
         _, text, _ = run(capsys, "gen", "-n", "7", "-m", "10", "-p", "0.4",
                          "--demand-max", "2", "--seed", "6")
-        u = dedup(split_groupcast(parse_instance(text)))
+        u = UnicastInstance(parse_instance(text), True)
         assert (len(u.virtuals), has_minimal(u).bit_count()) == (15, 11)
         path = tmp_path / "dominated.json"
         path.write_text(text)
@@ -516,7 +513,7 @@ class TestGap:
                                                                monkeypatch):
         # components of 3, 5, 5 and 1 virtuals; MAIS meets the DSATUR cover, so
         # gap skips the branch and bound, but only under the cap
-        def no_search(n, rows, start=None):
+        def no_search(rows, start):
             raise AssertionError("the branch and bound ran")
 
         _, text, _ = run(capsys, "gen", "-n", "7", "-m", "10", "-p", "0.4",
@@ -694,7 +691,7 @@ class TestExportDot:
                 return len(text)
 
         inst = parse_instance(Path(EXAMPLE6).read_text())
-        g = build_cross_neighbor_graph(dedup(split_groupcast(inst)))
+        g = UnicastInstance(inst, True)
         for argv, chunks in [
             (("--variant", "bipartite"), list(bipartite_dot(inst))),
             ((), list(derived_dot(g))),
@@ -762,10 +759,9 @@ class TestExportDot:
         code, out, _ = run(capsys, "export-dot", str(path), "--overlay-cover",
                            "--solver", "greedy")
         assert code == 0
-        u = dedup(split_groupcast(parse_instance(path.read_text())))
-        g = build_cross_neighbor_graph(u)
-        assert greedy_cover(g).size == 3
-        assert out == "".join(derived_dot(g, greedy_cover(g)))
+        u = UnicastInstance(parse_instance(path.read_text()), True)
+        assert greedy_cover(u).size == 3
+        assert out == "".join(derived_dot(u, greedy_cover(u)))
         assert out != default
 
 

@@ -57,54 +57,22 @@ def neighbour_walk_components(g):
 
 class TestBuild:
     def test_worked_example_edge_set(self, example6):
-        g = build_cross_neighbor_graph(split_groupcast(example6))
+        g = UnicastInstance(example6)
         assert set(g.edges()) == {(0, 2), (0, 3), (2, 3), (1, 4)}
         assert g.adjacency[5] == 0
 
     def test_groupcast_split_edges(self, groupcast3):
-        g = build_cross_neighbor_graph(split_groupcast(groupcast3))
+        g = UnicastInstance(groupcast3)
         # v0 pairs with both split halves of receiver 2; 2 not in {1} blocks v1-v2
         assert set(g.edges()) == {(0, 1), (0, 2)}
 
     def test_no_side_info_no_edges(self):
         u = unicast_of(4, [(1, ()), (2, ()), (3, ()), (4, ())])
-        assert build_cross_neighbor_graph(u).edges() == []
+        assert u.edges() == []
 
     def test_equal_want_edge(self):
         u = unicast_of(3, [(1, {2}), (1, {3})])
-        assert build_cross_neighbor_graph(u).edges() == [(0, 1)]
-
-    @pytest.mark.parametrize("make", [build_cross_neighbor_graph],
-                             ids=["build_cross_neighbor_graph"])
-    def test_one_rule_and_no_strict_argument(self, make):
-        # the graph always joins equal wants; a second, strict argument is
-        # an unknown one, positional or by name
-        u = unicast_of(3, [(1, {2}), (1, {3})])
-        assert make(u).edges() == [(0, 1)]
-        for call in (lambda: make(u, True), lambda: make(u, strict=True)):
-            with pytest.raises(TypeError):
-                call()
-
-    @pytest.mark.parametrize(
-        "make, named",
-        [
-            (lambda u: build_cross_neighbor_graph((0b10, 0b01)), "tuple"),  # hand-made rows
-            (lambda u: build_cross_neighbor_graph(u.instance), "Instance"),
-            (lambda u: build_cross_neighbor_graph(u.virtuals), "tuple"),
-        ],
-        ids=["rows", "instance", "virtuals"],
-    )
-    def test_graph_is_made_only_from_a_split_form(self, make, named):
-        u = unicast_of(2, [(1, {2}), (2, {1})])
-        with pytest.raises(ValidationError) as exc:
-            make(u)
-        assert str(exc.value) == (
-            f"a cross-neighbor graph takes a UnicastInstance, not {named}")
-        # the graph is the split form itself, its rows built by the call
-        assert "adjacency" not in vars(u)
-        g = build_cross_neighbor_graph(u)
-        assert g is u and "adjacency" in vars(u)
-        assert (g.vertex_count, g.adjacency) == (2, (0b10, 0b01))
+        assert u.edges() == [(0, 1)]
 
     def test_rows_are_a_cached_view_of_the_split(self, monkeypatch, example6):
         # built on first use and once; a split with rows still equals and
@@ -117,7 +85,7 @@ class TestBuild:
         assert built == [] and u.vertex_count == 6
         edges = u.edges()
         assert built == [u] and "adjacency" in vars(u)
-        assert build_cross_neighbor_graph(u) is u and u.edges() == edges
+        assert u.edges() == edges
         assert connected_components(u) == [(0, 2, 3), (1, 4), (5,)]
         assert exact_min_cover(u) == greedy_cover(u)
         assert built == [u]
@@ -153,20 +121,16 @@ class TestBuild:
             density = (0.0, 0.2, 0.5, 0.8, 1.0)[seed % 5]
             hi = rng.randint(1, min(4, n))
             inst = random_instance(n, rng.randint(0, 12), density, (1, hi), seed=seed)
-            full = split_groupcast(inst)
-            cases += [full, dedup(full)]
+            cases += [UnicastInstance(inst), UnicastInstance(inst, True)]
         for u in cases:
-            g = build_cross_neighbor_graph(u)
-            assert g.adjacency == pairwise_cross_neighbor_rows(u), u
+            assert u.adjacency == pairwise_cross_neighbor_rows(u), u
         sizes = {len(u.virtuals) for u in cases}
         assert {0, 1} <= sizes and max(sizes) > 30
 
     def test_monotone_in_side_information(self):
         for seed in range(30):
             inst = random_instance(5, 5, 0.3, (1, 2), seed=seed)
-            before = set(
-                build_cross_neighbor_graph(split_groupcast(inst)).edges()
-            )
+            before = set(UnicastInstance(inst).edges())
             grown = []
             for j, r in enumerate(inst.receivers):
                 free = sorted(set(range(1, 6)) - r.wants - r.has)
@@ -174,17 +138,12 @@ class TestBuild:
                     grown.append((r.wants, r.has | {free[0]}))
                 else:
                     grown.append((r.wants, r.has))
-            after = set(
-                build_cross_neighbor_graph(
-                    split_groupcast(Instance.of(5, grown))
-                ).edges()
-            )
+            after = set(UnicastInstance(Instance.of(5, grown)).edges())
             assert before <= after
 
     def test_every_edge_supports_a_pair_transmission(self, example6):
-        u = split_groupcast(example6)
-        g = build_cross_neighbor_graph(u)
-        for p, q in g.edges():
+        u = UnicastInstance(example6)
+        for p, q in u.edges():
             vp, vq = u.virtuals[p], u.virtuals[q]
             if vp.want == vq.want:
                 continue
@@ -199,9 +158,8 @@ class TestBuild:
         # member's side info (minus its own want)
         for seed in range(20):
             inst = random_instance(6, 6, 0.5, (1, 2), seed=100 + seed)
-            u = dedup(split_groupcast(inst))
-            g = build_cross_neighbor_graph(u)
-            for cover in (exact_min_cover(g), greedy_cover(g)):
+            u = UnicastInstance(inst, True)
+            for cover in (exact_min_cover(u), greedy_cover(u)):
                 for part in cover.parts:
                     wants = {u.virtuals[v].want for v in part}
                     for v in part:
@@ -209,10 +167,49 @@ class TestBuild:
                         assert rest <= u.virtuals[v].has
 
 
+class TestStageWrappers:
+    """``split_groupcast``, ``dedup`` and ``build_cross_neighbor_graph``, which
+    the benchmark's replay times as stages, make or return a split form and
+    nothing else; no other code calls them."""
+
+    def test_split_and_dedup_are_the_split_forms(self):
+        fields = lambda u: (u.instance, u.dedup, u.demands, u.virtuals, u.dedup_map)
+        removed = 0
+        for inst in [Instance.of(3, [({1, 2}, {3})] * 2),
+                     *(random_instance(7, 10, 0.4, (1, 2), seed=s) for s in range(20))]:
+            assert fields(split_groupcast(inst)) == fields(UnicastInstance(inst))
+            for u in (UnicastInstance(inst), UnicastInstance(inst, True)):
+                assert fields(dedup(u)) == fields(UnicastInstance(u.instance, True))
+            removed += len(dedup(UnicastInstance(inst)).dedup_map)
+        assert removed
+
+    @pytest.mark.parametrize(
+        "make, named",
+        [
+            (lambda u: build_cross_neighbor_graph((0b10, 0b01)), "tuple"),  # hand-made rows
+            (lambda u: build_cross_neighbor_graph(u.instance), "Instance"),
+            (lambda u: build_cross_neighbor_graph(u.virtuals), "tuple"),
+        ],
+        ids=["rows", "instance", "virtuals"],
+    )
+    def test_graph_is_made_only_from_a_split_form(self, make, named):
+        u = unicast_of(2, [(1, {2}), (2, {1})])
+        with pytest.raises(ValidationError) as exc:
+            make(u)
+        assert str(exc.value) == (
+            f"a cross-neighbor graph takes a UnicastInstance, not {named}")
+        # the graph is the split form itself, its rows built by the first call
+        assert "adjacency" not in vars(u)
+        assert build_cross_neighbor_graph(u) is u and "adjacency" in vars(u)
+        rows = u.adjacency
+        assert build_cross_neighbor_graph(u) is u and u.adjacency is rows
+        assert (u.vertex_count, rows) == (2, (0b10, 0b01))
+
+
 class TestIdsInRange:
     def test_ids_at_the_bounds_pass(self):
         u = unicast_of(3, [(1, {3}), (3, {1}), (2, set())])
-        assert build_cross_neighbor_graph(u).edges() == [(0, 1)]
+        assert u.edges() == [(0, 1)]
         assert mais_lower_bound(u) == 2
 
 
@@ -232,7 +229,7 @@ class TestClosure:
 
 class TestComponents:
     def test_worked_example_components(self, example6):
-        g = build_cross_neighbor_graph(split_groupcast(example6))
+        g = UnicastInstance(example6)
         assert connected_components(g) == [(0, 2, 3), (1, 4), (5,)]
 
     def test_edgeless_singletons(self):
@@ -273,15 +270,14 @@ class TestDot:
         assert "  r1 -- m1 [style=dashed];" in dot
 
     def test_derived_nodes_and_edges(self, example6):
-        u = split_groupcast(example6)
-        g = build_cross_neighbor_graph(u)
-        dot = "".join(derived_dot(g))
+        u = UnicastInstance(example6)
+        dot = "".join(derived_dot(u))
         for j in range(1, 7):
             assert f"r{j}_1 [" in dot
         assert sum("--" in l for l in dot.splitlines()) == 4
         assert "r1_1 -- r3_1;" in dot
         # the edge lines are edges(), in its order, on a groupcast instance too
-        for h in (g, split_groupcast(random_instance(12, 20, 0.5, (1, 3), seed=1))):
+        for h in (u, UnicastInstance(random_instance(12, 20, 0.5, (1, 3), seed=1))):
             names = [f"r{j}_{k}" for j, k in (v.origin for v in h.virtuals)]
             assert [l for l in "".join(derived_dot(h)).splitlines() if " -- " in l] == [
                 f"  {names[p]} -- {names[q]};" for p, q in h.edges()
@@ -295,7 +291,7 @@ class TestDot:
         assert all(c.count("\n") == 1 for c in chunks[1:-1 - m])
         for j, (r, c) in enumerate(zip(inst.receivers, chunks[-1 - m:-1]), start=1):
             assert c.count(f"  r{j} -- m") == c.count("\n") == len(r.wants) + len(r.has)
-        g = split_groupcast(inst)
+        g = UnicastInstance(inst)
         k = g.vertex_count
         chunks = list(derived_dot(g, greedy_cover(g)))
         assert len(chunks) == 2 * k + 2 and chunks[-1] == "}\n"
@@ -305,16 +301,14 @@ class TestDot:
 
     def test_derived_empty_instance(self):
         inst = Instance.of(3, [])
-        u = split_groupcast(inst)
-        g = build_cross_neighbor_graph(u)
-        dot = "".join(derived_dot(g))
+        u = UnicastInstance(inst)
+        dot = "".join(derived_dot(u))
         assert dot == "graph cross_neighbors {\n}\n"
 
     def test_cover_overlay_colors(self, example6):
-        u = split_groupcast(example6)
-        g = build_cross_neighbor_graph(u)
-        cover = exact_min_cover(g)
-        dot = "".join(derived_dot(g, cover))
+        u = UnicastInstance(example6)
+        cover = exact_min_cover(u)
+        dot = "".join(derived_dot(u, cover))
         assert dot.count("style=filled") == 6
         # members of one part share a fill color
         fills = {
@@ -325,7 +319,6 @@ class TestDot:
         assert len(fills) == 1
 
     def test_groupcast_node_names_use_ordinals(self, groupcast3):
-        u = split_groupcast(groupcast3)
-        g = build_cross_neighbor_graph(u)
-        dot = "".join(derived_dot(g))
+        u = UnicastInstance(groupcast3)
+        dot = "".join(derived_dot(u))
         assert "r2_1 [" in dot and "r2_2 [" in dot

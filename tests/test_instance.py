@@ -10,14 +10,12 @@ from indexcoding import (
     Instance,
     Receiver,
     ValidationError,
-    dedup,
     parse_instance,
     serialize_instance,
-    split_groupcast,
 )
 from indexcoding import instance as instance_module
 from indexcoding.generate import random_instance
-from indexcoding.graph import bipartite_dot, build_cross_neighbor_graph
+from indexcoding.graph import bipartite_dot
 from indexcoding.instance import (
     UnicastInstance, VirtualReceiver, _violations, instance_from_jsonable,
 )
@@ -336,9 +334,9 @@ class TestValidateOnce:
                             lambda cls, *fields: calls.append(fields) or check(cls, *fields))
         inst = parse_instance('{"num_messages": 2, "receivers": [{"wants": [1], "has": [2]}]}')
         assert calls == [tuple(inst)]
-        split_groupcast(inst)
+        UnicastInstance(inst)
         assert calls == [tuple(inst)]
-        split_groupcast(inst._replace())
+        UnicastInstance(inst._replace())
         assert len(calls) == 2
         # a failing parse builds one Instance and lists its violations once
         walks = []
@@ -474,7 +472,7 @@ class TestConstructorMatchesWalk:
 
 class TestSplit:
     def test_split_groupcast_pair(self, groupcast3):
-        u = split_groupcast(groupcast3)
+        u = UnicastInstance(groupcast3)
         got = [(v.want, set(v.has), v.origin) for v in u.virtuals]
         assert got == [
             (1, {2, 3}, (1, 1)),
@@ -483,7 +481,7 @@ class TestSplit:
         ]
 
     def test_split_already_unicast_identity(self, example6):
-        u = split_groupcast(example6)
+        u = UnicastInstance(example6)
         assert len(u.virtuals) == 6
         for v, r in zip(u.virtuals, example6.receivers):
             assert {v.want} == set(r.wants)
@@ -491,19 +489,19 @@ class TestSplit:
 
     def test_split_duplicate_demands(self):
         inst = Instance.of(3, [({1, 2}, {3}), ({1, 2}, {3})])
-        u = split_groupcast(inst)
+        u = UnicastInstance(inst)
         keys = [(v.want, v.has) for v in u.virtuals]
         assert len(u.virtuals) == 4
         assert keys[0] == keys[2] and keys[1] == keys[3]
 
     def test_split_rejects_invalid(self):
         with pytest.raises(ValidationError):
-            split_groupcast(Instance.of(2, [({1}, {1})]))
+            UnicastInstance(Instance.of(2, [({1}, {1})]))
 
     @pytest.mark.parametrize("args, types", [
         # the old call, which took virtuals built by hand
         (lambda inst: (3, (VirtualReceiver(1, frozenset({2}), (1, 1)),)), "int and tuple"),
-        (lambda inst: (split_groupcast(inst),), "UnicastInstance and bool"),
+        (lambda inst: (UnicastInstance(inst),), "UnicastInstance and bool"),
         (lambda inst: (json.loads(serialize_instance(inst)),), "dict and bool"),
         (lambda inst: (inst, 1), "Instance and int"),
         (lambda inst: (inst, 0), "Instance and int"),
@@ -528,7 +526,7 @@ class TestSplit:
 
     @given(instances())
     def test_split_count_and_faithfulness(self, inst):
-        u = split_groupcast(inst)
+        u = UnicastInstance(inst)
         assert len(u.virtuals) == sum(len(r.wants) for r in inst.receivers)
         per_receiver: dict[int, list[int]] = {}
         for v in u.virtuals:
@@ -543,25 +541,25 @@ class TestSplit:
 class TestDedup:
     def test_dedup_duplicate_pairs(self):
         inst = Instance.of(3, [({1, 2}, {3}), ({1, 2}, {3})])
-        u = dedup(split_groupcast(inst))
+        u = UnicastInstance(inst, True)
         assert len(u.virtuals) == 2
         assert u.dedup_map == {2: 0, 3: 1}
 
     def test_dedup_all_distinct_is_noop(self, example6):
-        u = dedup(split_groupcast(example6))
+        u = UnicastInstance(example6, True)
         assert len(u.virtuals) == 6
         assert u.dedup_map == {}
 
     def test_dedup_three_identical(self):
         inst = Instance.of(2, [({1}, {2})] * 3)
-        u = dedup(split_groupcast(inst))
+        u = UnicastInstance(inst, True)
         assert len(u.virtuals) == 1
         assert u.dedup_map == {1: 0, 2: 0}
 
     @given(instances())
     def test_dedup_keeps_first_occurrences(self, inst):
-        pre = split_groupcast(inst)
-        post = dedup(pre)
+        pre = UnicastInstance(inst)
+        post = UnicastInstance(inst, True)
         assert len({(v.want, v.has) for v in post.virtuals}) == len(post.virtuals)
         for removed, rep in post.dedup_map.items():
             assert rep < removed
@@ -587,7 +585,7 @@ class TestOneSplit:
         [u] = made
         assert u == UnicastInstance(inst, flag) and u.dedup is flag
         assert "adjacency" in vars(u)
-        assert u.demands == split_groupcast(inst).virtuals
+        assert u.demands == UnicastInstance(inst).virtuals
         assert len(u.virtuals) == (3 if flag else 5)
         assert u.vertex_count == len(u.virtuals) == len(u.adjacency)
         assert [(origin, want) for origin, want, _ in outcome.assignments] == [
@@ -604,7 +602,6 @@ class TestOneSplit:
         inst = Instance.of(2, [({1}, set()), ({1}, {2})])
         u = UnicastInstance(inst, dedup=False)
         assert u.edges() == [(0, 1)]
-        assert build_cross_neighbor_graph(u) is u
         assert solve_instance(inst, SolveConfig(dedup=False)).scheme.rate == 1
         with pytest.raises(TypeError):
             UnicastInstance(inst, False, True)

@@ -5,16 +5,14 @@ import pytest
 
 from indexcoding import (
     CapExceeded,
+    UnicastInstance,
     ValidationError,
-    build_cross_neighbor_graph,
-    dedup,
     exact_min_cover,
     gap_report,
     greedy_cover,
     mais_lower_bound,
     min_linear_rate_gf2,
     scheme_from_cover,
-    split_groupcast,
 )
 from indexcoding import cover as cover_module
 from indexcoding import oracle as oracle_module
@@ -89,9 +87,9 @@ def audit_gap_splits(seeds):
     """The audit-gap shape, 7 messages and at most 20 virtuals, split with
     dedup off and on."""
     for seed in seeds:
-        full = split_groupcast(random_instance(7, 10, 0.4, (1, 2), seed=seed))
-        yield full
-        yield dedup(full)
+        inst = random_instance(7, 10, 0.4, (1, 2), seed=seed)
+        yield UnicastInstance(inst)
+        yield UnicastInstance(inst, True)
 
 
 def c3_instances():
@@ -110,7 +108,7 @@ class TestHasMinimal:
         # 0 = {2, 3} loses to 1 = {2} and 2 = {3}; 4 repeats 1; want 2 stands alone
         u = unicast_of(3, [(1, {2, 3}), (1, {2}), (1, {3}), (2, ()), (1, {2})])
         assert has_minimal(u) == 0b11110
-        assert has_minimal(dedup(u)) == 0b1110
+        assert has_minimal(UnicastInstance(u.instance, True)) == 0b1110
 
     def test_no_virtuals(self):
         assert has_minimal(unicast_of(3, [])) == 0
@@ -135,7 +133,7 @@ class TestHasMinimal:
 class TestVirtualMasks:
     def test_every_distinct_pair_in_virtual_order(self):
         for full in three_message_tuples():
-            for u in (full, dedup(full)):
+            for u in (full, UnicastInstance(full.instance, True)):
                 assert oracle_module._virtual_masks(u) == list(
                     dict.fromkeys((v.want, mask(v.has)) for v in u.virtuals)
                 )
@@ -199,22 +197,22 @@ class TestPrunedOracleWitness:
 
     def test_c3_instances(self):
         for inst in c3_instances():
-            self.check(dedup(split_groupcast(inst)))
+            self.check(UnicastInstance(inst, True))
 
     def test_audit_gap_seeds(self):
         audit_gap = (random_instance(7, 10, 0.4, (1, 2), seed=s) for s in range(2000, 2200))
         dense = (random_instance(7, 10, 0.8, (1, 3), seed=s) for s in range(2000, 2040))
         for inst in itertools.chain(audit_gap, dense):
-            self.check(dedup(split_groupcast(inst)))
+            self.check(UnicastInstance(inst, True))
 
 
 class TestMinLinearRate:
     def test_worked_example_rate(self, example6):
-        u = dedup(split_groupcast(example6))
+        u = UnicastInstance(example6, True)
         assert min_linear_rate_gf2(u) == 3
 
     def test_directed_cycle_beats_cover(self, cycle3):
-        u = dedup(split_groupcast(cycle3))
+        u = UnicastInstance(cycle3, True)
         assert min_linear_rate_gf2(u) == 2
 
     def test_single_receiver(self):
@@ -235,19 +233,19 @@ class TestMinLinearRate:
         assert min_linear_rate_gf2(u) == 3
 
     def test_lower_bound_sets_the_start_not_the_answer(self, cycle3):
-        u = dedup(split_groupcast(cycle3))
+        u = UnicastInstance(cycle3, True)
         assert [min_linear_rate_gf2(u, lower_bound=b) for b in (0, 1, 2)] == [2, 2, 2]
 
     def test_undecodable_input_raises(self, cycle3):
         # the n unit vectors decode every valid input, so no bound exceeds n
         with pytest.raises(ValidationError, match="lower bound 4 exceeds the 3 messages"):
-            min_linear_rate_gf2(dedup(split_groupcast(cycle3)), lower_bound=4)
-        assert min_linear_rate_gf2(dedup(split_groupcast(cycle3)), lower_bound=3) == 3
+            min_linear_rate_gf2(UnicastInstance(cycle3, True), lower_bound=4)
+        assert min_linear_rate_gf2(UnicastInstance(cycle3, True), lower_bound=3) == 3
 
     def test_witness_decodes_every_virtual(self):
         for seed in range(20):
             inst = random_instance(5, 5, 0.5, (1, 2), seed=seed)
-            u = dedup(split_groupcast(inst))
+            u = UnicastInstance(inst, True)
             rate, witness = min_linear_rate_gf2(u, with_witness=True)
             assert type(witness) is tuple and len(witness) == rate
             assert all(type(row) is int and 0 < row < 1 << u.num_messages for row in witness)
@@ -258,7 +256,7 @@ class TestMinLinearRate:
     def test_matches_naive_enumeration_spot_checks(self):
         for seed in range(15):
             inst = random_instance(4, 4, 0.5, (1, 2), seed=40 + seed)
-            u = dedup(split_groupcast(inst))
+            u = UnicastInstance(inst, True)
             pairs = [(v.want, mask(v.has)) for v in u.virtuals]
             assert min_linear_rate_gf2(u) == naive_min_rate(4, pairs)
 
@@ -266,9 +264,8 @@ class TestMinLinearRate:
         # cross-validates the cover pipeline against the oracle's rank test
         for seed in range(20):
             inst = random_instance(6, 6, 0.5, (1, 2), seed=seed)
-            u = dedup(split_groupcast(inst))
-            g = build_cross_neighbor_graph(u)
-            s = scheme_from_cover(u, exact_min_cover(g))
+            u = UnicastInstance(inst, True)
+            s = scheme_from_cover(u, exact_min_cover(u))
             rows = [mask(t) for t in s.transmissions]
             for v in u.virtuals:
                 assert can_decode(rows, v.want, mask(v.has))
@@ -276,10 +273,10 @@ class TestMinLinearRate:
 
 class TestMais:
     def test_worked_example(self, example6):
-        assert mais_lower_bound(dedup(split_groupcast(example6))) == 3
+        assert mais_lower_bound(UnicastInstance(example6, True)) == 3
 
     def test_directed_cycle(self, cycle3):
-        assert mais_lower_bound(dedup(split_groupcast(cycle3))) == 2
+        assert mais_lower_bound(UnicastInstance(cycle3, True)) == 2
 
     def test_complete_side_information(self):
         u = unicast_of(3, [(1, {2, 3}), (2, {1, 3}), (3, {1, 2})])
@@ -374,7 +371,7 @@ class TestGapReport:
             # the unbounded searches agree whichever bound pinned a field
             assert r == reference_gap_report(inst), seed
             pinned += r.mais_bound == r.cover_rate_exact
-            skipped += r.mais_bound == DsaturCover(dedup(split_groupcast(inst))).size
+            skipped += r.mais_bound == DsaturCover(UnicastInstance(inst, True)).size
         assert 0 < pinned < 40
         assert 0 < skipped < 40  # the branch and bound skipped, and run
 
@@ -401,7 +398,7 @@ class TestBoundsPinCoverAndMais:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_upper_bound_changes_no_mais(self, shape):
         for inst in self.SHAPES[shape]:
-            u = dedup(split_groupcast(inst))
+            u = UnicastInstance(inst, True)
             mais = mais_lower_bound(u, cap=64)
             dsatur = DsaturCover(u, cap=64)
             for upper in (greedy_cover(u).size, dsatur.size, dsatur.minimum().size):
@@ -413,11 +410,11 @@ class TestBoundsPinCoverAndMais:
         # and bound keeps an optimal start, so skipping it leaves the parts
         optimal = []
         for inst in self.SHAPES[shape]:
-            u = dedup(split_groupcast(inst))
+            u = UnicastInstance(inst, True)
             cover = exact_min_cover(u, cap=64)
             if DsaturCover(u, cap=64).size == cover.size:
                 optimal.append((u, cover))
-        monkeypatch.setattr(cover_module, "_exact_coloring", lambda n, rows, start: start[2])
+        monkeypatch.setattr(cover_module, "_exact_coloring", lambda rows, start: start[2])
         for u, cover in optimal:
             assert DsaturCover(u, cap=64).minimum().parts == cover.parts
         assert optimal
@@ -428,16 +425,16 @@ class TestBoundsPinCoverAndMais:
         expected = [reference_gap_report(inst) for inst in cases]
         calls = []
 
-        def counting_coloring(n, rows, start=None):
-            calls.append(n)
-            return _exact_coloring(n, rows, start)
+        def counting_coloring(rows, start):
+            calls.append(len(rows))
+            return _exact_coloring(rows, start)
 
         monkeypatch.setattr(cover_module, "_exact_coloring", counting_coloring)
         met = 0
         for inst, report in zip(cases, expected):
             del calls[:]
             assert gap_report(inst) == report
-            if meets_dsatur(dedup(split_groupcast(inst))):
+            if meets_dsatur(UnicastInstance(inst, True)):
                 met += 1
                 assert calls == []
             else:

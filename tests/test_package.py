@@ -63,6 +63,30 @@ def test_every_name_the_benchmark_imports_resolves():
     assert missing == []
 
 
+def test_only_the_contract_class_calls_the_stage_wrappers():
+    # the split form is the graph, built by UnicastInstance(inst, dedup): the
+    # three wrappers stay for the benchmark's replay alone, and one class pins
+    # what it relies on
+    wrappers = {"split_groupcast", "dedup", "build_cross_neighbor_graph"}
+    root = PACKAGE_DIR.parent.parent
+    calls = []
+    for path in sorted(path for folder in ("src", "tests", "demos")
+                       for path in (root / folder).rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # the nodes inside a wrapper's definition or the contract class
+        allowed = {id(inner) for node in ast.walk(tree)
+                   if (isinstance(node, ast.FunctionDef) and node.name in wrappers)
+                   or (isinstance(node, ast.ClassDef) and node.name == "TestStageWrappers")
+                   for inner in ast.walk(node)}
+        # a call by name or attribute; a dedup= keyword or a .dedup read is no call
+        calls += [
+            f"{path.relative_to(root)}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in wrappers
+        ]
+    assert calls == []
+
+
 def test_every_module_parses_as_python_3_10():
     # grammar only: the CI matrix runs 3.10, and ast's feature_version checks
     # no library call that 3.10 lacks
@@ -126,9 +150,22 @@ def test_every_public_record_is_read_only():
         assert hasattr(record, "__dict__") == (type(record) is UnicastInstance)
 
 
+def test_solve_config_names_a_field_of_the_wrong_type():
+    for fields, message in [({"exact_cap": "40"}, "caps must be integers, not str"),
+                            ({"oracle_n_cap": None}, "caps must be integers, not NoneType"),
+                            ({"mais_cap": True}, "caps must be integers, not bool"),
+                            ({"mais_cap": 0}, "caps must be positive"),
+                            ({"dedup": 1}, "dedup must be a bool, not int")]:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SolveConfig(**fields)
+
+
 @pytest.mark.parametrize("cls, valid, invalid", [
     (Instance, (3, (Receiver.of({1}, {2}),)), (2, (Receiver.of({1}, {3}),))),
     (SolveConfig, ("exact", False, 5, 6, 7), ("exact", False, 0, 6, 7)),
+    (SolveConfig, ("exact", False, 5, 6, 7), ("exact", False, "5", 6, 7)),
+    (SolveConfig, ("exact", False, 5, 6, 7), ("exact", False, 5, True, 7)),
+    (SolveConfig, ("exact", False, 5, 6, 7), ("exact", 1, 5, 6, 7)),
 ])
 def test_every_way_to_build_a_validating_record_validates(monkeypatch, cls, valid, invalid):
     record = cls(*valid)

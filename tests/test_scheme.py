@@ -10,16 +10,14 @@ from indexcoding import (
     CliqueCover,
     CodingScheme,
     Instance,
+    UnicastInstance,
     ValidationError,
-    build_cross_neighbor_graph,
     decode_receiver,
-    dedup,
     encode,
     exact_min_cover,
     greedy_cover,
     parse_scheme,
     scheme_from_cover,
-    split_groupcast,
     verify_scheme,
     verify_scheme_random,
     verify_scheme_symbolic,
@@ -38,9 +36,8 @@ from helpers import (
 
 
 def solve(inst, solver=exact_min_cover):
-    u = dedup(split_groupcast(inst))
-    g = build_cross_neighbor_graph(u)
-    return u, scheme_from_cover(u, solver(g))
+    u = UnicastInstance(inst, True)
+    return u, scheme_from_cover(u, solver(u))
 
 
 def groupcast_satisfied(inst: Instance, s: CodingScheme) -> bool:
@@ -73,26 +70,24 @@ class TestSchemeFromCover:
 
     def test_duplicate_wants_collapse(self):
         inst = Instance.of(2, [({1}, {2}), ({1}, ()), ({2}, {1})])
-        u = split_groupcast(inst)  # no dedup: virtuals 0 and 1 both want 1
-        g = build_cross_neighbor_graph(u)
-        assert (g.adjacency[0] >> 1) & 1
-        cover = exact_min_cover(g)
+        u = UnicastInstance(inst)  # no dedup: virtuals 0 and 1 both want 1
+        assert (u.adjacency[0] >> 1) & 1
+        cover = exact_min_cover(u)
         s = scheme_from_cover(u, cover)
         for t in s.transmissions:
             assert len(t) == len(set(t))
         assert verify_scheme_symbolic(u, s) == []
 
     def test_rejects_invalid_cover(self, example6):
-        u = split_groupcast(example6)
+        u = UnicastInstance(example6)
         with pytest.raises(ValidationError, match="invalid cover"):
             scheme_from_cover(u, CliqueCover(((0, 1), (2, 3), (4, 5))))
 
     def test_rate_equals_cover_size(self):
         for seed in range(30):
             inst = random_instance(6, 5, 0.5, (1, 2), seed=seed)
-            u = dedup(split_groupcast(inst))
-            g = build_cross_neighbor_graph(u)
-            for cover in (exact_min_cover(g), greedy_cover(g)):
+            u = UnicastInstance(inst, True)
+            for cover in (exact_min_cover(u), greedy_cover(u)):
                 assert scheme_from_cover(u, cover).rate == cover.size
 
 
@@ -142,21 +137,19 @@ class TestCoverCheckMatchesGraphCheck:
             n = rng.randint(2, 7)
             density = (0.2, 0.5, 0.8, 1.0)[seed % 4]
             inst = random_instance(n, rng.randint(1, 6), density, (1, min(3, n)), seed=seed)
-            full = split_groupcast(inst)
-            for u in (full, dedup(full)):
+            for u in (UnicastInstance(inst), UnicastInstance(inst, True)):
                 k = len(u.virtuals)
-                g = build_cross_neighbor_graph(u)
                 strict = graph_of_rows(pairwise_cross_neighbor_rows(u, strict=True))
                 covers = [
-                    exact_min_cover(g),
+                    exact_min_cover(u),
                     greedy_cover(strict),
                     exact_min_cover(strict),
                     random_partition(rng, k),
                     random_partition(rng, k),
                 ]
-                covers += defective_covers(greedy_cover(g), k)
+                covers += defective_covers(greedy_cover(u), k)
                 for cover in covers:
-                    expected_ok = verify_cover(g, cover) is None
+                    expected_ok = verify_cover(u, cover) is None
                     try:
                         scheme_from_cover(u, cover)
                     except ValidationError as exc:
@@ -218,20 +211,20 @@ class TestEncodeDecode:
     def test_decode_requires_the_want_in_the_transmission(self):
         # the virtual holds every summand of transmission 0, but it wants 1
         s = CodingScheme(2, ((2,), (1,)))
-        v = split_groupcast(Instance.of(2, [({1}, {2})])).virtuals[0]
+        v = UnicastInstance(Instance.of(2, [({1}, {2})])).virtuals[0]
         with pytest.raises(ValidationError, match="not decodable"):
             decode_receiver(s, v, (5, 7), {2: 5}, 0)
         assert decode_receiver(s, v, (5, 7), {2: 5}, 1) == 7
 
     def test_decode_missing_side_word(self):
         s = CodingScheme(2, ((1, 2),))
-        v = split_groupcast(Instance.of(2, [({1}, {2})])).virtuals[0]
+        v = UnicastInstance(Instance.of(2, [({1}, {2})])).virtuals[0]
         with pytest.raises(ValidationError, match="^no word for message 2$"):
             decode_receiver(s, v, (3,), {}, 0)
         assert decode_receiver(s, v, (3,), {2: 1}, 0) == 2
 
     def test_decode_rejects_a_short_received(self, example6):
-        v = split_groupcast(Instance.of(2, [({1}, {2})])).virtuals[0]
+        v = UnicastInstance(Instance.of(2, [({1}, {2})])).virtuals[0]
         with pytest.raises(ValidationError, match=r"^received 0 words for 1 transmissions$"):
             decode_receiver(CodingScheme(2, ((1, 2),)), v, (), {2: 1}, 0)
         u, s = solve(example6)
@@ -286,12 +279,12 @@ class TestVerification:
         assert verify_scheme_random(u, s, trials=100, seed=1) is None
 
     def test_missing_transmission_detected(self, example6):
-        u = split_groupcast(example6)
+        u = UnicastInstance(example6)
         s = CodingScheme(6, ((1, 3, 4), (2, 5)))
         assert verify_scheme_symbolic(u, s) == [5]
 
     def test_over_wide_transmission_detected(self, groupcast3):
-        u = split_groupcast(groupcast3)
+        u = UnicastInstance(groupcast3)
         s = CodingScheme(3, ((1, 2, 3),))
         # virtual 1 lacks 3 and virtual 2 lacks 2 in side info
         assert verify_scheme_symbolic(u, s) == [1, 2]
@@ -299,12 +292,12 @@ class TestVerification:
     def test_mutated_transmission_set(self, example6):
         # dropping 4 from the first transmission leaves the want-4 virtual
         # with no usable transmission; every other virtual keeps one
-        u = split_groupcast(example6)
+        u = UnicastInstance(example6)
         s = CodingScheme(6, ((1, 3), (2, 5), (6,)))
         assert verify_scheme_symbolic(u, s) == [3]
 
     def test_random_requires_symbolic_pass(self, example6):
-        u = split_groupcast(example6)
+        u = UnicastInstance(example6)
         s = CodingScheme(6, ((1, 3, 4), (2, 5)))
         with pytest.raises(ValidationError, match="symbolic"):
             verify_scheme_random(u, s)
@@ -314,7 +307,7 @@ class TestVerification:
         for s in (solve(example6)[1], CodingScheme(6, ((1, 3, 4), (2, 5)))):
             for trials in (0, -5):
                 with pytest.raises(ValidationError) as info:
-                    verify_scheme_random(split_groupcast(example6), s, trials=trials)
+                    verify_scheme_random(UnicastInstance(example6), s, trials=trials)
                 assert str(info.value) == f"trials must be at least 1, got {trials}"
 
     def test_random_word_width_in_range(self, example6):
@@ -399,7 +392,7 @@ class TestVerification:
 
         monkeypatch.setattr(scheme_module.random, "Random", CountingRandom)
         inst = Instance.of(50, [({1}, {2}), ({2}, {1}), ({3}, ())])
-        u = split_groupcast(inst)
+        u = UnicastInstance(inst)
         s = CodingScheme(50, ((1, 2), (3,)))
         assert verify_scheme_random(u, s, trials=7, seed=1, word_width=8) is None
         assert draws == [7 * 8] * 3
@@ -437,7 +430,7 @@ class TestVerification:
         rng = random.Random(42)
         for seed in range(40):
             inst = random_instance(5, 4, 0.4, (1, 3), seed=seed)
-            u = split_groupcast(inst)
+            u = UnicastInstance(inst)
             if rng.random() < 0.5:
                 _, s = solve(inst)
             else:
@@ -455,8 +448,8 @@ class TestVerification:
         rng = random.Random(7)
         for seed in range(40):
             inst = random_instance(5, 5, 0.4, (1, 3), seed=100 + seed)
-            pre = split_groupcast(inst)
-            post = dedup(pre)
+            pre = UnicastInstance(inst)
+            post = UnicastInstance(inst, True)
             if rng.random() < 0.5:
                 _, s = solve(inst)
             else:
@@ -557,7 +550,7 @@ class TestAssignMatchesReference:
     def test_random_valid_and_invalid_schemes(self):
         outcomes = {True: 0, False: 0}
         for seed, inst, u, s in valid_and_invalid_schemes():
-            for v_set in (u, split_groupcast(inst)):
+            for v_set in (u, UnicastInstance(inst)):
                 got = assign_transmissions(v_set, s)
                 assert [None if pair is None else pair[0] for pair in got] == \
                     reference_assign_transmissions(v_set, s), (seed, s)
@@ -577,7 +570,7 @@ class TestAssignMatchesReference:
             raise AssertionError("a trial ran with an unassigned virtual")
 
         for seed, inst, u, s in valid_and_invalid_schemes():
-            for v_set in (u, split_groupcast(inst)):
+            for v_set in (u, UnicastInstance(inst)):
                 assigned = assign_transmissions(v_set, s)
                 complete = None not in assigned
                 monkeypatch.setattr(scheme_module, "encode", real_encode if complete else no_trial)
